@@ -11,6 +11,8 @@ f = (1 + e0)/2 to diag(1,1,0,0).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .isotopy import IsoContext
@@ -33,15 +35,20 @@ def regular_representation(a: Multivector) -> np.ndarray:
     """Matrix of left multiplication by ``a`` in the blade basis.
 
     Column ``j`` holds the coefficients of ``a * e_blade(j)``, so
-    ``reg(ab) = reg(a) @ reg(b)``.
+    ``reg(ab) = reg(a) @ reg(b)``.  Entry ``(ma ^ j, j)`` is
+    ``sign(ma, j) * ca``, gathered from the signature's sign table; for a
+    fixed column the rows ``ma ^ j`` of distinct terms are distinct, so
+    each entry receives one term.
     """
     sig = a.signature
     n = sig.blade_count
+    cols = np.arange(n)
+    table = np.array(sig.sign_table)
+    masks = np.fromiter(a.terms.keys(), dtype=np.int64, count=len(a))[:, None]
+    coeffs = np.fromiter(a.terms.values(), dtype=complex, count=len(a))[:, None]
+    signs = np.where(np.bitwise_count(masks & table) & 1, -1, 1)
     mat = np.zeros((n, n), dtype=complex)
-    for ma, ca in a.terms.items():
-        for j in range(n):
-            mask, sign = sig.blade_geometric(ma, j)
-            mat[mask, j] += sign * ca
+    mat[masks ^ cols, cols] += signs * coeffs
     return mat
 
 
@@ -107,15 +114,10 @@ class DiracRep:
         return Multivector(SIG13, {mask: coeffs[mask] for mask in range(16)})
 
 
-_DEFAULT_REP: DiracRep | None = None
-
-
+@functools.cache
 def build_dirac_rep() -> DiracRep:
     """Shared Dirac representation (it is immutable, so one instance serves)."""
-    global _DEFAULT_REP
-    if _DEFAULT_REP is None:
-        _DEFAULT_REP = DiracRep()
-    return _DEFAULT_REP
+    return DiracRep()
 
 
 def rep(d: DiracRep, a: Multivector) -> np.ndarray:

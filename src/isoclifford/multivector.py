@@ -3,16 +3,26 @@
 Elements are stored as sparse mappings from a basis-blade bitmask to a
 complex coefficient.  Bit ``i`` of a mask means the basis vector ``e_i``
 is a factor of the blade, factors ordered by ascending index.  The first
-``p`` basis vectors square to +1, the remaining ``q`` to -1.
+``p`` basis vectors square to +1, the remaining ``q`` to -1 (the bitmap
+blades of Dorst, Fontijne & Mann, *Geometric Algebra for Computer
+Science*, 2007, ch. 19).
 
-The geometric product of two blades is computed with the canonical
-reordering sign (counting transpositions by popcount) plus one metric
-factor for every repeated index.  Wedge and the two contractions are
-grade-selected special cases of the same kernel.
+The product of blades ``a`` and ``b`` is ``sign(a, b)`` times blade
+``a ^ b``.  The sign is a bilinear form over GF(2):
+``sign(a, b) = (-1) ** popcount(a & F[b])`` with
+``F[b] = P(b) ^ (b & neg_mask)``, where bit ``j`` of ``P(b)`` is set iff
+``b`` has an odd number of bits below ``j`` (the transpositions that sort
+the concatenated factors) and ``neg_mask`` marks the ``q`` generators
+squaring to -1 (the metric factor of each repeated index).  ``F`` holds
+2^n ints, 4096 for Cl(12,0); it is built on the first product in a
+signature and cached per ``(p, q)``.  One private loop reads it for the
+geometric product, the wedge and both contractions, which differ only in
+the blade pairs they keep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -34,18 +44,21 @@ class NonInvertibleError(AlgebraError):
     """Raised when an element has no (numerically resolvable) inverse."""
 
 
-def _reordering_sign(a: int, b: int) -> int:
-    """Sign of sorting the concatenation of blades ``a`` and ``b``.
+@functools.cache
+def _sign_table(p: int, q: int) -> tuple[int, ...]:
+    """``F[b]`` for every blade ``b`` of Cl(p,q); see the module docstring.
 
-    Counts, mod 2, the transpositions needed to move every generator of
-    ``b`` past the higher-index generators of ``a``.
+    ``F`` is linear over GF(2), so ``F[b] = F[b without its lowest bit] ^
+    F[lowest bit]``, and ``F[1 << j]`` is the generators above ``j`` plus
+    ``j`` itself when ``e_j`` squares to -1.
     """
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
+    full = (1 << (p + q)) - 1
+    neg = full & ~((1 << p) - 1)
+    table = [0] * (full + 1)
+    for b in range(1, full + 1):
+        low = b & -b
+        table[b] = table[b & (b - 1)] ^ (full & ~((low << 1) - 1)) ^ (low & neg)
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -75,15 +88,17 @@ class Signature:
             raise ValueError(f"basis index {i} out of range for Cl({self.p},{self.q})")
         return 1 if i < self.p else -1
 
+    @property
+    def sign_table(self) -> tuple[int, ...]:
+        """``F`` with ``sign(a, b) = (-1) ** popcount(a & F[b])``, built on first use."""
+        return _sign_table(self.p, self.q)
+
     def blade_geometric(self, a: int, b: int) -> tuple[int, int]:
         """Geometric product of two blade masks: ``(result_mask, sign)``."""
-        sign = _reordering_sign(a, b)
-        common = a & b
-        while common:
-            i = (common & -common).bit_length() - 1
-            sign *= self.metric(i)
-            common &= common - 1
-        return a ^ b, sign
+        n = self.blade_count
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"blade mask out of range for Cl({self.p},{self.q})")
+        return a ^ b, -1 if (a & self.sign_table[b]).bit_count() & 1 else 1
 
     # -- element constructors ------------------------------------------------
 
@@ -254,59 +269,44 @@ class Multivector:
 # -- products ---------------------------------------------------------------------
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Clifford product ``ab``; on vectors ``e_i e_j + e_j e_i = 2 g_ij``."""
+def _blade_products(a: Multivector, b: Multivector, keep=None) -> Multivector:
+    """Sum of ``sign * ca * cb`` on blade ``ma ^ mb`` over the term pairs.
+
+    ``keep(ma, mb)``, when given, selects the blade pairs that contribute.
+    Pairs are visited in the order of ``a``'s terms, then ``b``'s, so the
+    result's terms and rounding do not depend on how the sign is found.
+    """
     a._check_signature(b)
     sig = a.signature
+    table = sig.sign_table
+    rows = [(mb, cb, table[mb]) for mb, cb in b.terms.items()]
     out: dict[int, complex] = {}
     for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            mask, sign = sig.blade_geometric(ma, mb)
-            out[mask] = out.get(mask, 0j) + sign * ca * cb
+        signed = (1 * ca, -1 * ca)  # ``sign * ca`` for sign = +1, -1
+        for mb, cb, fb in rows if keep is None else [r for r in rows if keep(ma, r[0])]:
+            mask = ma ^ mb
+            out[mask] = out.get(mask, 0j) + signed[(ma & fb).bit_count() & 1] * cb
     return Multivector(sig, out)
+
+
+def geometric_product(a: Multivector, b: Multivector) -> Multivector:
+    """Clifford product ``ab``; on vectors ``e_i e_j + e_j e_i = 2 g_ij``."""
+    return _blade_products(a, b)
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product: grade-raising, null on repeated factors."""
-    a._check_signature(b)
-    sig = a.signature
-    out: dict[int, complex] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if ma & mb:
-                continue
-            sign = _reordering_sign(ma, mb)
-            mask = ma | mb
-            out[mask] = out.get(mask, 0j) + sign * ca * cb
-    return Multivector(sig, out)
+    return _blade_products(a, b, lambda ma, mb: not ma & mb)
 
 
 def left_contraction(a: Multivector, b: Multivector) -> Multivector:
     """Left contraction ``a ⌟ b``: grade of each term pair is lowered to s-r."""
-    a._check_signature(b)
-    sig = a.signature
-    out: dict[int, complex] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if ma & ~mb:
-                continue
-            mask, sign = sig.blade_geometric(ma, mb)
-            out[mask] = out.get(mask, 0j) + sign * ca * cb
-    return Multivector(sig, out)
+    return _blade_products(a, b, lambda ma, mb: not ma & ~mb)
 
 
 def right_contraction(a: Multivector, b: Multivector) -> Multivector:
     """Right contraction ``a ⌞ b``, the mirror twin of :func:`left_contraction`."""
-    a._check_signature(b)
-    sig = a.signature
-    out: dict[int, complex] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if mb & ~ma:
-                continue
-            mask, sign = sig.blade_geometric(ma, mb)
-            out[mask] = out.get(mask, 0j) + sign * ca * cb
-    return Multivector(sig, out)
+    return _blade_products(a, b, lambda ma, mb: not mb & ~ma)
 
 
 # -- involutions --------------------------------------------------------------------
