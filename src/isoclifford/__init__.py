@@ -9,8 +9,6 @@ from .dirac import (
     build_dirac_rep,
     iso_spin_plus_check,
     regular_representation,
-    rep,
-    rep_inverse,
     spin_plus_check,
 )
 from .isotopy import (
@@ -42,7 +40,6 @@ from .lie_su import (
     structure_constants,
     su3_case1_generators,
     su3_case2_generators,
-    su6_appendix_generators,
     su_n_generators,
 )
 from .multivector import (

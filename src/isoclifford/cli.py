@@ -125,23 +125,14 @@ def cmd_flavor(args) -> int:
     except OSError as exc:
         print(f"error: cannot read mass file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        bounds = flavor.QuarkMassBounds.from_json(text)
-    except flavor.MassInputError as exc:
-        # distinguish malformed input (usage) from domain violations
-        if "JSON" in str(exc) or "missing" in str(exc) or "bad entry" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-
     group = args.group
     try:
+        bounds = flavor.QuarkMassBounds.from_json(text)
         masses = bounds.centrals(group)
         zeta = flavor.equal_mass_params(masses, group)
     except flavor.MassInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_USAGE if isinstance(exc, flavor.MassFormatError) else EXIT_DOMAIN
 
     iso_matrix = flavor.iso_mass_operator(zeta, masses)
     det_residual = zeta.det_residual()

@@ -120,14 +120,6 @@ def build_dirac_rep() -> DiracRep:
     return DiracRep()
 
 
-def rep(d: DiracRep, a: Multivector) -> np.ndarray:
-    return d.rep(a)
-
-
-def rep_inverse(d: DiracRep, m: np.ndarray, tol: float = 1e-8) -> Multivector:
-    return d.rep_inverse(m, tol)
-
-
 def spin_plus_check(d: DiracRep, r: Multivector, tol: float = 1e-9) -> bool:
     """Membership test for the even elements with ``R R~ = 1``."""
     if any(k & 1 for k in r.grades()):

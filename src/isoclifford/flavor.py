@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -56,7 +57,27 @@ PARAM_NAMES = {"su3": ("alpha", "beta"), "su6": ("alpha", "beta", "omega", "kapp
 
 
 class MassInputError(ValueError):
-    """Invalid quark mass data (non-positive or inconsistent bounds)."""
+    """Invalid quark mass data; raised as one of the two subclasses below."""
+
+
+class MassFormatError(MassInputError):
+    """Mass data of the wrong shape or type: not JSON, a missing flavor or
+    field, a non-numeric or boolean value."""
+
+
+class MassDomainError(MassInputError):
+    """Well-formed mass data outside the physical domain: non-finite,
+    non-positive or out-of-order values."""
+
+
+def _mass_value(value) -> float:
+    """A mass read from input data; strings and booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"mass {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise MassDomainError("an integer mass exceeds the float range") from None
 
 
 @dataclass(frozen=True)
@@ -70,10 +91,14 @@ class QuarkMassBounds:
     def __post_init__(self):
         for fl in FLAVORS:
             if fl not in self.lo or fl not in self.hi or fl not in self.central:
-                raise MassInputError(f"missing flavor {fl!r}")
+                raise MassFormatError(f"missing flavor {fl!r}")
             lo, hi, c = self.lo[fl], self.hi[fl], self.central[fl]
+            if not all(map(math.isfinite, (lo, c, hi))):
+                raise MassDomainError(
+                    f"flavor {fl!r}: min, central and max must be finite, got "
+                    f"({lo}, {c}, {hi})")
             if not (0 < lo <= c <= hi):
-                raise MassInputError(
+                raise MassDomainError(
                     f"flavor {fl!r}: need 0 < min <= central <= max, got "
                     f"({lo}, {c}, {hi})")
 
@@ -82,14 +107,14 @@ class QuarkMassBounds:
         lo, hi, central = {}, {}, {}
         for fl in FLAVORS:
             if fl not in data:
-                raise MassInputError(f"missing flavor {fl!r}")
+                raise MassFormatError(f"missing flavor {fl!r}")
             entry = data[fl]
             try:
-                lo[fl] = float(entry["min"])
-                hi[fl] = float(entry["max"])
-                central[fl] = float(entry.get("central", 0.5 * (lo[fl] + hi[fl])))
-            except (TypeError, KeyError, ValueError) as exc:
-                raise MassInputError(f"flavor {fl!r}: bad entry {entry!r} ({exc})") from exc
+                lo[fl] = _mass_value(entry["min"])
+                hi[fl] = _mass_value(entry["max"])
+                central[fl] = _mass_value(entry.get("central", 0.5 * (lo[fl] + hi[fl])))
+            except (AttributeError, TypeError, KeyError) as exc:
+                raise MassFormatError(f"flavor {fl!r}: bad entry {entry!r} ({exc})") from exc
         return cls(lo, hi, central)
 
     @classmethod
@@ -97,9 +122,9 @@ class QuarkMassBounds:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise MassInputError(f"mass file is not valid JSON: {exc}") from exc
+            raise MassFormatError(f"mass file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise MassInputError("mass file must hold one JSON object")
+            raise MassFormatError("mass file must hold one JSON object")
         return cls.from_mapping(data)
 
     @classmethod
@@ -251,7 +276,7 @@ def _check_masses(masses: Sequence[float], group: str) -> tuple[float, ...]:
     if len(masses) != GROUP_DIM[group]:
         raise ValueError(f"{group} expects {GROUP_DIM[group]} masses")
     if any(m <= 0 for m in masses):
-        raise MassInputError("masses must be positive")
+        raise MassDomainError("masses must be positive")
     return masses
 
 

@@ -15,13 +15,14 @@ closure (the oracle rejects it).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .isotopy import IsoContext, iso_commutator, iso_wedge, lift
+from .isotopy import IsoContext, iso_wedge, lift
 from .multivector import (
     AlgebraError,
     Multivector,
@@ -49,11 +50,21 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.generators)
 
+    @functools.cached_property
+    def _left(self) -> tuple[Multivector, ...]:
+        """``g_k ζ⁻¹`` for every generator of a lifted family."""
+        zeta_inv = self.context.zeta_inv
+        return tuple(geometric_product(g, zeta_inv) for g in self.generators)
+
     def commutator(self, i: int, j: int) -> Multivector:
+        """``[g_i, g_j]``, or ``(g_i ζ⁻¹) g_j - (g_j ζ⁻¹) g_i`` when lifted: the
+        association of :func:`~isoclifford.isotopy.iso_commutator`, with each
+        ``g ζ⁻¹`` formed once per family."""
         a, b = self.generators[i], self.generators[j]
         if self.context is None:
             return geometric_product(a, b) - geometric_product(b, a)
-        return iso_commutator(self.context, a, b)
+        left = self._left
+        return geometric_product(left[i], b) - geometric_product(left[j], a)
 
     def unit(self) -> Multivector:
         """The scalar unit of the family's ambient algebra (ζ when lifted)."""
@@ -113,13 +124,6 @@ def su_n_generators(n: int, ctx: IsoContext | None = None) -> GeneratorSet:
         labels.append(f"H{r}")
     tag = "rigid" if ctx is None else "iso"
     return GeneratorSet(f"su({n})-{tag}", sig, tuple(gens), ctx)
-
-
-def su6_appendix_generators(ctx: IsoContext | None = None) -> GeneratorSet:
-    """The 35 su(6) generators of Cl(12,0), E then F then H ordering."""
-    base = su_n_generators(6, ctx)
-    tag = "rigid" if ctx is None else "iso"
-    return GeneratorSet(f"su(6)-appendix-{tag}", base.signature, base.generators, ctx)
 
 
 def su3_case1_generators(ctx: IsoContext | None = None) -> GeneratorSet:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -122,24 +123,66 @@ class Signature:
         return self.blade(self.blade_count - 1)
 
 
+def _index_mask(mask) -> int:
+    """A blade mask as ``int``; numpy integers are accepted, ``bool`` and
+    non-integral values (``1.0``) are not."""
+    if isinstance(mask, bool):
+        raise ValueError(f"blade mask {mask!r} is a bool, not an integer")
+    try:
+        return operator.index(mask)
+    except TypeError:
+        raise ValueError(f"blade mask {mask!r} is not an integer") from None
+
+
+def _pruned(terms: Mapping[int, complex]) -> MappingProxyType:
+    """The terms with ``|c| > PRUNE_EPS``; a non-finite ``c`` raises ``ValueError``.
+
+    ``abs(c)`` is inf or NaN exactly when a component of ``c`` is, and it
+    raises ``OverflowError`` for a finite ``c`` too large to measure.
+    """
+    kept: dict[int, complex] = {}
+    for mask, c in terms.items():
+        a = abs(c)
+        if not a <= PRUNE_EPS:
+            if not a < math.inf:
+                raise ValueError("multivector coefficients must be finite")
+            kept[mask] = c
+    return MappingProxyType(kept)
+
+
 class Multivector:
-    """Immutable sparse multivector over a fixed :class:`Signature`."""
+    """Immutable sparse multivector over a fixed :class:`Signature`.
+
+    The constructor is the validation boundary: it takes integer blade
+    masks of the algebra and coefficients ``complex()`` accepts.  Results
+    of arithmetic on elements already built that way are assembled by
+    :meth:`_from_terms`, which keeps only the prune and the finite check.
+    """
 
     __slots__ = ("signature", "_terms")
 
     def __init__(self, signature: Signature, terms: Mapping[int, complex]):
         limit = signature.blade_count
-        pruned: dict[int, complex] = {}
+        checked: dict[int, complex] = {}
         for mask, coeff in terms.items():
+            if type(mask) is not int:
+                mask = _index_mask(mask)
             if not 0 <= mask < limit:
                 raise ValueError(f"blade mask {mask} invalid for Cl({signature.p},{signature.q})")
-            c = complex(coeff)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("multivector coefficients must be finite")
-            if abs(c) > PRUNE_EPS:
-                pruned[mask] = c
+            checked[mask] = complex(coeff)
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "_terms", MappingProxyType(pruned))
+        object.__setattr__(self, "_terms", _pruned(checked))
+
+    @classmethod
+    def _from_terms(cls, signature: Signature, terms: dict[int, complex]) -> "Multivector":
+        """Element built from terms whose masks are ``int`` blades of
+        ``signature`` and whose coefficients are ``complex``, as every
+        result of arithmetic on validated operands is; only the prune and
+        the finite check of :func:`_pruned` are applied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "signature", signature)
+        object.__setattr__(out, "_terms", _pruned(terms))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -194,26 +237,32 @@ class Multivector:
         out = dict(self._terms)
         for mask, coeff in other._terms.items():
             out[mask] = out.get(mask, 0j) + coeff
-        return Multivector(self.signature, out)
+        return Multivector._from_terms(self.signature, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Multivector(self.signature, {m: -c for m, c in self._terms.items()})
+        return Multivector._from_terms(self.signature, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
             other = self.signature.scalar(other)
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self + (-other)
+        self._check_signature(other)
+        out = dict(self._terms)
+        for mask, coeff in other._terms.items():
+            out[mask] = out.get(mask, 0j) + -coeff
+        return Multivector._from_terms(self.signature, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return Multivector(self.signature, {m: c * other for m, c in self._terms.items()})
+            s = complex(other)
+            return Multivector._from_terms(self.signature,
+                                           {m: c * s for m, c in self._terms.items()})
         if not isinstance(other, Multivector):
             return NotImplemented
         return geometric_product(self, other)
@@ -286,7 +335,7 @@ def _blade_products(a: Multivector, b: Multivector, keep=None) -> Multivector:
         for mb, cb, fb in rows if keep is None else [r for r in rows if keep(ma, r[0])]:
             mask = ma ^ mb
             out[mask] = out.get(mask, 0j) + signed[(ma & fb).bit_count() & 1] * cb
-    return Multivector(sig, out)
+    return Multivector._from_terms(sig, out)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -313,7 +362,7 @@ def right_contraction(a: Multivector, b: Multivector) -> Multivector:
 
 
 def _grade_signed(a: Multivector, sign_of_grade) -> Multivector:
-    return Multivector(
+    return Multivector._from_terms(
         a.signature,
         {m: sign_of_grade(m.bit_count()) * c for m, c in a.terms.items()},
     )
@@ -338,12 +387,14 @@ def grade_project(a: Multivector, k: int) -> Multivector:
     """The grade-k part of ``a``."""
     if not 0 <= k <= a.signature.dim:
         raise ValueError(f"grade {k} out of range for Cl({a.signature.p},{a.signature.q})")
-    return Multivector(a.signature, {m: c for m, c in a.terms.items() if m.bit_count() == k})
+    return Multivector._from_terms(
+        a.signature, {m: c for m, c in a.terms.items() if m.bit_count() == k})
 
 
 def grade_select(a: Multivector, grades: Iterable[int]) -> Multivector:
     wanted = set(grades)
-    return Multivector(a.signature, {m: c for m, c in a.terms.items() if m.bit_count() in wanted})
+    return Multivector._from_terms(
+        a.signature, {m: c for m, c in a.terms.items() if m.bit_count() in wanted})
 
 
 # -- inversion ------------------------------------------------------------------------

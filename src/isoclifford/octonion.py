@@ -92,7 +92,8 @@ def table_product(a: int, b: int) -> Multivector:
 def oct_conjugate(a: Multivector) -> Multivector:
     """Scalar part minus vector part."""
     _require_paravector(a)
-    return Multivector(a.signature, {m: (c if m == 0 else -c) for m, c in a.terms.items()})
+    return Multivector._from_terms(
+        a.signature, {m: (c if m == 0 else -c) for m, c in a.terms.items()})
 
 
 def oct_norm(a: Multivector) -> float:

@@ -1,0 +1,203 @@
+"""Validation at the public constructor, and results that skip it.
+
+``Multivector(sig, terms)`` checks and coerces its input once; results of
+arithmetic on validated operands are built by ``Multivector._from_terms``,
+which only prunes and rejects non-finite coefficients.  Each reference
+below forms the same expression in the same order and builds its result
+through the public constructor, so every comparison is exact: equal
+elements and identical term order.  The four blade products are held to
+such a reference in ``test_sign_table.py``.
+"""
+
+import numpy as np
+import pytest
+
+from isoclifford.isotopy import IsoContext, iso_commutator, random_invertible_context
+from isoclifford.lie_su import (
+    GeneratorSet,
+    structure_constants,
+    su3_case1_generators,
+    su3_case2_generators,
+    su_n_generators,
+)
+from isoclifford.multivector import (
+    Multivector,
+    Signature,
+    conjugation,
+    geometric_product,
+    grade_involution,
+    grade_project,
+    grade_select,
+    random_multivector,
+    reversion,
+)
+from isoclifford.octonion import SIG07, oct_conjugate
+
+SIGNATURES = [Signature(3, 0), Signature(1, 3), Signature(0, 7), Signature(12, 0)]
+
+
+def assert_identical(got: Multivector, want: Multivector) -> None:
+    assert got == want
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(m) is int and type(c) is complex for m, c in got.terms.items())
+
+
+def _operands(sig, seed):
+    rng = np.random.default_rng(seed)
+    pool = [random_multivector(sig, rng, k) for k in (1, 3, 8, 8)]
+    pool.append(random_multivector(sig, rng, 8, grades=[1, 2]))
+    a = pool[2]
+    # shares every blade of ``a``: sums and differences cancel to exact zeros
+    pool.append(Multivector(sig, {m: -c for m, c in a.terms.items()}))
+    pool.append(Multivector(sig, {}))
+    return pool
+
+
+# -- references ------------------------------------------------------------------------
+
+
+def _add_ref(a, b):
+    out = dict(a.terms)
+    for m, c in b.terms.items():
+        out[m] = out.get(m, 0j) + c
+    return Multivector(a.signature, out)
+
+
+def _neg_ref(a):
+    return Multivector(a.signature, {m: -c for m, c in a.terms.items()})
+
+
+def _scale_ref(a, s):
+    return Multivector(a.signature, {m: c * complex(s) for m, c in a.terms.items()})
+
+
+def _grade_signed_ref(a, sign_of_grade):
+    return Multivector(a.signature,
+                       {m: sign_of_grade(m.bit_count()) * c for m, c in a.terms.items()})
+
+
+# -- arithmetic on validated operands --------------------------------------------------
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: f"cl{s.p}_{s.q}")
+def test_linear_structure_equals_the_public_constructor_reference(sig):
+    pool = _operands(sig, 83 + sig.dim)
+    for a in pool:
+        assert_identical(-a, _neg_ref(a))
+        for s in (2, -0.5, 1.5 - 2j, np.float64(0.25), np.complex128(0.5 + 3j), 0, 1e-15):
+            assert_identical(a * s, _scale_ref(a, s))
+            assert_identical(s * a, _scale_ref(a, s))
+        assert_identical(a / 4.0, _scale_ref(a, 1.0 / 4.0))
+        assert_identical(a + 1.5, _add_ref(a, sig.scalar(1.5)))
+        assert_identical(a - 1.5, _add_ref(a, _neg_ref(sig.scalar(1.5))))
+        for b in pool:
+            assert_identical(a + b, _add_ref(a, b))
+            assert_identical(a - b, _add_ref(a, _neg_ref(b)))
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: f"cl{s.p}_{s.q}")
+def test_involutions_and_grade_parts_equal_the_public_constructor_reference(sig):
+    def rev(k):
+        return -1 if (k // 2) & 1 else 1
+
+    def inv(k):
+        return -1 if k & 1 else 1
+
+    for a in _operands(sig, 97 + sig.dim):
+        assert_identical(reversion(a), _grade_signed_ref(a, rev))
+        assert_identical(grade_involution(a), _grade_signed_ref(a, inv))
+        assert_identical(conjugation(a), _grade_signed_ref(_grade_signed_ref(a, rev), inv))
+        for k in range(sig.dim + 1):
+            assert_identical(grade_project(a, k), Multivector(
+                sig, {m: c for m, c in a.terms.items() if m.bit_count() == k}))
+        assert_identical(grade_select(a, (0, 2)), Multivector(
+            sig, {m: c for m, c in a.terms.items() if m.bit_count() in (0, 2)}))
+
+
+def test_octonion_conjugate_equals_the_public_constructor_reference():
+    rng = np.random.default_rng(5)
+    comps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    x = Multivector(SIG07, {0: comps[0], **{1 << i: comps[i + 1] for i in range(7)}})
+    want = Multivector(SIG07, {m: (c if m == 0 else -c) for m, c in x.terms.items()})
+    assert_identical(oct_conjugate(x), want)
+
+
+def test_numpy_scalar_factor_leaves_python_complex_coefficients():
+    a = Signature(1, 3).e(0, 2) + 3.0
+    for s in (np.complex128(2 - 1j), np.float64(0.5), np.int64(3)):
+        for got in (a * s, s * a, a / s):
+            assert got.terms
+            assert all(type(c) is complex for c in got.terms.values())
+
+
+def test_kernel_results_still_reject_non_finite_coefficients():
+    sig = Signature(3, 0)
+    big = Multivector(sig, {1: 1e200})
+    with pytest.raises(ValueError, match="finite"):
+        geometric_product(big, big)
+    with pytest.raises(ValueError, match="finite"):
+        big * 1e200
+    with pytest.raises(ValueError, match="finite"):
+        big * float("nan")
+    # a finite component whose modulus exceeds the float range
+    with pytest.raises(OverflowError):
+        Multivector(sig, {1: 1.5e308}) * (1 + 1j)
+
+
+def test_kernel_results_still_prune():
+    sig = Signature(3, 0)
+    tiny = Multivector(sig, {1: 1e-8})
+    assert not geometric_product(tiny, tiny)
+    a = Multivector(sig, {0: 1.0, 3: 2.0})
+    assert not a - a
+    assert not a * 0
+    assert grade_project(a, 1) == sig.scalar(0.0)
+
+
+# -- masks at the public constructor ------------------------------------------------------
+
+
+@pytest.mark.parametrize("mask", [1.0, np.float64(1.0), True, False, np.bool_(True), "1", None])
+def test_non_integer_masks_are_rejected(mask):
+    with pytest.raises(ValueError):
+        Multivector(Signature(3, 0), {mask: 1.0})
+
+
+def test_numpy_integer_masks_become_int():
+    sig = Signature(3, 0)
+    a = Multivector(sig, {np.int64(3): 2.0, np.uint8(1): 1.0})
+    assert [type(m) for m in a.terms] == [int, int]
+    assert a == Multivector(sig, {3: 2.0, 1: 1.0})
+    assert_identical(a * a, geometric_product(Multivector(sig, {3: 2.0, 1: 1.0}),
+                                              Multivector(sig, {3: 2.0, 1: 1.0})))
+    with pytest.raises(ValueError):
+        Multivector(sig, {np.int64(8): 1.0})
+
+
+# -- the structure-constant oracle --------------------------------------------------------
+
+
+def _lifted_families():
+    for n in (2, 3, 6):
+        sig = Signature(2 * n, 0)
+        ctx = IsoContext.create(sig.scalar(1.7) + 0.4 * sig.e(0, 1))
+        yield su_n_generators(n, ctx)
+    rng = np.random.default_rng(29)
+    for builder in (su3_case1_generators, su3_case2_generators):
+        yield builder(random_invertible_context(Signature(1, 3), rng))
+
+
+@pytest.mark.parametrize("gs", list(_lifted_families()), ids=lambda gs: gs.label)
+def test_lifted_oracle_equals_the_pairwise_iso_commutator_reference(gs, monkeypatch):
+    got = structure_constants(gs)
+    for i in range(len(gs)):
+        for j in range(len(gs)):
+            a, b = gs.generators[i], gs.generators[j]
+            assert_identical(gs.commutator(i, j), iso_commutator(gs.context, a, b))
+    monkeypatch.setattr(GeneratorSet, "commutator",
+                        lambda self, i, j: iso_commutator(
+                            self.context, self.generators[i], self.generators[j]))
+    want = structure_constants(gs)
+    assert np.array_equal(got.c, want.c)
+    assert np.array_equal(got.unit_component, want.unit_component)
+    assert got.max_residual == want.max_residual

@@ -139,3 +139,44 @@ def test_flavor_nonpositive_mass(tmp_path):
     bad.write_text(json.dumps(entries))
     proc = run_cli("flavor", "--group", "su3", "--masses", str(bad))
     assert proc.returncode == 3
+
+
+def _mass_entries(**override):
+    entries = {fl: {"min": 1.0, "max": 2.0} for fl in ("u", "d", "s", "c", "b", "t")}
+    entries.update(override)
+    return entries
+
+
+@pytest.mark.parametrize("entry,code", [
+    ({"min": 1.0, "max": float("inf")}, 3),
+    ({"min": 1.0, "max": 2.0, "central": float("nan")}, 3),
+    ({"min": 1.0, "max": 10 ** 400}, 3),
+    ({"min": True, "max": 2.0}, 2),
+    ({"min": 1.0, "max": 2.0, "central": False}, 2),
+    ({"min": "1.0", "max": 2.0}, 2),
+    ([1.0, 2.0], 2),
+], ids=["infinity", "nan", "huge_integer", "boolean", "boolean_central", "string", "list"])
+def test_flavor_input_errors_map_to_exit_codes_by_type(tmp_path, capsys, entry, code):
+    path = tmp_path / "masses.json"
+    path.write_text(json.dumps(_mass_entries(c=entry)))
+    assert main(["flavor", "--group", "su6", "--masses", str(path), "--intervals"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: flavor 'c'") or "float range" in err
+
+
+def test_flavor_infinite_bound_exits_3_without_traceback(tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(_mass_entries(t={"min": 1.0, "max": float("inf")})))
+    proc = run_cli("flavor", "--group", "su6", "--masses", str(path), "--intervals")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "finite" in proc.stderr
+
+
+def test_flavor_boolean_mass_exits_2(tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(_mass_entries(u={"min": True, "max": 3.0})))
+    proc = run_cli("flavor", "--group", "su3", "--masses", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

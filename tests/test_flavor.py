@@ -12,6 +12,8 @@ from isoclifford.dirac import build_dirac_rep
 from isoclifford.flavor import (
     FlavorIsoUnit,
     IsoState,
+    MassDomainError,
+    MassFormatError,
     MassInputError,
     QuarkMassBounds,
     block_embed,
@@ -402,3 +404,46 @@ def test_block_embed():
     assert np.array_equal(out[2:, 2:], np.eye(2))
     with pytest.raises(ValueError):
         block_embed(m, 1)
+
+
+def test_mass_input_errors_are_typed():
+    def entries(**override):
+        table = {fl: {"min": 1.0, "max": 2.0} for fl in flavor.FLAVORS}
+        table.update(override)
+        return table
+
+    format_errors = [
+        lambda: QuarkMassBounds.from_json("not json"),
+        lambda: QuarkMassBounds.from_json("[1, 2]"),
+        lambda: QuarkMassBounds.from_mapping({"u": {"min": 1, "max": 2}}),
+        lambda: QuarkMassBounds.from_mapping(entries(u={"max": 2.0})),
+        lambda: QuarkMassBounds.from_mapping(entries(u={"min": True, "max": 2.0})),
+        lambda: QuarkMassBounds.from_mapping(entries(d={"min": 1.0, "max": 2.0,
+                                                       "central": True})),
+        lambda: QuarkMassBounds.from_mapping(entries(s={"min": "1", "max": 2.0})),
+        lambda: QuarkMassBounds.from_mapping(entries(b=None)),
+    ]
+    domain_errors = [
+        lambda: QuarkMassBounds.from_mapping(entries(c={"min": 3.0, "max": 1.0})),
+        lambda: QuarkMassBounds.from_mapping(entries(t={"min": 1.0, "max": math.inf})),
+        lambda: QuarkMassBounds.from_mapping(entries(t={"min": -math.inf, "max": 1.0})),
+        lambda: QuarkMassBounds.from_mapping(entries(u={"min": 1.0, "max": 2.0,
+                                                       "central": math.nan})),
+        lambda: QuarkMassBounds.from_mapping(entries(u={"min": 1, "max": 10 ** 400})),
+        lambda: QuarkMassBounds.from_json(
+            '{"u": {"min": 1, "max": Infinity}, "d": {"min": 1, "max": 2}, '
+            '"s": {"min": 1, "max": 2}, "c": {"min": 1, "max": 2}, '
+            '"b": {"min": 1, "max": 2}, "t": {"min": 1, "max": 2}}'),
+        lambda: equal_mass_params((1.0, 0.0, 2.0), "su3"),
+    ]
+    for make in format_errors:
+        with pytest.raises(MassFormatError):
+            make()
+    for make in domain_errors:
+        with pytest.raises(MassDomainError):
+            make()
+    assert issubclass(MassFormatError, MassInputError)
+    assert issubclass(MassDomainError, MassInputError)
+    # integer and numpy values are numbers; the central value defaults to the midpoint
+    b = QuarkMassBounds.from_mapping(entries(u={"min": 1, "max": np.float32(3.0)}))
+    assert b.central["u"] == 2.0

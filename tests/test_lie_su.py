@@ -12,7 +12,6 @@ from isoclifford.lie_su import (
     structure_constants,
     su3_case1_generators,
     su3_case2_generators,
-    su6_appendix_generators,
     su_n_generators,
 )
 from isoclifford.multivector import Signature, geometric_product, wedge
@@ -175,7 +174,7 @@ def test_iso_exponentiation_of_generators():
 
 
 def test_appendix_ordering():
-    gs = su6_appendix_generators()
+    gs = su_n_generators(6)
     assert len(gs) == 35
     base = su_n_generators(6)
     for g, h in zip(gs.generators, base.generators):

@@ -147,6 +147,8 @@ def _operands(sig, seed):
     rng = np.random.default_rng(seed)
     pool = [random_multivector(sig, rng, k) for k in (1, 3, 8, 8, 24)]
     pool.append(random_multivector(sig, rng, 8, grades=[1, 2]))
+    # the negation of an operand, so some sums cancel to exact zeros
+    pool.append(Multivector(sig, {m: -c for m, c in pool[2].terms.items()}))
     return pool
 
 
