@@ -6,9 +6,10 @@ Two commands::
     isoclifford flavor --group su3|su6 --masses <path> [--intervals] [--format ...]
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 domain
-error (non-positive masses and the like).  Reports are deterministic:
-the property suites run on a fixed seed and every float is rendered with
-6 significant digits.
+error (non-positive masses and the like; also any ``AlgebraError`` or
+``ValueError`` a command lets escape, reported on one ``error:`` line).
+Reports are deterministic: the property suites run on a fixed seed and
+every float is rendered with 6 significant digits.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import flavor
+from .multivector import AlgebraError
 from .suites import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -130,6 +132,7 @@ def cmd_flavor(args) -> int:
         bounds = flavor.QuarkMassBounds.from_json(text)
         masses = bounds.centrals(group)
         zeta = flavor.equal_mass_params(masses, group)
+        intervals = flavor.param_intervals(bounds, group) if args.intervals else None
     except flavor.MassInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, flavor.MassFormatError) else EXIT_DOMAIN
@@ -149,8 +152,7 @@ def cmd_flavor(args) -> int:
              "residual": float(det_residual), "tolerance": 1e-12},
         ],
     }
-    if args.intervals:
-        intervals = flavor.param_intervals(bounds, group)
+    if intervals is not None:
         block = {}
         for name, ent in intervals.items():
             block[name] = {
@@ -172,9 +174,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_flavor(args)
+    try:
+        if args.command == "verify":
+            return cmd_verify(args)
+        return cmd_flavor(args)
+    except (AlgebraError, ValueError) as exc:
+        # a domain failure the command did not map itself: one line, no traceback
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -43,10 +43,9 @@ def regular_representation(a: Multivector) -> np.ndarray:
     sig = a.signature
     n = sig.blade_count
     cols = np.arange(n)
-    table = np.array(sig.sign_table)
     masks = np.fromiter(a.terms.keys(), dtype=np.int64, count=len(a))[:, None]
     coeffs = np.fromiter(a.terms.values(), dtype=complex, count=len(a))[:, None]
-    signs = np.where(np.bitwise_count(masks & table) & 1, -1, 1)
+    signs = np.where(np.bitwise_count(masks & sig.sign_array) & 1, -1, 1)
     mat = np.zeros((n, n), dtype=complex)
     mat[masks ^ cols, cols] += signs * coeffs
     return mat

@@ -67,7 +67,8 @@ class MassFormatError(MassInputError):
 
 class MassDomainError(MassInputError):
     """Well-formed mass data outside the physical domain: non-finite,
-    non-positive or out-of-order values."""
+    non-positive or out-of-order values, or masses so widely spread that
+    a derived parameter under- or overflows."""
 
 
 def _mass_value(value) -> float:
@@ -366,7 +367,14 @@ def param_value(group: str, which: int, masses: Sequence[float]) -> float:
     n = _exponent(group)
     own = masses[which]
     others = math.prod(masses[:which] + masses[which + 1:])
-    return (own ** (n - 1) / others) ** (1.0 / n)
+    try:
+        value = (own ** (n - 1) / others) ** (1.0 / n)
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise MassDomainError(f"{group} parameter {PARAM_NAMES[group][which]} is not a "
+                              "finite positive number for these masses")
+    return value
 
 
 def equal_mass_params(masses: Sequence[float], group: str, delta: float = 1.0) -> FlavorIsoUnit:

@@ -15,9 +15,25 @@ The product of blades ``a`` and ``b`` is ``sign(a, b)`` times blade
 the concatenated factors) and ``neg_mask`` marks the ``q`` generators
 squaring to -1 (the metric factor of each repeated index).  ``F`` holds
 2^n ints, 4096 for Cl(12,0); it is built on the first product in a
-signature and cached per ``(p, q)``.  One private loop reads it for the
-geometric product, the wedge and both contractions, which differ only in
-the blade pairs they keep.
+signature and cached per ``(p, q)``, with a read-only int64 copy for
+numpy gathers.  One private kernel reads it for the geometric product,
+the wedge and both contractions, which differ only in the blade pairs
+they keep.
+
+The kernel has two paths, chosen by the number of term pairs
+``len(a) * len(b)``.  Below ``_NUMPY_MIN_PAIRS`` (364) a Python loop
+visits the pairs; from there on numpy does the same arithmetic on
+arrays.  The array path pays for some thirty numpy calls whatever the
+operand size, so the loop wins on small operands.  On a 2-core x86-64
+the two cross between 320 and 384 pairs in Cl(0,7) (about 180 us a
+product either way) and between 576 and 768 in Cl(12,0), whose products
+collide on fewer blades; at 128 x 128 terms the array path is 3 to 6
+times faster.
+Both paths give the same bits: the array path writes Python's complex
+product out in real and imaginary components, adds the terms of each
+blade in the loop's a-major pair order with ``np.bincount`` (a
+sequential sum onto 0.0), and emits the blades in order of first
+occurrence.
 """
 
 from __future__ import annotations
@@ -29,8 +45,13 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 MAX_DIMENSION = 12
 PRUNE_EPS = 1e-14
+# Operand pairs with at least this many term pairs take the array path of
+# _blade_products; see the module docstring for the measured crossover.
+_NUMPY_MIN_PAIRS = 364
 
 
 class AlgebraError(Exception):
@@ -60,6 +81,14 @@ def _sign_table(p: int, q: int) -> tuple[int, ...]:
         low = b & -b
         table[b] = table[b & (b - 1)] ^ (full & ~((low << 1) - 1)) ^ (low & neg)
     return tuple(table)
+
+
+@functools.cache
+def _sign_array(p: int, q: int) -> np.ndarray:
+    """:func:`_sign_table` as a read-only int64 array, for numpy gathers."""
+    table = np.array(_sign_table(p, q), dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -93,6 +122,11 @@ class Signature:
     def sign_table(self) -> tuple[int, ...]:
         """``F`` with ``sign(a, b) = (-1) ** popcount(a & F[b])``, built on first use."""
         return _sign_table(self.p, self.q)
+
+    @property
+    def sign_array(self) -> np.ndarray:
+        """:attr:`sign_table` as a read-only int64 array, built once per signature."""
+        return _sign_array(self.p, self.q)
 
     def blade_geometric(self, a: int, b: int) -> tuple[int, int]:
         """Geometric product of two blade masks: ``(result_mask, sign)``."""
@@ -321,21 +355,64 @@ class Multivector:
 def _blade_products(a: Multivector, b: Multivector, keep=None) -> Multivector:
     """Sum of ``sign * ca * cb`` on blade ``ma ^ mb`` over the term pairs.
 
-    ``keep(ma, mb)``, when given, selects the blade pairs that contribute.
-    Pairs are visited in the order of ``a``'s terms, then ``b``'s, so the
-    result's terms and rounding do not depend on how the sign is found.
+    ``keep(ma, mb)``, when given, selects the blade pairs that contribute;
+    it must accept ints and int64 arrays alike.  Pairs are visited in the
+    order of ``a``'s terms, then ``b``'s, so the result's terms and
+    rounding do not depend on how the sign is found.  At
+    ``_NUMPY_MIN_PAIRS`` pairs or more, :func:`_blade_terms_numpy` does the
+    same arithmetic on arrays.
     """
     a._check_signature(b)
     sig = a.signature
+    a_terms, b_terms = a._terms, b._terms
+    if len(a_terms) * len(b_terms) >= _NUMPY_MIN_PAIRS:
+        return Multivector._from_terms(sig, _blade_terms_numpy(a_terms, b_terms, sig, keep))
     table = sig.sign_table
-    rows = [(mb, cb, table[mb]) for mb, cb in b.terms.items()]
+    rows = [(mb, cb, table[mb]) for mb, cb in b_terms.items()]
     out: dict[int, complex] = {}
-    for ma, ca in a.terms.items():
+    for ma, ca in a_terms.items():
         signed = (1 * ca, -1 * ca)  # ``sign * ca`` for sign = +1, -1
         for mb, cb, fb in rows if keep is None else [r for r in rows if keep(ma, r[0])]:
             mask = ma ^ mb
             out[mask] = out.get(mask, 0j) + signed[(ma & fb).bit_count() & 1] * cb
     return Multivector._from_terms(sig, out)
+
+
+def _blade_terms_numpy(a: Mapping[int, complex], b: Mapping[int, complex],
+                       sig: Signature, keep) -> dict[int, complex]:
+    """The terms of :func:`_blade_products`, bit for bit, from array arithmetic.
+
+    Python's complex ``*`` is written out in components, ``1 * ca`` as
+    ``(1*ar - 0*ai, 1*ai + 0*ar)`` and ``s * cb`` as
+    ``(sr*br - si*bi, sr*bi + si*br)``, because numpy's complex multiply
+    may fuse a multiply and an add and round once where Python rounds
+    twice.  The pairs are flattened a-major, ``np.bincount`` adds the
+    terms of a blade in that order onto 0.0 as the loop adds them onto
+    ``0j``, and the blades come out in order of first occurrence.
+    """
+    ma = np.fromiter(a.keys(), dtype=np.int64, count=len(a))[:, None]
+    mb = np.fromiter(b.keys(), dtype=np.int64, count=len(b))
+    ca = np.fromiter(a.values(), dtype=complex, count=len(a))[:, None]
+    cb = np.fromiter(b.values(), dtype=complex, count=len(b))
+    with np.errstate(all="ignore"):  # inf and NaN reach the check in _pruned
+        odd = np.bitwise_count(ma & sig.sign_array[mb]) & 1
+        ar, ai = ca.real, ca.imag
+        sr = np.where(odd, -1.0 * ar - 0.0 * ai, 1.0 * ar - 0.0 * ai)
+        si = np.where(odd, -1.0 * ai + 0.0 * ar, 1.0 * ai + 0.0 * ar)
+        re = sr * cb.real - si * cb.imag
+        im = sr * cb.imag + si * cb.real
+    masks = ma ^ mb
+    if keep is not None:
+        kept = keep(ma, mb)
+        masks, re, im = masks[kept], re[kept], im[kept]
+    masks, n = masks.ravel(), sig.blade_count
+    first = np.full(n, masks.size)  # index of each blade's first pair
+    np.minimum.at(first, masks, np.arange(masks.size))
+    blades = masks[np.sort(first[first < masks.size])]
+    coeffs = np.empty(blades.size, dtype=complex)
+    coeffs.real = np.bincount(masks, weights=re.ravel(), minlength=n)[blades]
+    coeffs.imag = np.bincount(masks, weights=im.ravel(), minlength=n)[blades]
+    return dict(zip(blades.tolist(), coeffs.tolist()))
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -345,17 +422,17 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product: grade-raising, null on repeated factors."""
-    return _blade_products(a, b, lambda ma, mb: not ma & mb)
+    return _blade_products(a, b, lambda ma, mb: (ma & mb) == 0)
 
 
 def left_contraction(a: Multivector, b: Multivector) -> Multivector:
     """Left contraction ``a ⌟ b``: grade of each term pair is lowered to s-r."""
-    return _blade_products(a, b, lambda ma, mb: not ma & ~mb)
+    return _blade_products(a, b, lambda ma, mb: (ma & ~mb) == 0)
 
 
 def right_contraction(a: Multivector, b: Multivector) -> Multivector:
     """Right contraction ``a ⌞ b``, the mirror twin of :func:`left_contraction`."""
-    return _blade_products(a, b, lambda ma, mb: not mb & ~ma)
+    return _blade_products(a, b, lambda ma, mb: (mb & ~ma) == 0)
 
 
 # -- involutions --------------------------------------------------------------------
@@ -425,8 +502,6 @@ def inverse(a: Multivector, tol: float = 1e-8) -> Multivector:
 
 
 def _regular_solve_inverse(a: Multivector) -> Multivector:
-    import numpy as np
-
     from .dirac import regular_representation
 
     sig = a.signature
@@ -437,7 +512,7 @@ def _regular_solve_inverse(a: Multivector) -> Multivector:
         coeffs = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise NonInvertibleError(f"regular representation is singular: {exc}") from exc
-    return Multivector(sig, {m: coeffs[m] for m in range(sig.blade_count)})
+    return Multivector(sig, dict(enumerate(coeffs.tolist())))
 
 
 # -- sampling -------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from isoclifford.cli import main
+from isoclifford.multivector import NonInvertibleError, SignatureMismatchError
 
 RUN = [sys.executable, "-m", "isoclifford"]
 
@@ -180,3 +181,55 @@ def test_flavor_boolean_mass_exits_2(tmp_path):
     proc = run_cli("flavor", "--group", "su3", "--masses", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+
+SPREAD = _mass_entries(u={"min": 1e-300, "max": 1e-299}, t={"min": 1e300, "max": 1.5e300})
+# central values in range, interval corners outside it
+SPREAD_CORNERS = _mass_entries(u={"min": 1e-200, "max": 1e-100})
+
+
+@pytest.mark.parametrize("group,entries,intervals", [
+    ("su3", SPREAD, False), ("su3", SPREAD, True),
+    ("su6", SPREAD, False), ("su6", SPREAD, True),
+    ("su3", SPREAD_CORNERS, True),
+], ids=["su3", "su3_intervals", "su6", "su6_intervals", "su3_corners"])
+def test_flavor_widely_spread_masses_exit_3(tmp_path, capsys, group, entries, intervals):
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps(entries))
+    argv = ["flavor", "--group", group, "--masses", str(path)]
+    assert main(argv + ["--intervals"] if intervals else argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {group} parameter alpha is not a finite positive number")
+
+
+def test_flavor_spread_corners_without_intervals_succeed(tmp_path, capsys):
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps(SPREAD_CORNERS))
+    assert main(["flavor", "--group", "su3", "--masses", str(path)]) == 0
+    out, _ = capsys.readouterr()
+    assert "Infinity" not in out and "NaN" not in out
+
+
+@pytest.mark.parametrize("exc", [
+    NonInvertibleError("regular representation is singular"),
+    SignatureMismatchError("Cl(3,0) vs Cl(1,3)"),
+    ValueError("a coefficient is\nnot finite"),
+], ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("command,target", [
+    ("verify", "isoclifford.cli.run_suite"),
+    ("flavor", "isoclifford.flavor.iso_mass_operator"),
+])
+def test_escaping_domain_errors_exit_3_on_one_line(monkeypatch, capsys, masses_file,
+                                                  exc, command, target):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(target, boom)
+    argv = (["verify", "--suite", "su3"] if command == "verify"
+            else ["flavor", "--group", "su3", "--masses", masses_file])
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {type(exc).__name__}: {' '.join(str(exc).split())}\n"

@@ -435,6 +435,11 @@ def test_mass_input_errors_are_typed():
             '"s": {"min": 1, "max": 2}, "c": {"min": 1, "max": 2}, '
             '"b": {"min": 1, "max": 2}, "t": {"min": 1, "max": 2}}'),
         lambda: equal_mass_params((1.0, 0.0, 2.0), "su3"),
+        # finite positive masses whose parameters under- or overflow
+        lambda: equal_mass_params((1e-300, 1.0, 1.0), "su3"),
+        lambda: equal_mass_params((1e300, 1.0, 1.0, 1.0, 1.0, 1.0), "su6"),
+        lambda: param_intervals(QuarkMassBounds.from_mapping(
+            entries(u={"min": 1e-200, "max": 1e-100})), "su3"),
     ]
     for make in format_errors:
         with pytest.raises(MassFormatError):

@@ -4,12 +4,17 @@ The reference below is the per-pair arithmetic the package used before it
 read the per-signature sign table: a transposition count by popcount plus
 one metric factor per repeated index, and four separate product loops.
 The table keeps the arithmetic ``sign * ca * cb`` and the visiting order,
-so every comparison here is exact.
+so every comparison here is exact.  That includes the numpy path the
+kernel takes for large operands, checked bit for bit on both sides of
+its threshold.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
+from isoclifford import multivector
 from isoclifford.dirac import regular_representation
 from isoclifford.multivector import (
     Multivector,
@@ -168,3 +173,132 @@ def test_products_equal_the_reference_loops_exactly(sig, product, reference):
 def test_regular_representation_equals_the_reference_loop_exactly(sig):
     for a in _operands(sig, 53 + sig.dim) + [Multivector(sig, {})]:
         assert np.array_equal(regular_representation(a), regular_representation_ref(a))
+
+
+# -- the array path of the blade kernel ------------------------------------------------
+
+THRESHOLD = multivector._NUMPY_MIN_PAIRS
+ARRAY_SIGNATURES = [Signature(0, 7), Signature(4, 4), Signature(12, 0)]
+
+
+def _bits(x: Multivector) -> list:
+    """Terms in order, each coefficient as the exact bits of its components."""
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()]
+
+
+def _shape(pairs: int) -> tuple[int, int]:
+    """The most nearly square ``(len(a), len(b))`` with ``pairs`` term pairs
+    that fits in Cl(0,7)'s 128 blades."""
+    shapes = [(k, pairs // k) for k in range(1, 129) if pairs % k == 0 and pairs // k <= 128]
+    return min(shapes, key=lambda s: abs(s[0] - s[1]))
+
+
+SHAPES = [_shape(THRESHOLD - 1), _shape(THRESHOLD), _shape(THRESHOLD + 1), (128, 128)]
+
+
+def _by_path(product, a, b, threshold):
+    """``product(a, b)`` with the array path taken from ``threshold`` pairs on."""
+    saved = multivector._NUMPY_MIN_PAIRS
+    multivector._NUMPY_MIN_PAIRS = threshold
+    try:
+        return product(a, b)
+    finally:
+        multivector._NUMPY_MIN_PAIRS = saved
+
+
+def _assert_both_paths_equal(product, reference, a, b):
+    want = reference(a, b)
+    for threshold in (0, THRESHOLD, 1 << 30):
+        got = _by_path(product, a, b, threshold)
+        assert got == want
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("sig", ARRAY_SIGNATURES, ids=lambda s: f"cl{s.p}_{s.q}")
+@pytest.mark.parametrize("product,reference", PRODUCTS, ids=lambda f: f.__name__)
+def test_array_path_equals_the_loop_bit_for_bit(sig, product, reference):
+    rng = np.random.default_rng(71 + sig.dim)
+    for na, nb in SHAPES:
+        # unit scale, and a scale whose products straddle PRUNE_EPS
+        for scale in (1.0, 3e-8):
+            a = random_multivector(sig, rng, na, scale=scale)
+            b = random_multivector(sig, rng, nb, scale=scale)
+            _assert_both_paths_equal(product, reference, a, b)
+            # b and -b: the terms of anticommuting blade pairs cancel to exact zeros
+            _assert_both_paths_equal(product, reference, b, -b)
+
+
+@pytest.mark.parametrize("sig", ARRAY_SIGNATURES, ids=lambda s: f"cl{s.p}_{s.q}")
+def test_array_path_cancels_exactly(sig):
+    # a bivector squares to grades 0 and 4: its grade-2 terms cancel pair by pair
+    x = random_multivector(sig, np.random.default_rng(5), 128, grades=[2])
+    assert len(x) ** 2 >= THRESHOLD
+    square = geometric_product(x, x)
+    assert square.grades() <= {0, 4}
+    assert _bits(square) == _bits(geometric_product_ref(x, x))
+
+
+def test_small_coefficients_reach_the_prune_on_the_array_path():
+    sig = Signature(12, 0)
+    rng = np.random.default_rng(9)
+    a, b = (random_multivector(sig, rng, 128, scale=3e-8) for _ in range(2))
+    got = geometric_product(a, b)
+    assert got == geometric_product_ref(a, b)
+    # some sums are pruned, some kept just above the threshold
+    assert len(got) < len({ma ^ mb for ma in a.terms for mb in b.terms})
+    assert min(abs(c) for _, c in got) < 10 * multivector.PRUNE_EPS
+
+
+def test_the_array_path_starts_at_the_threshold(monkeypatch):
+    calls = []
+    array_terms = multivector._blade_terms_numpy
+    monkeypatch.setattr(multivector, "_blade_terms_numpy",
+                        lambda *args: calls.append(1) or array_terms(*args))
+    sig = Signature(0, 7)
+    rng = np.random.default_rng(3)
+    for (na, nb), want in zip(SHAPES[:3], (0, 1, 1)):
+        calls.clear()
+        a, b = random_multivector(sig, rng, na), random_multivector(sig, rng, nb)
+        geometric_product(a, b)
+        assert len(calls) == want, (na, nb)
+
+
+def test_numpy_complex_multiply_would_not_be_bit_identical():
+    """The array path writes Python's complex product out in components;
+    a kernel using numpy's complex ``*`` differs where numpy fuses a
+    multiply and an add."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    y = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    if (x * y).tolist() == [u * v for u, v in zip(x.tolist(), y.tolist())]:
+        pytest.skip("numpy's complex multiply rounds like Python's on this machine")
+
+    def mutant(a, b):
+        sig = a.signature
+        ma = np.fromiter(a.terms.keys(), dtype=np.int64)[:, None]
+        mb = np.fromiter(b.terms.keys(), dtype=np.int64)
+        ca = np.fromiter(a.terms.values(), dtype=complex)[:, None]
+        cb = np.fromiter(b.terms.values(), dtype=complex)
+        sign = np.where(np.bitwise_count(ma & sig.sign_array[mb]) & 1, -1, 1)
+        terms = (sign * ca) * cb
+        out: dict[int, complex] = {}
+        for mask, c in zip((ma ^ mb).ravel().tolist(), terms.ravel().tolist()):
+            out[mask] = out.get(mask, 0j) + c
+        return Multivector(sig, out)
+
+    sig = Signature(0, 7)
+    a, b = (random_multivector(sig, rng, 128) for _ in range(2))
+    assert mutant(a, b) != geometric_product_ref(a, b)
+    assert geometric_product(a, b) == geometric_product_ref(a, b)
+
+
+@pytest.mark.parametrize("product", [p for p, _ in PRODUCTS], ids=lambda f: f.__name__)
+def test_overflow_raises_the_same_error_on_both_paths(product):
+    sig = Signature(0, 7)
+    rng = np.random.default_rng(13)
+    a, b = (random_multivector(sig, rng, 64, scale=1e200) for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for threshold in (0, 1 << 30):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                _by_path(product, a, b, threshold)
