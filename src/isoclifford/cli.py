@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", required=True,
                      help=f"one of: all, {', '.join(SUITE_NAMES)}")
     ver.add_argument("--tol", type=float, default=None,
-                     help="override every check tolerance (positive)")
+                     help="override every check tolerance (finite, positive)")
     ver.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     fla = sub.add_parser("flavor", help="compute isounit parameters from masses")
@@ -96,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    if args.tol is not None and not args.tol > 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        print("error: --tol must be a finite positive number", file=sys.stderr)
         return EXIT_USAGE
     try:
         checks, comparisons = run_suite(args.suite, args.tol)
@@ -153,16 +154,7 @@ def cmd_flavor(args) -> int:
         ],
     }
     if intervals is not None:
-        block = {}
-        for name, ent in intervals.items():
-            block[name] = {
-                "rigorous": list(ent["rigorous"]),
-                "joint_endpoint": list(ent["joint"]),
-                "reference": list(ent["reference"]),
-                "matches_rigorous": ent["matches_rigorous"],
-                "matches_joint": ent["matches_joint"],
-            }
-        report["paper_comparisons"] = {"parameter_intervals": block}
+        report["paper_comparisons"] = {"parameter_intervals": flavor.interval_report(intervals)}
     _emit(report, args.format)
     return EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_CHECK_FAILURE
 

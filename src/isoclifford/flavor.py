@@ -136,10 +136,6 @@ class QuarkMassBounds:
     def centrals(self, group: str) -> tuple[float, ...]:
         return tuple(self.central[fl] for fl in GROUP_FLAVORS[group])
 
-    def corners(self, group: str):
-        flavors = GROUP_FLAVORS[group]
-        return ({fl: self.lo[fl] for fl in flavors}, {fl: self.hi[fl] for fl in flavors})
-
 
 # -- generalized Gell-Mann matrices ------------------------------------------------
 
@@ -357,14 +353,10 @@ def iso_mass_operator(zeta: FlavorIsoUnit, masses: Sequence[float]) -> np.ndarra
 # -- exact-symmetry parameters -------------------------------------------------------
 
 
-def _exponent(group: str) -> int:
-    return GROUP_DIM[group]
-
-
 def param_value(group: str, which: int, masses: Sequence[float]) -> float:
     """Closed-form parameter: (m_i^{n-1} / prod of the others)^{1/n}."""
     masses = _check_masses(masses, group)
-    n = _exponent(group)
+    n = GROUP_DIM[group]
     own = masses[which]
     others = math.prod(masses[:which] + masses[which + 1:])
     try:
@@ -414,16 +406,16 @@ def param_intervals(bounds: QuarkMassBounds, group: str) -> dict[str, dict]:
     expected and reported, not errors.
     """
     flavors = GROUP_FLAVORS[group]
-    lo_corner, hi_corner = bounds.corners(group)
+    lo, hi = bounds.lo, bounds.hi
     out: dict[str, dict] = {}
     for which, name in enumerate(PARAM_NAMES[group]):
         own = flavors[which]
-        at_min = {fl: (lo_corner[fl] if fl == own else hi_corner[fl]) for fl in flavors}
-        at_max = {fl: (hi_corner[fl] if fl == own else lo_corner[fl]) for fl in flavors}
+        at_min = {fl: (lo[fl] if fl == own else hi[fl]) for fl in flavors}
+        at_max = {fl: (hi[fl] if fl == own else lo[fl]) for fl in flavors}
         rig = (_param_from_bounds(group, which, at_min),
                _param_from_bounds(group, which, at_max))
-        j1 = _param_from_bounds(group, which, lo_corner)
-        j2 = _param_from_bounds(group, which, hi_corner)
+        j1 = _param_from_bounds(group, which, lo)
+        j2 = _param_from_bounds(group, which, hi)
         joint = (min(j1, j2), max(j1, j2))
         ref = REFERENCE_PARAM_INTERVALS[group].get(name)
         entry = {
@@ -442,6 +434,21 @@ def param_intervals(bounds: QuarkMassBounds, group: str) -> dict[str, dict]:
 
 def _interval_close(a, b, rel: float = 2e-3) -> bool:
     return all(abs(x - y) <= rel * max(abs(x), abs(y)) for x, y in zip(a, b))
+
+
+def interval_report(intervals: dict[str, dict]) -> dict[str, dict]:
+    """The report block of :func:`param_intervals` output: per parameter the
+    rigorous and joint-endpoint intervals, the reference and both match flags."""
+    return {
+        name: {
+            "rigorous": [float(ent["rigorous"][0]), float(ent["rigorous"][1])],
+            "joint_endpoint": [float(ent["joint"][0]), float(ent["joint"][1])],
+            "reference": [float(ent["reference"][0]), float(ent["reference"][1])],
+            "matches_rigorous": bool(ent["matches_rigorous"]),
+            "matches_joint": bool(ent["matches_joint"]),
+        }
+        for name, ent in intervals.items()
+    }
 
 
 # -- states and expectations ------------------------------------------------------------

@@ -196,6 +196,18 @@ def su3_case2_generators(ctx: IsoContext | None = None) -> GeneratorSet:
     return GeneratorSet(f"case2-su3-{tag}", SIG13, gens, ctx)
 
 
+def _coefficient_matrix(elements: Sequence[Multivector]) -> np.ndarray:
+    """Blade coefficients with one column per element and one row per blade
+    that any element holds, in ascending mask order."""
+    rows = {mask: idx for idx, mask in
+            enumerate(sorted({mask for x in elements for mask in x.terms}))}
+    mat = np.zeros((len(rows), len(elements)), dtype=complex)
+    for k, x in enumerate(elements):
+        for mask, coeff in x.terms.items():
+            mat[rows[mask], k] = coeff
+    return mat
+
+
 @dataclass(frozen=True)
 class StructureConstants:
     """Oracle output: ``c[i, j, k]`` with ``[g_i, g_j] = Σ_k c[i,j,k] g_k``
@@ -217,27 +229,9 @@ def structure_constants(gs: GeneratorSet, tol: float = 1e-8) -> StructureConstan
     """
     m = len(gs.generators)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    comms = {pair: gs.commutator(*pair) for pair in pairs}
-
-    masks: set[int] = set()
-    for g in gs.generators:
-        masks.update(g.terms)
-    masks.update(gs.unit().terms)
-    for comm in comms.values():
-        masks.update(comm.terms)
-    rows = {mask: idx for idx, mask in enumerate(sorted(masks))}
-
-    span = np.zeros((len(rows), m + 1), dtype=complex)
-    for k, g in enumerate(gs.generators):
-        for mask, coeff in g.terms.items():
-            span[rows[mask], k] = coeff
-    for mask, coeff in gs.unit().terms.items():
-        span[rows[mask], m] = coeff
-
-    targets = np.zeros((len(rows), len(pairs)), dtype=complex)
-    for col, pair in enumerate(pairs):
-        for mask, coeff in comms[pair].terms.items():
-            targets[rows[mask], col] = coeff
+    comms = [gs.commutator(i, j) for i, j in pairs]
+    coeffs = _coefficient_matrix([*gs.generators, gs.unit(), *comms])
+    span, targets = coeffs[:, :m + 1], coeffs[:, m + 1:]
     solution, *_ = np.linalg.lstsq(span, targets, rcond=None)
     residuals = np.abs(span @ solution - targets).max(axis=0) if pairs else np.zeros(0)
 
@@ -259,10 +253,4 @@ def structure_constants(gs: GeneratorSet, tol: float = 1e-8) -> StructureConstan
 
 def span_rank(gs: GeneratorSet, tol: float = 1e-9) -> int:
     """Number of linearly independent generators (blade-coefficient rank)."""
-    masks = sorted({mask for g in gs.generators for mask in g.terms})
-    rows = {mask: idx for idx, mask in enumerate(masks)}
-    mat = np.zeros((len(rows), len(gs.generators)), dtype=complex)
-    for k, g in enumerate(gs.generators):
-        for mask, coeff in g.terms.items():
-            mat[rows[mask], k] = coeff
-    return int(np.linalg.matrix_rank(mat, tol=tol))
+    return int(np.linalg.matrix_rank(_coefficient_matrix(gs.generators), tol=tol))

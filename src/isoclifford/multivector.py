@@ -147,15 +147,6 @@ class Signature:
             out = out * Multivector(self, {1 << i: 1.0})
         return out
 
-    def blade(self, mask: int, coeff: complex = 1.0) -> "Multivector":
-        return Multivector(self, {mask: complex(coeff)})
-
-    def basis_blades(self) -> Iterator[int]:
-        return iter(range(self.blade_count))
-
-    def pseudoscalar(self) -> "Multivector":
-        return self.blade(self.blade_count - 1)
-
 
 def _index_mask(mask) -> int:
     """A blade mask as ``int``; numpy integers are accepted, ``bool`` and

@@ -627,8 +627,8 @@ def suite_flavor(rec: _Recorder) -> None:
                    - 2 * flavor.iso_tensor(z_mat, a_mat, b_mat)).max(), 1e-12)
 
     rec.comparisons["parameter_intervals"] = {
-        "su3": _interval_block(iv3),
-        "su6": _interval_block(iv6),
+        "su3": flavor.interval_report(iv3),
+        "su6": flavor.interval_report(iv6),
         "note": "reference intervals are echoed for comparison; no computed "
                 "convention reproduces all of them and the flags record this",
     }
@@ -639,19 +639,6 @@ def suite_flavor(rec: _Recorder) -> None:
         "max_deviation": float(np.abs(co6 - quoted).max()),
         "note": "solved coefficients reconstruct diag(m); the quoted ones do not",
     }
-
-
-def _interval_block(iv: dict) -> dict:
-    out = {}
-    for name, ent in iv.items():
-        out[name] = {
-            "rigorous": [float(ent["rigorous"][0]), float(ent["rigorous"][1])],
-            "joint_endpoint": [float(ent["joint"][0]), float(ent["joint"][1])],
-            "reference": [float(ent["reference"][0]), float(ent["reference"][1])],
-            "matches_rigorous": bool(ent["matches_rigorous"]),
-            "matches_joint": bool(ent["matches_joint"]),
-        }
-    return out
 
 
 _SUITE_FUNCS = {

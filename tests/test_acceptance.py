@@ -1,30 +1,34 @@
-"""Acceptance suite: one test per criterion, each at its stated tolerance.
+"""Acceptance criteria that the ``verify`` suites cannot express.
+
+The invariants live in the suites and run one case per check in
+``test_suites.py``.  A criterion stays here when it is stricter than its
+suite twin (more contexts or samples), pins a literal value no suite
+holds, or drives the command line end to end.
 
 Every criterion prints a single pass/fail line (run with ``pytest -s`` to
 see them as they happen).  Residual-style criteria report the worst
 residual observed against the pinned tolerance.
 """
 
+import hashlib
 import json
-import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from isoclifford import dirac, flavor, lie_su, octonion
+from isoclifford import flavor, lie_su
 from isoclifford.isotopy import (
     IsoContext,
     iso_commutator,
-    iso_exp,
-    iso_exp_series,
-    iso_product,
     lift,
     random_invertible_context,
 )
 from isoclifford.multivector import Signature, random_multivector
 
+REPO = Path(__file__).resolve().parent.parent
 S13 = Signature(1, 3)
 
 
@@ -33,26 +37,6 @@ def _criterion(num: int, label: str, residual: float, tolerance: float) -> None:
     print(f"[acceptance] criterion {num:02d} {label}: {status} "
           f"(residual {residual:.3e}, tolerance {tolerance:.1e})")
     assert residual <= tolerance, f"criterion {num}: {residual} > {tolerance}"
-
-
-def test_criterion_01_octonion_table():
-    worst = 0.0
-    for a in range(1, 8):
-        for b in range(1, 8):
-            got = octonion.oct_product(octonion.oct_unit(a), octonion.oct_unit(b))
-            want = octonion.table_product(a, b)
-            worst = max(worst, (got - want).max_abs())
-    _criterion(1, "octonion multiplication table (49 products)", worst, 1e-12)
-
-
-def test_criterion_02_octonion_isotopes():
-    zeta = octonion.oct_unit(1)
-    e2, e5, e7 = octonion.oct_unit(2), octonion.oct_unit(5), octonion.oct_unit(7)
-    worst = max(
-        (octonion.oct_isotope_right(zeta, e2, e5) + e7).max_abs(),
-        (octonion.oct_isotope_left(zeta, e2, e5) - e7).max_abs(),
-    )
-    _criterion(2, "one-sided octonion isotopes at zeta = e1", worst, 1e-12)
 
 
 def test_criterion_03_case1_commutator_example():
@@ -90,128 +74,13 @@ def test_criterion_04_lifted_commutator_transport():
     _criterion(4, "lifted commutator identity in three algebras", worst, 1e-9)
 
 
-def test_criterion_05_lifted_metric_relations():
-    rng = np.random.default_rng(0xC1F0)
-    ctx = random_invertible_context(S13, rng)
-    eta = (1.0, -1.0, -1.0, -1.0)
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            lu, lv = lift(ctx, S13.e(mu)), lift(ctx, S13.e(nu))
-            got = iso_product(ctx, lu, lv) + iso_product(ctx, lv, lu)
-            want = ctx.zeta * (2 * eta[mu] if mu == nu else 0.0)
-            worst = max(worst, (got - want).max_abs())
-    _criterion(5, "lifted basis anticommutation 2 eta zeta", worst, 1e-10)
-
-
-def test_criterion_06_sun_oracle():
-    rng = np.random.default_rng(0xC1F0)
-    worst_closure = 0.0
-    worst_match = 0.0
-    dims_ok = True
-    for n in (2, 3, 6):
-        rigid = lie_su.su_n_generators(n)
-        dims_ok &= (len(rigid) == n * n - 1 and lie_su.span_rank(rigid) == n * n - 1)
-        sc = lie_su.structure_constants(rigid, tol=1e-8)
-        worst_closure = max(worst_closure, sc.max_residual)
-        sig = rigid.signature
-        zeta = sig.scalar(1.5 + 0.5 * rng.random()) + 0.4 * sig.e(0, 1)
-        iso = lie_su.su_n_generators(n, IsoContext.create(zeta))
-        sci = lie_su.structure_constants(iso, tol=1e-8)
-        worst_closure = max(worst_closure, sci.max_residual)
-        worst_match = max(worst_match, float(np.abs(sc.c - sci.c).max()))
-    assert dims_ok
-    _criterion(6, "su(n) dimension and closure (n = 2, 3, 6)", worst_closure, 1e-8)
-    _criterion(6, "rigid vs iso structure constants", worst_match, 1e-9)
-
-
-def test_criterion_07_iso_gell_mann_commutators():
-    rng = np.random.default_rng(0xC1F0)
-    f = flavor.structure_constants_f(3)
-    expected_f = {
-        (1, 2, 3): 1.0, (1, 4, 7): 0.5, (1, 5, 6): -0.5, (2, 4, 6): 0.5,
-        (2, 5, 7): 0.5, (3, 4, 5): 0.5, (3, 6, 7): -0.5,
-        (4, 5, 8): math.sqrt(3) / 2, (6, 7, 8): math.sqrt(3) / 2,
-    }
-    worst_f = max(abs(f[a - 1, b - 1, c - 1] - v) for (a, b, c), v in expected_f.items())
-    worst = 0.0
-    for delta in (1.0, 2.5):
-        entries = np.exp(rng.standard_normal(2))
-        diag = np.concatenate([entries, [1.0 / entries.prod()]])
-        zeta = flavor.FlavorIsoUnit.from_diagonal(diag, delta=delta)
-        lifted = [flavor.iso_lift_operator(zeta, l) for l in flavor.gell_mann(3)]
-        for a in range(8):
-            for b in range(a + 1, 8):
-                lhs = flavor.iso_matrix_commutator(zeta, lifted[a], lifted[b])
-                rhs = sum(2j * f[a, b, c] * delta ** -0.5 * lifted[c] for c in range(8))
-                worst = max(worst, float(np.abs(lhs - rhs).max()))
-    _criterion(7, "dressed Gell-Mann commutators, 28 pairs, delta in {1, 2.5}",
-               max(worst, worst_f), 1e-10)
-
-
-def test_criterion_08_dirac_representation():
-    rng = np.random.default_rng(0xC1F0)
-    d = dirac.build_dirac_rep()
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    worst_anti = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            anti = d.gamma[mu] @ d.gamma[nu] + d.gamma[nu] @ d.gamma[mu]
-            worst_anti = max(worst_anti, float(np.abs(anti - 2 * eta[mu, nu] * np.eye(4)).max()))
-    _criterion(8, "gamma anticommutation (exact)", worst_anti, 0.0)
-    worst = 0.0
-    for _ in range(200):
-        a = random_multivector(S13, rng, 8)
-        b = random_multivector(S13, rng, 8)
-        worst = max(worst, float(np.abs(d.rep(a * b) - d.rep(a) @ d.rep(b)).max()))
-    _criterion(8, "representation homomorphism (200 pairs)", worst, 1e-9)
-    f = 0.5 * (S13.scalar(1.0) + S13.e(0))
-    rf = d.rep(f)
-    idem = float(np.abs(rf @ rf - rf).max())
-    rank = np.linalg.matrix_rank(rf)
-    _criterion(8, "idempotent image of rank 2", idem + abs(rank - 2), 0.0)
-
-
 def test_criterion_09_su3_flavor_numbers():
     masses = (2.25, 5.0, 90.0)
     zeta = flavor.equal_mass_params(masses, "su3")
-    _criterion(9, "alpha at central masses", abs(zeta.params[0] - 0.22407), 1e-4)
     gm = 1012.5 ** (1.0 / 3.0)
     iso_m = flavor.iso_mass_operator(zeta, masses)
     _criterion(9, "iso mass matrix is (1012.5)^(1/3) I",
                float(np.abs(iso_m - gm * np.eye(3)).max()) / gm, 1e-9)
-    states = flavor.iso_states(zeta)
-    y = flavor.hypercharge_operator(zeta)
-    i3 = flavor.isospin_operator(zeta)
-    mz = flavor.iso_mass_operator(zeta, masses)
-    worst = 0.0
-    for s, (yv, iv, mv) in zip(states, ((1 / 6, 0.5, 2.25), (1 / 6, -0.5, 5.0),
-                                        (-1 / 3, 0.0, 90.0))):
-        worst = max(worst,
-                    abs(flavor.iso_expectation(s, y) - yv),
-                    abs(flavor.iso_expectation(s, i3) - iv),
-                    abs(flavor.iso_expectation(s, mz) - mv))
-    _criterion(9, "hypercharge / isospin / mass expectations", worst, 1e-12)
-
-
-def test_criterion_10_su6_flavor():
-    bounds = flavor.QuarkMassBounds.reference()
-    masses = bounds.centrals("su6")
-    zeta = flavor.equal_mass_params(masses, "su6")
-    _criterion(10, "det zeta = 1", zeta.det_residual(), 1e-12)
-    gm = flavor.common_iso_mass(masses, "su6")
-    diag = np.diag(flavor.iso_mass_operator(zeta, masses))
-    _criterion(10, "six-fold equal iso-mass at the geometric mean",
-               float(np.abs(diag - gm).max()) / gm, 1e-12)
-    co = flavor.decompose_mass(masses, "su6")
-    rebuilt = sum(c * b for c, b in zip(co, flavor.decomposition_basis("su6")))
-    _criterion(10, "mass matrix reconstruction from the decomposition",
-               float(np.abs(rebuilt - flavor.mass_operator(masses, "su6")).max()), 1e-9)
-    a, b, w, k, t = zeta.params
-    chain = np.array([masses[0] / a, masses[1] / b, masses[2] / w,
-                      masses[3] / k, masses[4] / t, a * b * w * k * t * masses[5]])
-    _criterion(10, "equal-mass chain across all six flavors",
-               float(chain.max() - chain.min()) / gm, 1e-9)
 
 
 def test_criterion_11_interval_report():
@@ -221,8 +90,7 @@ def test_criterion_11_interval_report():
     hi_oracle = (3.0 ** 2 / (3.0 * 70.0)) ** (1 / 3)
     iv3 = flavor.param_intervals(bounds, "su3")
     lo, hi = iv3["alpha"]["rigorous"]
-    worst = max(abs(lo - lo_oracle), abs(hi - hi_oracle),
-                abs(lo - 0.1430), abs(hi - 0.3499))
+    worst = max(abs(lo - lo_oracle), abs(hi - hi_oracle))
     _criterion(11, "rigorous su3 alpha interval vs corner oracle", worst, 1e-3)
     # the reference intervals are echoed with mismatch flags
     assert iv3["alpha"]["reference"] == (0.2204, 0.2638)
@@ -237,23 +105,6 @@ def test_criterion_11_interval_report():
                0.0 if flagged == 5 else 1.0, 0.5)
 
 
-def test_criterion_12_iso_exp_closed_form():
-    rng = np.random.default_rng(0xC1F0)
-    worst = 0.0
-    count = 0
-    for _ in range(10):
-        ctx = random_invertible_context(S13, rng)
-        for _ in range(5):
-            a = random_multivector(S13, rng, 5, scale=0.3)
-            closed = iso_exp(ctx, a)
-            series = iso_exp_series(ctx, a)
-            worst = max(worst, (closed - series).max_abs())
-            count += 1
-    assert count == 50
-    _criterion(12, "iso exponential closed form vs diamond-power series",
-               worst, 1e-9)
-
-
 def test_criterion_13_end_to_end_cli(tmp_path):
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "isoclifford", "verify",
@@ -263,6 +114,10 @@ def test_criterion_13_end_to_end_cli(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     _criterion(13, "verify --suite all exits 0 in under 60 s",
                elapsed, 60.0)
+    reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    _criterion(13, "verify --suite all JSON report matches the reference SHA-256",
+               0.0 if digest == reference["verify_stdout_sha256"] else 1.0, 0.5)
     masses = {fl: {"min": lo, "max": hi}
               for fl, (lo, hi) in flavor.REFERENCE_MASS_BOUNDS_MEV.items()}
     path = tmp_path / "masses.json"

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from isoclifford.cli import main
 from isoclifford.multivector import NonInvertibleError, SignatureMismatchError
 
 RUN = [sys.executable, "-m", "isoclifford"]
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, **kw):
@@ -41,9 +44,12 @@ def test_verify_unknown_suite_usage_error():
     assert "unknown suite" in proc.stderr
 
 
-def test_verify_negative_tol_rejected():
-    proc = run_cli("verify", "--suite", "octonion", "--tol", "-1")
-    assert proc.returncode == 2
+@pytest.mark.parametrize("tol", ["-1", "0", "inf", "1e400", "nan"])
+def test_verify_tol_must_be_finite_and_positive(capsys, tol):
+    assert main(["verify", "--suite", "octonion", "--tol", tol, "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --tol must be a finite positive number\n"
 
 
 def test_verify_octonion_table_report():
@@ -57,7 +63,7 @@ def test_verify_octonion_table_report():
 
 
 def test_verify_csv_format():
-    proc = run_cli("verify", "--suite", "isotopy", "--format", "csv")
+    proc = run_cli("verify", "--suite", "su3", "--format", "csv")
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "name,pass,residual,tolerance"
@@ -66,7 +72,7 @@ def test_verify_csv_format():
 
 def test_verify_tol_override_can_fail():
     # an absurdly tight tolerance turns residual checks into failures
-    proc = run_cli("verify", "--suite", "isotopy", "--tol", "1e-30")
+    proc = run_cli("verify", "--suite", "su3", "--tol", "1e-30")
     assert proc.returncode == 1
 
 
@@ -100,10 +106,12 @@ def test_flavor_su6_intervals_roundtrip(masses_file):
     assert once == proc.stdout.strip()
 
 
-def test_flavor_deterministic_output(masses_file):
-    first = run_cli("flavor", "--group", "su6", "--masses", masses_file, "--intervals")
-    second = run_cli("flavor", "--group", "su6", "--masses", masses_file, "--intervals")
+def test_flavor_deterministic_output_matches_pin():
+    pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
+    first = run_cli(*pinned["flavor_argv"], cwd=REPO)
+    second = run_cli(*pinned["flavor_argv"], cwd=REPO)
     assert first.stdout == second.stdout
+    assert hashlib.sha256(first.stdout.encode()).hexdigest() == pinned["flavor_stdout_sha256"]
 
 
 def test_verify_deterministic_output():

