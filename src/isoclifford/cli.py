@@ -123,14 +123,14 @@ def cmd_verify(args) -> int:
 
 def cmd_flavor(args) -> int:
     try:
-        with open(args.masses, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.masses, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         print(f"error: cannot read mass file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     group = args.group
     try:
-        bounds = flavor.QuarkMassBounds.from_json(text)
+        bounds = flavor.QuarkMassBounds.from_json(raw)
         masses = bounds.centrals(group)
         zeta = flavor.equal_mass_params(masses, group)
         intervals = flavor.param_intervals(bounds, group) if args.intervals else None

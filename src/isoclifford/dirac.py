@@ -25,6 +25,8 @@ from .multivector import (
 )
 
 SIG13 = Signature(1, 3)
+# Acceptance bound of both rotor-group membership tests.
+_SPIN_TOL = 1e-9
 
 
 class NotInSpanError(AlgebraError):
@@ -101,14 +103,14 @@ class DiracRep:
             out += coeff * self.blade_images[mask]
         return out
 
-    def rep_inverse(self, m: np.ndarray, tol: float = 1e-8) -> Multivector:
+    def rep_inverse(self, m: np.ndarray) -> Multivector:
         """Multivector whose image is ``m``; the 16 blade images span M(4,C)."""
         m = np.asarray(m, dtype=complex)
         if m.shape != (4, 4):
             raise AlgebraError("expected a 4x4 matrix")
         coeffs = self._basis_inv @ m.reshape(-1)
         residual = np.abs(self._basis @ coeffs - m.reshape(-1)).max()
-        if residual > tol:
+        if residual > 1e-8:
             raise NotInSpanError(f"matrix outside blade span, residual {residual:.3e}")
         return Multivector(SIG13, {mask: coeffs[mask] for mask in range(16)})
 
@@ -119,18 +121,17 @@ def build_dirac_rep() -> DiracRep:
     return DiracRep()
 
 
-def spin_plus_check(d: DiracRep, r: Multivector, tol: float = 1e-9) -> bool:
+def spin_plus_check(d: DiracRep, r: Multivector) -> bool:
     """Membership test for the even elements with ``R R~ = 1``."""
     if any(k & 1 for k in r.grades()):
         return False
     m = d.rep(r) @ d.rep(reversion(r))
-    return bool(np.abs(m - np.eye(4)).max() <= tol)
+    return bool(np.abs(m - np.eye(4)).max() <= _SPIN_TOL)
 
 
-def iso_spin_plus_check(d: DiracRep, ctx: IsoContext, r: Multivector,
-                        tol: float = 1e-9) -> bool:
+def iso_spin_plus_check(d: DiracRep, ctx: IsoContext, r: Multivector) -> bool:
     """Isotopic variant: even elements with ``R ⋄ R~ = ζ``."""
     if any(k & 1 for k in r.grades()):
         return False
     prod = geometric_product(geometric_product(r, ctx.zeta_inv), reversion(r))
-    return (prod - ctx.zeta).max_abs() <= tol
+    return (prod - ctx.zeta).max_abs() <= _SPIN_TOL

@@ -26,7 +26,10 @@ from .multivector import reversion
 
 FLAVORS = ("u", "d", "s", "c", "b", "t")
 GROUP_FLAVORS = {"su3": FLAVORS[:3], "su6": FLAVORS}
-GROUP_DIM = {"su3": 3, "su6": 6}
+GROUP_DIM = {group: len(flavors) for group, flavors in GROUP_FLAVORS.items()}
+# 1-based positions of the diagonal Gell-Mann matrices: k² - 1 for k = 2..n.
+DIAGONAL_GENERATOR_INDEX = {group: tuple(k * k - 1 for k in range(2, n + 1))
+                            for group, n in GROUP_DIM.items()}
 
 # Mass window per flavor in MeV (min, max); the comparison column of the
 # interval reports, and midpoints serve as default central values.
@@ -61,8 +64,8 @@ class MassInputError(ValueError):
 
 
 class MassFormatError(MassInputError):
-    """Mass data of the wrong shape or type: not JSON, a missing flavor or
-    field, a non-numeric or boolean value."""
+    """Mass data of the wrong shape or type: not UTF-8, not JSON, a missing
+    flavor or field, a non-numeric or boolean value."""
 
 
 class MassDomainError(MassInputError):
@@ -119,9 +122,12 @@ class QuarkMassBounds:
         return cls(lo, hi, central)
 
     @classmethod
-    def from_json(cls, text: str) -> "QuarkMassBounds":
+    def from_json(cls, text: str | bytes) -> "QuarkMassBounds":
+        """Bounds from a JSON object; bytes are read as UTF-8."""
         try:
-            data = json.loads(text)
+            data = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        except UnicodeDecodeError as exc:
+            raise MassFormatError(f"mass file is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise MassFormatError(f"mass file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -185,9 +191,6 @@ def structure_constants_f(n: int) -> np.ndarray:
     return f
 
 
-DIAGONAL_GENERATOR_INDEX = {"su3": (3, 8), "su6": (3, 8, 15, 24, 35)}
-
-
 # -- isounits -----------------------------------------------------------------------
 
 
@@ -212,19 +215,13 @@ class FlavorIsoUnit:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def from_params(cls, group: str, params: Sequence[float], delta: float = 1.0) -> "FlavorIsoUnit":
+    def from_params(cls, group: str, params: Sequence[float]) -> "FlavorIsoUnit":
+        """diag(a⁻¹, ..., t⁻¹, ab...t), the product taken left to right."""
         params = tuple(float(p) for p in params)
         if any(p <= 0 for p in params):
             raise ValueError("isounit parameters must be positive")
-        if group == "su3":
-            a, b = params
-            diag = [1 / a, 1 / b, a * b]
-        elif group == "su6":
-            a, b, w, k, t = params
-            diag = [1 / a, 1 / b, 1 / w, 1 / k, 1 / t, a * b * w * k * t]
-        else:
-            raise ValueError(f"unknown group {group!r}")
-        return cls(group, np.diag(np.array(diag, dtype=complex)), delta, params)
+        diag = [1 / p for p in params] + [math.prod(params)]
+        return cls(group, np.diag(np.array(diag, dtype=complex)), params=params)
 
     @classmethod
     def from_diagonal(cls, entries: Sequence[float], delta: float = 1.0) -> "FlavorIsoUnit":
@@ -235,8 +232,8 @@ class FlavorIsoUnit:
         return cls(group, np.diag(entries), delta)
 
     @classmethod
-    def identity(cls, group: str, delta: float = 1.0) -> "FlavorIsoUnit":
-        return cls(group, np.eye(GROUP_DIM[group], dtype=complex), delta)
+    def identity(cls, group: str) -> "FlavorIsoUnit":
+        return cls(group, np.eye(GROUP_DIM[group], dtype=complex))
 
     @property
     def inverse_matrix(self) -> np.ndarray:
@@ -289,13 +286,8 @@ def decompose_mass(masses: Sequence[float], group: str) -> np.ndarray:
     exact because the n diagonal basis elements are independent.
     """
     masses = _check_masses(masses, group)
-    n = GROUP_DIM[group]
-    lams = gell_mann(n)
-    basis = [np.ones(n, dtype=complex)]
-    basis += [np.diag(lams[idx - 1]) for idx in DIAGONAL_GENERATOR_INDEX[group]]
-    mat = np.column_stack(basis)
-    coeffs = np.linalg.solve(mat, np.asarray(masses, dtype=complex))
-    return coeffs
+    mat = np.column_stack([np.diag(b) for b in decomposition_basis(group)])
+    return np.linalg.solve(mat, np.asarray(masses, dtype=complex))
 
 
 def decomposition_basis(group: str) -> list[np.ndarray]:
@@ -346,7 +338,6 @@ def su6_quoted_coefficients(masses: Sequence[float]) -> np.ndarray:
 
 def iso_mass_operator(zeta: FlavorIsoUnit, masses: Sequence[float]) -> np.ndarray:
     """Dressed mass operator ``ζ · diag(m)``; equals diag(m) at unit params."""
-    masses = _check_masses(masses, zeta.group)
     return zeta.matrix @ mass_operator(masses, zeta.group)
 
 
@@ -355,7 +346,11 @@ def iso_mass_operator(zeta: FlavorIsoUnit, masses: Sequence[float]) -> np.ndarra
 
 def param_value(group: str, which: int, masses: Sequence[float]) -> float:
     """Closed-form parameter: (m_i^{n-1} / prod of the others)^{1/n}."""
-    masses = _check_masses(masses, group)
+    return _param(group, which, _check_masses(masses, group))
+
+
+def _param(group: str, which: int, masses: tuple[float, ...]) -> float:
+    """:func:`param_value` on masses already validated."""
     n = GROUP_DIM[group]
     own = masses[which]
     others = math.prod(masses[:which] + masses[which + 1:])
@@ -369,16 +364,15 @@ def param_value(group: str, which: int, masses: Sequence[float]) -> float:
     return value
 
 
-def equal_mass_params(masses: Sequence[float], group: str, delta: float = 1.0) -> FlavorIsoUnit:
+def equal_mass_params(masses: Sequence[float], group: str) -> FlavorIsoUnit:
     """The isounit whose dressed mass matrix is a multiple of the identity.
 
     The common iso-mass is the geometric mean of the inputs; see
     :func:`common_iso_mass`.
     """
     masses = _check_masses(masses, group)
-    n_params = len(PARAM_NAMES[group])
-    params = tuple(param_value(group, i, masses) for i in range(n_params))
-    return FlavorIsoUnit.from_params(group, params, delta)
+    params = tuple(_param(group, i, masses) for i in range(len(PARAM_NAMES[group])))
+    return FlavorIsoUnit.from_params(group, params)
 
 
 def common_iso_mass(masses: Sequence[float], group: str) -> float:
@@ -388,10 +382,6 @@ def common_iso_mass(masses: Sequence[float], group: str) -> float:
 
 
 # -- interval propagation --------------------------------------------------------------
-
-
-def _param_from_bounds(group: str, which: int, masses: Mapping[str, float]) -> float:
-    return param_value(group, which, tuple(masses[fl] for fl in GROUP_FLAVORS[group]))
 
 
 def param_intervals(bounds: QuarkMassBounds, group: str) -> dict[str, dict]:
@@ -408,20 +398,20 @@ def param_intervals(bounds: QuarkMassBounds, group: str) -> dict[str, dict]:
     flavors = GROUP_FLAVORS[group]
     lo, hi = bounds.lo, bounds.hi
     out: dict[str, dict] = {}
+    lows = tuple(lo[fl] for fl in flavors)
+    highs = tuple(hi[fl] for fl in flavors)
     for which, name in enumerate(PARAM_NAMES[group]):
-        own = flavors[which]
-        at_min = {fl: (lo[fl] if fl == own else hi[fl]) for fl in flavors}
-        at_max = {fl: (hi[fl] if fl == own else lo[fl]) for fl in flavors}
-        rig = (_param_from_bounds(group, which, at_min),
-               _param_from_bounds(group, which, at_max))
-        j1 = _param_from_bounds(group, which, lo)
-        j2 = _param_from_bounds(group, which, hi)
+        at_min = highs[:which] + lows[which:which + 1] + highs[which + 1:]
+        at_max = lows[:which] + highs[which:which + 1] + lows[which + 1:]
+        rig = (_param(group, which, at_min), _param(group, which, at_max))
+        j1 = _param(group, which, lows)
+        j2 = _param(group, which, highs)
         joint = (min(j1, j2), max(j1, j2))
         ref = REFERENCE_PARAM_INTERVALS[group].get(name)
         entry = {
             "rigorous": rig,
             "joint": joint,
-            "central": param_value(group, which, bounds.centrals(group)),
+            "central": _param(group, which, bounds.centrals(group)),
         }
         if ref is not None:
             entry["reference"] = ref
@@ -432,8 +422,8 @@ def param_intervals(bounds: QuarkMassBounds, group: str) -> dict[str, dict]:
     return out
 
 
-def _interval_close(a, b, rel: float = 2e-3) -> bool:
-    return all(abs(x - y) <= rel * max(abs(x), abs(y)) for x, y in zip(a, b))
+def _interval_close(a, b) -> bool:
+    return all(abs(x - y) <= 2e-3 * max(abs(x), abs(y)) for x, y in zip(a, b))
 
 
 def interval_report(intervals: dict[str, dict]) -> dict[str, dict]:
@@ -537,14 +527,3 @@ def iso_tensor(zeta_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
     zinv = np.linalg.inv(zeta_matrix)
     dressed = d.rep(reversion(d.rep_inverse(zinv @ d.gamma[0]))).conj()
     return np.kron(zinv @ a, b @ dressed)
-
-
-def block_embed(m: np.ndarray, total: int) -> np.ndarray:
-    """Embed a square block into the top-left corner of a larger identity."""
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    if m.shape != (n, n) or total < n:
-        raise ValueError("bad embedding dimensions")
-    out = np.eye(total, dtype=complex)
-    out[:n, :n] = m
-    return out

@@ -26,6 +26,11 @@ from .multivector import (
 
 ProductFn = Callable[[Multivector, Multivector], Multivector]
 
+# Both exponential series stop at a term below _EXP_REL_TOL times the sum
+# and raise ConvergenceError after _EXP_MAX_TERMS terms.
+_EXP_MAX_TERMS = 200
+_EXP_REL_TOL = 1e-12
+
 
 class ConvergenceError(AlgebraError):
     """An exponential power series failed to converge under the term cap."""
@@ -141,31 +146,28 @@ def iso_metric(ctx: IsoContext, psi: Multivector, phi: Multivector) -> Multivect
 
 
 def isotope_right_product(ctx: IsoContext, a: Multivector, b: Multivector,
-                          product: ProductFn | None = None) -> Multivector:
+                          product: ProductFn) -> Multivector:
     """``A ⋄_ζ B = A (ζ⁻¹ B)`` under the supplied base product; ζ is its
     right unit.  Grouping only matters for non-associative ``product``."""
     ctx._check(a)
     ctx._check(b)
-    mul = product if product is not None else geometric_product
-    return mul(a, mul(ctx.zeta_inv, b))
+    return product(a, product(ctx.zeta_inv, b))
 
 
 def isotope_left_product(ctx: IsoContext, a: Multivector, b: Multivector,
-                         product: ProductFn | None = None) -> Multivector:
+                         product: ProductFn) -> Multivector:
     """``A _ζ⋄ B = (A ζ⁻¹) B``; ζ is the left unit of this grouping."""
     ctx._check(a)
     ctx._check(b)
-    mul = product if product is not None else geometric_product
-    return mul(mul(a, ctx.zeta_inv), b)
+    return product(product(a, ctx.zeta_inv), b)
 
 
 def x_product(ctx: IsoContext, a: Multivector, b: Multivector,
-              product: ProductFn | None = None) -> Multivector:
+              product: ProductFn) -> Multivector:
     """X-product ``A ∘_ζ B = (A ζ)(ζ⁻¹ B)`` under the supplied base product."""
     ctx._check(a)
     ctx._check(b)
-    mul = product if product is not None else geometric_product
-    return mul(mul(a, ctx.zeta), mul(ctx.zeta_inv, b))
+    return product(product(a, ctx.zeta), product(ctx.zeta_inv, b))
 
 
 # -- isocomplex numbers -----------------------------------------------------------
@@ -215,20 +217,19 @@ def iso_mul(x: IsoComplex, y: IsoComplex) -> IsoComplex:
 # -- exponentials -------------------------------------------------------------------
 
 
-def clifford_exp(a: Multivector, max_terms: int = 200, rel_tol: float = 1e-12) -> Multivector:
+def clifford_exp(a: Multivector) -> Multivector:
     """Ordinary Clifford exponential by power series."""
     result = a.signature.scalar(1.0)
     term = a.signature.scalar(1.0)
-    for k in range(1, max_terms + 1):
+    for k in range(1, _EXP_MAX_TERMS + 1):
         term = geometric_product(term, a) * (1.0 / k)
         result = result + term
-        if term.max_abs() <= rel_tol * max(result.max_abs(), 1e-300):
+        if term.max_abs() <= _EXP_REL_TOL * max(result.max_abs(), 1e-300):
             return result
-    raise ConvergenceError(f"exponential series did not settle in {max_terms} terms")
+    raise ConvergenceError(f"exponential series did not settle in {_EXP_MAX_TERMS} terms")
 
 
-def iso_exp(ctx: IsoContext, a: Multivector, max_terms: int = 200,
-            rel_tol: float = 1e-12) -> Multivector:
+def iso_exp(ctx: IsoContext, a: Multivector) -> Multivector:
     """Iso exponential ``Σ a^{⋄k}/k!`` with ``a^{⋄0} = ζ``.
 
     Since ``a^{⋄k} = (a ζ⁻¹)^k ζ`` this is evaluated in closed form as
@@ -236,34 +237,31 @@ def iso_exp(ctx: IsoContext, a: Multivector, max_terms: int = 200,
     keeps the literal ⋄-power sum around as a cross-check.
     """
     ctx._check(a)
-    return geometric_product(clifford_exp(geometric_product(a, ctx.zeta_inv),
-                                          max_terms, rel_tol), ctx.zeta)
+    return geometric_product(clifford_exp(geometric_product(a, ctx.zeta_inv)), ctx.zeta)
 
 
-def iso_exp_series(ctx: IsoContext, a: Multivector, max_terms: int = 200,
-                   rel_tol: float = 1e-12) -> Multivector:
+def iso_exp_series(ctx: IsoContext, a: Multivector) -> Multivector:
     """Literal ⋄-power series for the iso exponential (slow path, oracle)."""
     ctx._check(a)
     result = ctx.zeta
     term = ctx.zeta
-    for k in range(1, max_terms + 1):
+    for k in range(1, _EXP_MAX_TERMS + 1):
         term = iso_product(ctx, term, a) * (1.0 / k)
         result = result + term
-        if term.max_abs() <= rel_tol * max(result.max_abs(), 1e-300):
+        if term.max_abs() <= _EXP_REL_TOL * max(result.max_abs(), 1e-300):
             return result
-    raise ConvergenceError(f"iso exponential series did not settle in {max_terms} terms")
+    raise ConvergenceError(f"iso exponential series did not settle in {_EXP_MAX_TERMS} terms")
 
 
-def random_invertible_context(sig: Signature, rng, n_terms: int = 6,
-                              attempts: int = 20) -> IsoContext:
+def random_invertible_context(sig: Signature, rng) -> IsoContext:
     """Random isounit drawn until inversion succeeds (well-conditioned)."""
     from .multivector import NonInvertibleError, random_multivector
 
-    for _ in range(attempts):
+    for _ in range(20):
         zeta = sig.scalar(1.0 + 0.5 * rng.standard_normal()) + random_multivector(
-            sig, rng, n_terms=n_terms, scale=0.3)
+            sig, rng, n_terms=6, scale=0.3)
         try:
             return IsoContext.create(zeta)
         except NonInvertibleError:
             continue
-    raise AlgebraError(f"no invertible isounit found in {attempts} attempts")
+    raise AlgebraError("no invertible isounit found in 20 attempts")

@@ -219,12 +219,12 @@ class StructureConstants:
     max_residual: float
 
 
-def structure_constants(gs: GeneratorSet, tol: float = 1e-8) -> StructureConstants:
+def structure_constants(gs: GeneratorSet) -> StructureConstants:
     """Brute-force extraction of structure constants.
 
     Every pairwise (iso-)commutator is decomposed by least squares over
     the span of the generators plus the family's unit element; a residual
-    above ``tol`` means the set does not close and raises
+    above 1e-8 means the set does not close and raises
     :class:`ClosureViolationError`.
     """
     m = len(gs.generators)
@@ -239,7 +239,7 @@ def structure_constants(gs: GeneratorSet, tol: float = 1e-8) -> StructureConstan
     unit_comp = np.zeros((m, m), dtype=complex)
     worst = 0.0
     for col, (i, j) in enumerate(pairs):
-        if residuals[col] > tol:
+        if residuals[col] > 1e-8:
             raise ClosureViolationError(
                 f"{gs.label}: commutator ({i},{j}) escapes the span "
                 f"(residual {residuals[col]:.3e})")
@@ -251,6 +251,6 @@ def structure_constants(gs: GeneratorSet, tol: float = 1e-8) -> StructureConstan
     return StructureConstants(c, unit_comp, worst)
 
 
-def span_rank(gs: GeneratorSet, tol: float = 1e-9) -> int:
+def span_rank(gs: GeneratorSet) -> int:
     """Number of linearly independent generators (blade-coefficient rank)."""
-    return int(np.linalg.matrix_rank(_coefficient_matrix(gs.generators), tol=tol))
+    return int(np.linalg.matrix_rank(_coefficient_matrix(gs.generators), tol=1e-9))

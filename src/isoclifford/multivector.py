@@ -128,13 +128,6 @@ class Signature:
         """:attr:`sign_table` as a read-only int64 array, built once per signature."""
         return _sign_array(self.p, self.q)
 
-    def blade_geometric(self, a: int, b: int) -> tuple[int, int]:
-        """Geometric product of two blade masks: ``(result_mask, sign)``."""
-        n = self.blade_count
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"blade mask out of range for Cl({self.p},{self.q})")
-        return a ^ b, -1 if (a & self.sign_table[b]).bit_count() & 1 else 1
-
     # -- element constructors ------------------------------------------------
 
     def scalar(self, value: complex) -> "Multivector":
@@ -319,12 +312,6 @@ class Multivector:
     def __hash__(self):
         return hash((self.signature, frozenset(self._terms.items())))
 
-    def isclose(self, other, tol: float = 1e-12) -> bool:
-        if isinstance(other, (int, float, complex)):
-            other = self.signature.scalar(other)
-        self._check_signature(other)
-        return (self - other).max_abs() <= tol
-
     def __repr__(self):
         if not self._terms:
             return "0"
@@ -468,14 +455,14 @@ def grade_select(a: Multivector, grades: Iterable[int]) -> Multivector:
 # -- inversion ------------------------------------------------------------------------
 
 
-def inverse(a: Multivector, tol: float = 1e-8) -> Multivector:
+def inverse(a: Multivector) -> Multivector:
     """Multiplicative inverse of ``a``.
 
     A versor-style fast path (``a ã`` a nonzero scalar) handles blades,
     scalars and rotor-like elements exactly; everything else goes through
     the left-regular-representation linear solve.  The result is always
-    validated: if ``a a^{-1}`` misses 1 by more than ``tol`` the element
-    is declared singular.
+    validated: if ``a a^{-1}`` misses 1 by more than 1e-8 the element is
+    declared singular.
     """
     if not a:
         raise NonInvertibleError("zero has no inverse")
@@ -487,8 +474,8 @@ def inverse(a: Multivector, tol: float = 1e-8) -> Multivector:
     else:
         candidate = _regular_solve_inverse(a)
     residual = (geometric_product(a, candidate) - 1).max_abs()
-    if residual > tol:
-        raise NonInvertibleError(f"inverse residual {residual:.3e} exceeds {tol:.1e}")
+    if residual > 1e-8:
+        raise NonInvertibleError(f"inverse residual {residual:.3e} exceeds 1.0e-08")
     return candidate
 
 
@@ -530,6 +517,6 @@ def random_multivector(sig: Signature, rng, n_terms: int = 8, scale: float = 1.0
     return Multivector(sig, terms)
 
 
-def random_vector(sig: Signature, rng, scale: float = 1.0) -> Multivector:
-    comps = rng.standard_normal(sig.dim) * scale
+def random_vector(sig: Signature, rng) -> Multivector:
+    comps = rng.standard_normal(sig.dim)
     return Multivector(sig, {1 << i: complex(comps[i]) for i in range(sig.dim)})

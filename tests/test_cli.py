@@ -134,6 +134,15 @@ def test_flavor_malformed_file(tmp_path):
     assert "JSON" in proc.stderr
 
 
+def test_flavor_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(bytes.fromhex("fffe7b7d"))  # starts with a UTF-16 byte-order mark
+    assert main(["flavor", "--group", "su3", "--masses", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: mass file is not valid UTF-8")
+
+
 def test_flavor_missing_flavor_entry(tmp_path):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"u": {"min": 1, "max": 2}}))

@@ -16,7 +16,6 @@ from isoclifford.flavor import (
     MassFormatError,
     MassInputError,
     QuarkMassBounds,
-    block_embed,
     common_iso_mass,
     decompose_mass,
     decomposition_basis,
@@ -57,6 +56,14 @@ def test_su3_matrices_match_standard():
     assert np.abs(lams[7] - want8).max() < 1e-15
 
 
+@pytest.mark.parametrize("group", ["su3", "su6"])
+def test_diagonal_generator_index(group):
+    lams = gell_mann(flavor.GROUP_DIM[group])
+    diagonal = tuple(i + 1 for i, lam in enumerate(lams)
+                     if np.array_equal(lam, np.diag(np.diag(lam))))
+    assert flavor.DIAGONAL_GENERATOR_INDEX[group] == diagonal
+
+
 def test_structure_constants_list():
     f = structure_constants_f(3)
     expected = {
@@ -76,6 +83,8 @@ def test_isounit_determinant_automatic():
     assert z3.det_residual() < 1e-12
     z6 = FlavorIsoUnit.from_params("su6", (0.3, 0.8, 1.2, 2.0, 5.0))
     assert z6.det_residual() < 1e-12
+    # the last entry is the product taken left to right
+    assert z6.matrix[5, 5] == 0.3 * 0.8 * 1.2 * 2.0 * 5.0
 
 
 def test_isounit_validation():
@@ -277,16 +286,6 @@ def test_iso_tensor_dressing():
     rev_zinv = d.rep(reversion(d.rep_inverse(zinv))).conj()
     undone = np.kron(z, np.eye(4)) @ got @ np.kron(np.eye(4), np.linalg.inv(rev_zinv))
     assert np.abs(undone - np.kron(a, b @ d.gamma[0])).max() < 1e-10
-
-
-def test_block_embed():
-    m = np.array([[1, 2], [3, 4]], dtype=complex)
-    out = block_embed(m, 4)
-    assert out.shape == (4, 4)
-    assert np.array_equal(out[:2, :2], m)
-    assert np.array_equal(out[2:, 2:], np.eye(2))
-    with pytest.raises(ValueError):
-        block_embed(m, 1)
 
 
 def test_mass_input_errors_are_typed():
