@@ -100,12 +100,11 @@ def cmd_verify(args) -> int:
     if args.tol is not None and not 0 < args.tol < math.inf:
         print("error: --tol must be a finite positive number", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        checks, comparisons = run_suite(args.suite, args.tol)
-    except KeyError:
+    if args.suite not in ("all", *SUITE_NAMES):
         print(f"error: unknown suite {args.suite!r}; expected all or one of "
               f"{', '.join(SUITE_NAMES)}", file=sys.stderr)
         return EXIT_USAGE
+    checks, comparisons = run_suite(args.suite, args.tol)
     report = {
         "command": "verify",
         "suite": args.suite,

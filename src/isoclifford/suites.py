@@ -9,6 +9,8 @@ not reproducible and the flags say so).
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +58,13 @@ class Check:
 
 
 class _Recorder:
-    """Checks and comparisons of a run, each named ``<suite>.<name>`` after
-    the suite in :attr:`suite`."""
+    """Checks and comparisons of one suite's run, each named
+    ``<suite>.<name>``."""
 
-    def __init__(self, tol_override: float | None):
+    def __init__(self, suite: str, tol_override: float | None):
         self.checks: list[Check] = []
         self.comparisons: dict = {}
-        self.suite = ""
+        self.suite = suite
         self._tol_override = tol_override
 
     def add(self, name: str, residual: float, tolerance: float) -> None:
@@ -646,8 +648,9 @@ def suite_flavor(rec: _Recorder) -> None:
     })
 
 
-# run_suite looks the functions up here at call time, so a caller may
-# rebind the values (a tracer wrapping each suite, say).
+# _run_one looks the functions up here at call time, so a caller may
+# rebind the values (a tracer wrapping each suite, say); forked workers
+# inherit the rebinding.
 _SUITE_FUNCS = {
     "clifford": suite_clifford,
     "isotopy": suite_isotopy,
@@ -660,11 +663,42 @@ _SUITE_FUNCS = {
 SUITE_NAMES = tuple(_SUITE_FUNCS)
 
 
+def _run_one(suite: str, tol_override: float | None):
+    """Run one suite on its own recorder; returns (checks, comparisons)."""
+    rec = _Recorder(suite, tol_override)
+    _SUITE_FUNCS[suite](rec)
+    return rec.checks, rec.comparisons
+
+
+def _map_suites(jobs: list[tuple[str, float | None]]) -> list:
+    """``_run_one`` over ``jobs``, in job order.
+
+    Several jobs fan out to a ``fork`` pool of one worker per usable CPU
+    (at most one per job): each suite seeds its own generator and shares
+    no state with the others, so the results are the same as in process.
+    A worker's exception re-raises here with its own type.  With one job,
+    one CPU, no ``fork`` start method or no affinity mask (outside Linux)
+    the same function runs in process.  ``multiprocessing`` is imported
+    only here, so single-suite runs and ``flavor`` do not pay its import.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(jobs))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                return pool.starmap(_run_one, jobs, chunksize=1)
+    return list(itertools.starmap(_run_one, jobs))
+
+
 def run_suite(name: str, tol_override: float | None = None):
     """Run one named suite (or ``all``); returns (checks, comparisons).
 
-    Check records are sorted by name so reports are deterministic even if
-    a suite ever fans its checks out concurrently.
+    ``all`` runs the suites in parallel worker processes where the machine
+    has more than one CPU (see :func:`_map_suites`); a single suite runs in
+    process.  Either way the results are merged in ``SUITE_NAMES`` order and
+    the check records sorted by name, so reports are byte-identical.
     """
     if name == "all":
         names = SUITE_NAMES
@@ -672,9 +706,10 @@ def run_suite(name: str, tol_override: float | None = None):
         names = (name,)
     else:
         raise KeyError(name)
-    rec = _Recorder(tol_override)
-    for suite in names:
-        rec.suite = suite
-        _SUITE_FUNCS[suite](rec)
-    rec.checks.sort(key=lambda c: c.name)
-    return rec.checks, rec.comparisons
+    checks: list[Check] = []
+    comparisons: dict = {}
+    for suite_checks, suite_comparisons in _map_suites([(s, tol_override) for s in names]):
+        checks += suite_checks
+        comparisons.update(suite_comparisons)
+    checks.sort(key=lambda c: c.name)
+    return checks, comparisons

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import functools
 import hashlib
 import json
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from isoclifford import suites
 from isoclifford.cli import main
 from isoclifford.multivector import NonInvertibleError, SignatureMismatchError
 
@@ -42,6 +44,70 @@ def test_verify_unknown_suite_usage_error():
     proc = run_cli("verify", "--suite", "bogus")
     assert proc.returncode == 2
     assert "unknown suite" in proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["clifford", "all"])
+def test_internal_key_error_is_not_an_unknown_suite(monkeypatch, capsys, suite):
+    def boom(rec):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(suites._SUITE_FUNCS, "clifford", boom)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(KeyError, match="internal"):
+        main(["verify", "--suite", suite])
+    assert "unknown suite" not in capsys.readouterr().err
+
+
+@pytest.fixture
+def pool_starmaps(monkeypatch):
+    """Records each ``Pool.starmap`` call the parent process makes."""
+    import multiprocessing.pool
+
+    calls = []
+    real = multiprocessing.pool.Pool.starmap
+
+    def spy(self, func, iterable, chunksize=None):
+        calls.append(func.__name__)
+        return real(self, func, iterable, chunksize)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", spy)
+    return calls
+
+
+def test_pooled_and_in_process_verify_reports_are_byte_identical(monkeypatch, capsys,
+                                                                 pool_starmaps):
+    """One CPU runs the suites in process, two fan them out to the pool.
+    Each path runs them once, for the first format; the other formats
+    render that same result through ``cli.main``."""
+    outputs = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        monkeypatch.setattr("isoclifford.cli.run_suite", functools.cache(suites.run_suite))
+        for fmt in ("json", "csv", "text"):
+            assert main(["verify", "--suite", "all", "--format", fmt]) == 0
+            outputs[len(cpus), fmt] = capsys.readouterr().out
+    assert pool_starmaps == ["_run_one"]  # only the two-CPU path used the pool
+    for fmt in ("json", "csv", "text"):
+        assert outputs[1, fmt] == outputs[2, fmt]
+
+
+def test_domain_error_in_a_worker_exits_3_on_one_line(monkeypatch, capsys, pool_starmaps):
+    def boom(rec):
+        raise NonInvertibleError("regular representation\nis singular")
+
+    monkeypatch.setitem(suites._SUITE_FUNCS, "octonion", boom)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+    assert main(["verify", "--suite", "all"]) == 3
+    out, err = capsys.readouterr()
+    assert pool_starmaps == ["_run_one"]
+    assert out == ""
+    assert err == "error: NonInvertibleError: regular representation is singular\n"
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    code = "import sys, isoclifford.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "inf", "1e400", "nan"])
