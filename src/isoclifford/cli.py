@@ -7,7 +7,10 @@ Two commands::
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 domain
 error (non-positive masses and the like; also any ``AlgebraError`` or
-``ValueError`` a command lets escape, reported on one ``error:`` line).
+``ValueError`` a command lets escape, reported on one ``error:`` line,
+among them a ``verify`` check whose residual is not finite, so no NaN
+or infinity reaches a report).  Under ``verify --suite all`` the first
+suite to fail stops the others.
 Reports are deterministic: the property suites run on a fixed seed and
 every float is rendered with 6 significant digits.
 """

@@ -269,8 +269,8 @@ def _check_masses(masses: Sequence[float], group: str) -> tuple[float, ...]:
     masses = tuple(float(m) for m in masses)
     if len(masses) != GROUP_DIM[group]:
         raise ValueError(f"{group} expects {GROUP_DIM[group]} masses")
-    if any(m <= 0 for m in masses):
-        raise MassDomainError("masses must be positive")
+    if not all(0 < m < math.inf for m in masses):
+        raise MassDomainError("masses must be finite and positive")
     return masses
 
 
@@ -407,18 +407,16 @@ def param_intervals(bounds: QuarkMassBounds, group: str) -> dict[str, dict]:
         j1 = _param(group, which, lows)
         j2 = _param(group, which, highs)
         joint = (min(j1, j2), max(j1, j2))
-        ref = REFERENCE_PARAM_INTERVALS[group].get(name)
-        entry = {
+        ref = REFERENCE_PARAM_INTERVALS[group][name]
+        out[name] = {
             "rigorous": rig,
             "joint": joint,
             "central": _param(group, which, bounds.centrals(group)),
+            "reference": ref,
+            "matches_rigorous": _interval_close(ref, rig),
+            "matches_joint": _interval_close(ref, joint),
+            "reference_inside_rigorous": rig[0] <= ref[0] and ref[1] <= rig[1],
         }
-        if ref is not None:
-            entry["reference"] = ref
-            entry["matches_rigorous"] = _interval_close(ref, rig)
-            entry["matches_joint"] = _interval_close(ref, joint)
-            entry["reference_inside_rigorous"] = rig[0] <= ref[0] and ref[1] <= rig[1]
-        out[name] = entry
     return out
 
 

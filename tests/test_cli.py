@@ -5,11 +5,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from isoclifford import suites
+from isoclifford import dirac, suites
 from isoclifford.cli import main
 from isoclifford.multivector import NonInvertibleError, SignatureMismatchError
 
@@ -59,26 +61,27 @@ def test_internal_key_error_is_not_an_unknown_suite(monkeypatch, capsys, suite):
 
 
 @pytest.fixture
-def pool_starmaps(monkeypatch):
-    """Records each ``Pool.starmap`` call the parent process makes."""
+def pool_maps(monkeypatch):
+    """Records each ``Pool.imap_unordered`` call the parent process makes."""
     import multiprocessing.pool
 
     calls = []
-    real = multiprocessing.pool.Pool.starmap
+    real = multiprocessing.pool.Pool.imap_unordered
 
-    def spy(self, func, iterable, chunksize=None):
+    def spy(self, func, iterable, chunksize=1):
         calls.append(func.__name__)
         return real(self, func, iterable, chunksize)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", spy)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap_unordered", spy)
     return calls
 
 
 def test_pooled_and_in_process_verify_reports_are_byte_identical(monkeypatch, capsys,
-                                                                 pool_starmaps):
+                                                                 pool_maps):
     """One CPU runs the suites in process, two fan them out to the pool.
     Each path runs them once, for the first format; the other formats
-    render that same result through ``cli.main``."""
+    render that same result through ``cli.main``.  All three reports
+    match their pinned digests."""
     outputs = {}
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr("os.sched_getaffinity", lambda pid, cpus=cpus: cpus)
@@ -86,12 +89,51 @@ def test_pooled_and_in_process_verify_reports_are_byte_identical(monkeypatch, ca
         for fmt in ("json", "csv", "text"):
             assert main(["verify", "--suite", "all", "--format", fmt]) == 0
             outputs[len(cpus), fmt] = capsys.readouterr().out
-    assert pool_starmaps == ["_run_one"]  # only the two-CPU path used the pool
+    assert pool_maps == ["_run_one"]  # only the two-CPU path used the pool
+    reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
+    pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
+    digests = {"json": reference["verify_stdout_sha256"], **pinned["verify_all_stdout_sha256"]}
     for fmt in ("json", "csv", "text"):
         assert outputs[1, fmt] == outputs[2, fmt]
+        assert hashlib.sha256(outputs[1, fmt].encode()).hexdigest() == digests[fmt], fmt
 
 
-def test_domain_error_in_a_worker_exits_3_on_one_line(monkeypatch, capsys, pool_starmaps):
+def test_nan_in_a_later_sample_exits_3_naming_the_check(monkeypatch, capsys):
+    """A NaN in the 10th of 200 samples is not folded away as a smaller residual."""
+    real = dirac.DiracRep.rep
+    calls = []
+
+    def rep(self, a):
+        calls.append(a)
+        image = real(self, a)
+        # call 1 is gamma5; each rep.homomorphism sample then makes 4 calls
+        return image * np.nan if len(calls) == 1 + 9 * 4 + 1 else image
+
+    monkeypatch.setattr(dirac.DiracRep, "rep", rep)
+    assert main(["verify", "--suite", "dirac", "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: ValueError: check dirac.rep.homomorphism has a non-finite "
+                   "residual (nan)\n")
+
+
+def test_a_failing_suite_stops_the_others(monkeypatch):
+    def boom(rec):
+        raise NonInvertibleError("regular representation is singular")
+
+    def stall(rec):
+        time.sleep(60)
+
+    monkeypatch.setitem(suites._SUITE_FUNCS, "clifford", boom)
+    monkeypatch.setitem(suites._SUITE_FUNCS, "su6", stall)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+    start = time.monotonic()
+    with pytest.raises(NonInvertibleError):
+        suites.run_suite("all")
+    assert time.monotonic() - start < 20
+
+
+def test_domain_error_in_a_worker_exits_3_on_one_line(monkeypatch, capsys, pool_maps):
     def boom(rec):
         raise NonInvertibleError("regular representation\nis singular")
 
@@ -99,7 +141,7 @@ def test_domain_error_in_a_worker_exits_3_on_one_line(monkeypatch, capsys, pool_
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
     assert main(["verify", "--suite", "all"]) == 3
     out, err = capsys.readouterr()
-    assert pool_starmaps == ["_run_one"]
+    assert pool_maps == ["_run_one"]
     assert out == ""
     assert err == "error: NonInvertibleError: regular representation is singular\n"
 

@@ -317,6 +317,10 @@ def test_mass_input_errors_are_typed():
             '"s": {"min": 1, "max": 2}, "c": {"min": 1, "max": 2}, '
             '"b": {"min": 1, "max": 2}, "t": {"min": 1, "max": 2}}'),
         lambda: equal_mass_params((1.0, 0.0, 2.0), "su3"),
+        # non-finite masses reach the library directly, not only through from_mapping
+        lambda: common_iso_mass((math.nan, 1.0, 1.0), "su3"),
+        lambda: decompose_mass((math.nan, 1.0, 1.0), "su3"),
+        lambda: mass_operator((math.inf, 1.0, 1.0), "su3"),
         # finite positive masses whose parameters under- or overflow
         lambda: equal_mass_params((1e-300, 1.0, 1.0), "su3"),
         lambda: equal_mass_params((1e300, 1.0, 1.0, 1.0, 1.0, 1.0), "su6"),
