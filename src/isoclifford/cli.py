@@ -8,11 +8,15 @@ Two commands::
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 domain
 error (non-positive masses and the like; also any ``AlgebraError`` or
 ``ValueError`` a command lets escape, reported on one ``error:`` line,
-among them a ``verify`` check whose residual is not finite, so no NaN
-or infinity reaches a report).  Under ``verify --suite all`` the first
-suite to fail stops the others.
+among them a ``verify`` check or comparison holding a value that is not
+finite, so no NaN or infinity reaches a report).  Under
+``verify --suite all`` the first suite to fail stops the others.
 Reports are deterministic: the property suites run on a fixed seed and
 every float is rendered with 6 significant digits.
+
+Each command imports only what it runs: ``flavor`` needs the numpy-only
+:mod:`isoclifford.flavor`, and ``verify`` imports :mod:`isoclifford.suites`
+(and with it the Clifford-algebra modules) once its arguments are parsed.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from . import flavor
-from .multivector import AlgebraError
-from .suites import SUITE_NAMES, run_suite
+from . import AlgebraError, flavor
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -85,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a named invariant suite")
     ver.add_argument("--suite", required=True,
-                     help=f"one of: all, {', '.join(SUITE_NAMES)}")
+                     help="all, or the name of one suite (an unknown name lists them)")
     ver.add_argument("--tol", type=float, default=None,
                      help="override every check tolerance (finite, positive)")
     ver.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -100,6 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
+    from .suites import SUITE_NAMES, run_suite
+
     if args.tol is not None and not 0 < args.tol < math.inf:
         print("error: --tol must be a finite positive number", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,11 @@ ratio, and the common iso-mass is the geometric mean of the physical
 masses.  Interval propagation over the mass bounds uses the fact that
 each parameter is monotone in every mass (increasing in its own,
 decreasing in the rest), so rigorous extremes sit at box corners.
+
+The module works on numpy matrices.  Only :func:`iso_tensor` uses the
+Clifford-algebra modules, and it imports them when called, so importing
+this module (as ``isoclifford flavor`` does) loads no other module of
+the package.
 """
 
 from __future__ import annotations
@@ -20,9 +25,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-
-from .dirac import build_dirac_rep
-from .multivector import reversion
 
 FLAVORS = ("u", "d", "s", "c", "b", "t")
 GROUP_FLAVORS = {"su3": FLAVORS[:3], "su6": FLAVORS}
@@ -516,6 +518,9 @@ def iso_tensor(zeta_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
     reversion through the spacetime-algebra representation and * is the
     entrywise conjugate.  At ζ = 1 this collapses to ``a ⊗ (b Γ₀)``.
     """
+    from .dirac import build_dirac_rep
+    from .multivector import reversion
+
     d = build_dirac_rep()
     zeta_matrix = np.asarray(zeta_matrix, dtype=complex)
     a = np.asarray(a, dtype=complex)

@@ -47,15 +47,13 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from . import AlgebraError
+
 MAX_DIMENSION = 12
 PRUNE_EPS = 1e-14
 # Operand pairs with at least this many term pairs take the array path of
 # _blade_products; see the module docstring for the measured crossover.
 _NUMPY_MIN_PAIRS = 364
-
-
-class AlgebraError(Exception):
-    """Base class for algebra-level failures."""
 
 
 class SignatureMismatchError(AlgebraError):
@@ -510,11 +508,10 @@ def random_multivector(sig: Signature, rng, n_terms: int = 8, scale: float = 1.0
         pool = [m for m in range(sig.blade_count) if m.bit_count() in wanted]
     n = min(n_terms, len(pool))
     masks = rng.choice(len(pool), size=n, replace=False)
-    terms = {}
-    for k in masks:
-        re, im = rng.standard_normal(2)
-        terms[pool[int(k)]] = scale * complex(re, im)
-    return Multivector(sig, terms)
+    # one call draws the same stream as a standard_normal(2) per term
+    parts = rng.standard_normal(2 * n).tolist()
+    return Multivector(sig, {pool[int(k)]: scale * complex(re, im)
+                             for k, re, im in zip(masks, parts[::2], parts[1::2])})
 
 
 def random_vector(sig: Signature, rng) -> Multivector:

@@ -87,7 +87,25 @@ class _Recorder:
         self.add(name, 0.0 if ok else 1.0, 0.5)
 
     def compare(self, name: str, block: dict) -> None:
-        self.comparisons[f"{self.suite}.{name}"] = block
+        """Record one comparison block; a float in it that is not finite
+        raises ``ValueError`` naming the comparison."""
+        name = f"{self.suite}.{name}"
+        bad = next((x for x in _floats(block) if not math.isfinite(x)), None)
+        if bad is not None:
+            raise ValueError(f"comparison {name} has a non-finite value ({bad})")
+        self.comparisons[name] = block
+
+
+def _floats(value):
+    """The floats in a nest of dicts, lists and tuples."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _floats(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _floats(item)
 
 
 def _rng():
@@ -454,16 +472,17 @@ def _entry_table_comparison(d, rng) -> dict:
         "d2": (M[2, 2], -c(2, 3) + c(0, 2, 3) + 1j * (-c(1, 3) + c(0, 1, 3))),
         "f2": (M[2, 3], c(2, 3) - c(0, 2, 3) + 1j * (-c(1, 3) + c(0, 1, 3))),
     }
-    row_pairing = max(
-        float(np.abs(M[1, 0] + np.conj(M[0, 1]))),
-        float(np.abs(M[1, 1] - np.conj(M[0, 0]))),
-        float(np.abs(M[1, 2] + np.conj(M[0, 3]))),
-        float(np.abs(M[1, 3] - np.conj(M[0, 2]))),
-        float(np.abs(M[3, 0] + np.conj(M[2, 1]))),
-        float(np.abs(M[3, 1] - np.conj(M[2, 0]))),
-        float(np.abs(M[3, 2] + np.conj(M[2, 3]))),
-        float(np.abs(M[3, 3] - np.conj(M[2, 2]))),
-    )
+    # np.max, not max: a NaN among the pairings propagates instead of vanishing
+    row_pairing = float(np.max(np.abs([
+        M[1, 0] + np.conj(M[0, 1]),
+        M[1, 1] - np.conj(M[0, 0]),
+        M[1, 2] + np.conj(M[0, 3]),
+        M[1, 3] - np.conj(M[0, 2]),
+        M[3, 0] + np.conj(M[2, 1]),
+        M[3, 1] - np.conj(M[2, 0]),
+        M[3, 2] + np.conj(M[2, 3]),
+        M[3, 3] - np.conj(M[2, 2]),
+    ])))
     return {
         "entry_formula_holds": {k: bool(abs(got - want) < 1e-9)
                                 for k, (got, want) in formulas.items()},
@@ -660,8 +679,9 @@ def run_suite(name: str, tol_override: float | None = None):
     has more than one CPU (see :func:`_map_suites`); a single suite runs in
     process.  The check records are sorted by name, so the order in which
     suites finish never reaches a report.  ``tol_override``, when given,
-    replaces every check's tolerance here, once.  A check whose residual
-    is not finite raises ``ValueError`` (see :meth:`_Recorder.add`).
+    replaces every check's tolerance here, once.  A check or comparison
+    holding a value that is not finite raises ``ValueError`` (see
+    :meth:`_Recorder.add` and :meth:`_Recorder.compare`).
     """
     if name == "all":
         names = SUITE_NAMES

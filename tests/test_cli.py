@@ -83,9 +83,10 @@ def test_pooled_and_in_process_verify_reports_are_byte_identical(monkeypatch, ca
     render that same result through ``cli.main``.  All three reports
     match their pinned digests."""
     outputs = {}
+    run_suite = suites.run_suite
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr("os.sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        monkeypatch.setattr("isoclifford.cli.run_suite", functools.cache(suites.run_suite))
+        monkeypatch.setattr(suites, "run_suite", functools.cache(run_suite))
         for fmt in ("json", "csv", "text"):
             assert main(["verify", "--suite", "all", "--format", fmt]) == 0
             outputs[len(cpus), fmt] = capsys.readouterr().out
@@ -115,6 +116,29 @@ def test_nan_in_a_later_sample_exits_3_naming_the_check(monkeypatch, capsys):
     assert out == ""
     assert err == ("error: ValueError: check dirac.rep.homomorphism has a non-finite "
                    "residual (nan)\n")
+
+
+def test_nan_in_a_comparison_exits_3_naming_it(monkeypatch, capsys):
+    """A NaN in one of the eight row pairings is not dropped by the max
+    over them, and the comparison block refuses it."""
+    real = suites._entry_table_comparison
+
+    class NanAt22:
+        def __init__(self, d):
+            self.d = d
+
+        def rep(self, a):
+            image = self.d.rep(a).copy()
+            image[2, 2] = np.nan
+            return image
+
+    monkeypatch.setattr(suites, "_entry_table_comparison",
+                        lambda d, rng: real(NanAt22(d), rng))
+    assert main(["verify", "--suite", "dirac", "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: ValueError: comparison dirac.matrix_entry_table has a "
+                   "non-finite value (nan)\n")
 
 
 def test_a_failing_suite_stops_the_others(monkeypatch):
@@ -150,6 +174,22 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     code = "import sys, isoclifford.cli; print('multiprocessing' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_flavor_imports_only_the_flavor_module():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from isoclifford.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                              if m.partition('.')[0] == 'isoclifford')]))\n"
+    )
+    pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
+    proc = subprocess.run([sys.executable, "-c", code, *pinned["flavor_argv"]],
+                          capture_output=True, text=True, cwd=REPO)
+    assert json.loads(proc.stdout) == [0, ["isoclifford", "isoclifford.cli",
+                                           "isoclifford.flavor"]], proc.stderr
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "inf", "1e400", "nan"])
@@ -214,12 +254,15 @@ def test_flavor_su6_intervals_roundtrip(masses_file):
     assert once == proc.stdout.strip()
 
 
-def test_flavor_deterministic_output_matches_pin():
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_flavor_deterministic_output_matches_pin(fmt):
     pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
-    first = run_cli(*pinned["flavor_argv"], cwd=REPO)
-    second = run_cli(*pinned["flavor_argv"], cwd=REPO)
+    argv = [*pinned["flavor_argv"], "--format", fmt]
+    first = run_cli(*argv, cwd=REPO)
+    second = run_cli(*argv, cwd=REPO)
     assert first.stdout == second.stdout
-    assert hashlib.sha256(first.stdout.encode()).hexdigest() == pinned["flavor_stdout_sha256"]
+    digest = hashlib.sha256(first.stdout.encode()).hexdigest()
+    assert digest == pinned["flavor_stdout_sha256"][fmt]
 
 
 def test_verify_deterministic_output():
@@ -343,7 +386,7 @@ def test_flavor_spread_corners_without_intervals_succeed(tmp_path, capsys):
     ValueError("a coefficient is\nnot finite"),
 ], ids=lambda e: type(e).__name__)
 @pytest.mark.parametrize("command,target", [
-    ("verify", "isoclifford.cli.run_suite"),
+    ("verify", "isoclifford.suites.run_suite"),
     ("flavor", "isoclifford.flavor.iso_mass_operator"),
 ])
 def test_escaping_domain_errors_exit_3_on_one_line(monkeypatch, capsys, masses_file,

@@ -149,3 +149,26 @@ def test_immutability():
         m.signature = S13
     with pytest.raises(TypeError):
         m.terms[0] = 2.0
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, np.random.RandomState],
+                         ids=["Generator", "RandomState"])
+@pytest.mark.parametrize("sig,n_terms,scale,grades", [
+    (S13, 8, 1.0, None), (S13, 6, 0.4, None), (S07, 8, 1.0, (1, 2)),
+    (S30, 20, 1.0, None), (S13, 0, 1.0, None),
+], ids=["cl13_8", "cl13_scaled", "cl07_grades", "cl30_capped", "empty"])
+def test_random_multivector_draws_the_per_term_stream(make_rng, sig, n_terms, scale, grades):
+    """One batched normal draw gives the terms, and leaves the generator in
+    the state, that one ``standard_normal(2)`` per term does."""
+    rng, ref = make_rng(0xC1F0), make_rng(0xC1F0)
+    got = random_multivector(sig, rng, n_terms, scale=scale, grades=grades)
+
+    pool = [m for m in range(sig.blade_count) if grades is None or m.bit_count() in grades]
+    terms = {}
+    for k in ref.choice(len(pool), size=min(n_terms, len(pool)), replace=False):
+        re, im = ref.standard_normal(2)
+        terms[pool[int(k)]] = scale * complex(re, im)
+    want = Multivector(sig, terms)
+
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert rng.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
