@@ -56,7 +56,16 @@ def _round6(value: Any) -> Any:
     return value
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _check(name: str, residual: float, tolerance: float) -> dict:
+    """One check record of a report; the check passes when
+    ``residual <= tolerance``."""
+    return {"name": name, "pass": bool(residual <= tolerance),
+            "residual": residual, "tolerance": tolerance}
+
+
+def _emit(report: dict, fmt: str) -> int:
+    """Print the report; returns the exit code, 0 when every check passed."""
+    code = EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_CHECK_FAILURE
     report = _round6(report)
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -77,6 +86,7 @@ def _emit(report: dict, fmt: str) -> None:
         if "paper_comparisons" in report:
             print("paper comparisons:")
             print(json.dumps(report["paper_comparisons"], indent=2, sort_keys=True))
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,20 +121,16 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; expected all or one of "
               f"{', '.join(SUITE_NAMES)}", file=sys.stderr)
         return EXIT_USAGE
-    checks, comparisons = run_suite(args.suite, args.tol)
+    checks, comparisons = run_suite(args.suite)
     report = {
         "command": "verify",
         "suite": args.suite,
-        "checks": [
-            {"name": c.name, "pass": c.passed, "residual": c.residual,
-             "tolerance": c.tolerance}
-            for c in checks
-        ],
+        "checks": [_check(name, residual, tol if args.tol is None else args.tol)
+                   for name, residual, tol in checks],
     }
     if comparisons:
         report["paper_comparisons"] = comparisons
-    _emit(report, args.format)
-    return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILURE
+    return _emit(report, args.format)
 
 
 def cmd_flavor(args) -> int:
@@ -145,7 +151,6 @@ def cmd_flavor(args) -> int:
         return EXIT_USAGE if isinstance(exc, flavor.MassFormatError) else EXIT_DOMAIN
 
     iso_matrix = flavor.iso_mass_operator(zeta, masses)
-    det_residual = zeta.det_residual()
     params = {name: val for name, val in zip(flavor.PARAM_NAMES[group], zeta.params)}
     params["iso_mass"] = flavor.common_iso_mass(masses, group)
     params["iso_mass_matrix"] = [[v.real for v in row] for row in iso_matrix]
@@ -154,15 +159,11 @@ def cmd_flavor(args) -> int:
         "command": "flavor",
         "group": group,
         "params": params,
-        "checks": [
-            {"name": "det_zeta_equals_one", "pass": bool(det_residual <= 1e-12),
-             "residual": float(det_residual), "tolerance": 1e-12},
-        ],
+        "checks": [_check("det_zeta_equals_one", float(zeta.det_residual()), 1e-12)],
     }
     if intervals is not None:
-        report["paper_comparisons"] = {"parameter_intervals": flavor.interval_report(intervals)}
-    _emit(report, args.format)
-    return EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_CHECK_FAILURE
+        report["paper_comparisons"] = {"parameter_intervals": intervals}
+    return _emit(report, args.format)
 
 
 def main(argv=None) -> int:

@@ -129,7 +129,7 @@ def spin_plus_check(d: DiracRep, r: Multivector) -> bool:
     return bool(np.abs(m - np.eye(4)).max() <= _SPIN_TOL)
 
 
-def iso_spin_plus_check(d: DiracRep, ctx: IsoContext, r: Multivector) -> bool:
+def iso_spin_plus_check(ctx: IsoContext, r: Multivector) -> bool:
     """Isotopic variant: even elements with ``R ⋄ R~ = ζ``."""
     if any(k & 1 for k in r.grades()):
         return False

@@ -212,16 +212,18 @@ class FlavorIsoUnit:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise ValueError(f"isounit matrix must be {dim}x{dim}")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not np.isfinite(m).all():
+            raise ValueError("isounit matrix must be finite")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be finite and positive")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_params(cls, group: str, params: Sequence[float]) -> "FlavorIsoUnit":
         """diag(a⁻¹, ..., t⁻¹, ab...t), the product taken left to right."""
         params = tuple(float(p) for p in params)
-        if any(p <= 0 for p in params):
-            raise ValueError("isounit parameters must be positive")
+        if not all(0 < p < math.inf for p in params):
+            raise ValueError("isounit parameters must be finite and positive")
         diag = [1 / p for p in params] + [math.prod(params)]
         return cls(group, np.diag(np.array(diag, dtype=complex)), params=params)
 
@@ -388,57 +390,38 @@ def common_iso_mass(masses: Sequence[float], group: str) -> float:
 
 def param_intervals(bounds: QuarkMassBounds, group: str) -> dict[str, dict]:
     """Parameter intervals under two conventions, next to the reference
-    column.
+    column, in the form the reports print.
 
     ``rigorous``: corner evaluation (each parameter rises in its own mass
     and falls in every other, so the extremes are at opposite corners of
-    the mass box).  ``joint``: both evaluations with all masses moved to
-    their lower, then upper, endpoints together.  ``reference`` repeats
-    the previously published interval with a match flag; mismatches are
-    expected and reported, not errors.
+    the mass box).  ``joint_endpoint``: both evaluations with all masses
+    moved to their lower, then upper, endpoints together.  ``reference``
+    repeats the previously published interval, and ``matches_rigorous``
+    and ``matches_joint`` flag whether it agrees with either convention;
+    mismatches are expected and reported, not errors.
     """
     flavors = GROUP_FLAVORS[group]
-    lo, hi = bounds.lo, bounds.hi
+    lows = tuple(bounds.lo[fl] for fl in flavors)
+    highs = tuple(bounds.hi[fl] for fl in flavors)
     out: dict[str, dict] = {}
-    lows = tuple(lo[fl] for fl in flavors)
-    highs = tuple(hi[fl] for fl in flavors)
     for which, name in enumerate(PARAM_NAMES[group]):
         at_min = highs[:which] + lows[which:which + 1] + highs[which + 1:]
         at_max = lows[:which] + highs[which:which + 1] + lows[which + 1:]
-        rig = (_param(group, which, at_min), _param(group, which, at_max))
-        j1 = _param(group, which, lows)
-        j2 = _param(group, which, highs)
-        joint = (min(j1, j2), max(j1, j2))
-        ref = REFERENCE_PARAM_INTERVALS[group][name]
+        rigorous = [_param(group, which, at_min), _param(group, which, at_max)]
+        joint = sorted((_param(group, which, lows), _param(group, which, highs)))
+        reference = list(REFERENCE_PARAM_INTERVALS[group][name])
         out[name] = {
-            "rigorous": rig,
-            "joint": joint,
-            "central": _param(group, which, bounds.centrals(group)),
-            "reference": ref,
-            "matches_rigorous": _interval_close(ref, rig),
-            "matches_joint": _interval_close(ref, joint),
-            "reference_inside_rigorous": rig[0] <= ref[0] and ref[1] <= rig[1],
+            "rigorous": rigorous,
+            "joint_endpoint": joint,
+            "reference": reference,
+            "matches_rigorous": _interval_close(reference, rigorous),
+            "matches_joint": _interval_close(reference, joint),
         }
     return out
 
 
 def _interval_close(a, b) -> bool:
     return all(abs(x - y) <= 2e-3 * max(abs(x), abs(y)) for x, y in zip(a, b))
-
-
-def interval_report(intervals: dict[str, dict]) -> dict[str, dict]:
-    """The report block of :func:`param_intervals` output: per parameter the
-    rigorous and joint-endpoint intervals, the reference and both match flags."""
-    return {
-        name: {
-            "rigorous": [float(ent["rigorous"][0]), float(ent["rigorous"][1])],
-            "joint_endpoint": [float(ent["joint"][0]), float(ent["joint"][1])],
-            "reference": [float(ent["reference"][0]), float(ent["reference"][1])],
-            "matches_rigorous": bool(ent["matches_rigorous"]),
-            "matches_joint": bool(ent["matches_joint"]),
-        }
-        for name, ent in intervals.items()
-    }
 
 
 # -- states and expectations ------------------------------------------------------------

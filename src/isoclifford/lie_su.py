@@ -2,10 +2,13 @@
 
 Three families are built here: the E/F/H bivector realization of su(n)
 in Cl(2n,0), and two eight-element su(3) families in complexified
-Cl(1,3).  Printed commutator tables are never hard-coded; a brute-force
-structure-constant oracle (least-squares decomposition of every pairwise
-commutator over the generator span) is the single source of truth for
-closure, dimension and normalization factors.
+Cl(1,3).  Every family is built from basis vectors lifted by an isounit
+ζ and iso-wedged; the rigid family is the one lifted by ζ = 1, which is
+what a builder called without a context uses.  Printed commutator tables
+are never hard-coded; a brute-force structure-constant oracle
+(least-squares decomposition of every pairwise iso-commutator over the
+generator span) is the single source of truth for closure, dimension and
+normalization factors.
 
 The Cartan elements use the corrected form
 ``H^r = e^r ∧ e^{r+n} - e^{r+1} ∧ e^{r+n+1}``; the published variant
@@ -23,13 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .isotopy import IsoContext, iso_wedge, lift
-from .multivector import (
-    AlgebraError,
-    Multivector,
-    Signature,
-    geometric_product,
-    wedge,
-)
+from .multivector import AlgebraError, Multivector, Signature, geometric_product
 
 SIG13 = Signature(1, 3)
 
@@ -40,54 +37,43 @@ class ClosureViolationError(AlgebraError):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """An ordered family of algebra generators, rigid or iso-lifted."""
+    """An ordered family of algebra generators lifted by ``context``'s ζ."""
 
     label: str
-    signature: Signature
+    context: IsoContext
     generators: tuple[Multivector, ...]
-    context: IsoContext | None = None
+
+    @property
+    def signature(self) -> Signature:
+        return self.context.signature
 
     def __len__(self) -> int:
         return len(self.generators)
 
     @functools.cached_property
     def _left(self) -> tuple[Multivector, ...]:
-        """``g_k ζ⁻¹`` for every generator of a lifted family."""
+        """``g_k ζ⁻¹`` for every generator."""
         zeta_inv = self.context.zeta_inv
         return tuple(geometric_product(g, zeta_inv) for g in self.generators)
 
     def commutator(self, i: int, j: int) -> Multivector:
-        """``[g_i, g_j]``, or ``(g_i ζ⁻¹) g_j - (g_j ζ⁻¹) g_i`` when lifted: the
-        association of :func:`~isoclifford.isotopy.iso_commutator`, with each
-        ``g ζ⁻¹`` formed once per family."""
-        a, b = self.generators[i], self.generators[j]
-        if self.context is None:
-            return geometric_product(a, b) - geometric_product(b, a)
+        """``(g_i ζ⁻¹) g_j - (g_j ζ⁻¹) g_i``: the association of
+        :func:`~isoclifford.isotopy.iso_commutator`, with each ``g ζ⁻¹``
+        formed once per family."""
         left = self._left
-        return geometric_product(left[i], b) - geometric_product(left[j], a)
-
-    def unit(self) -> Multivector:
-        """The scalar unit of the family's ambient algebra (ζ when lifted)."""
-        if self.context is None:
-            return self.signature.scalar(1.0)
-        return self.context.zeta
+        return (geometric_product(left[i], self.generators[j])
+                - geometric_product(left[j], self.generators[i]))
 
 
-def _wedge_chain(vectors: Sequence[Multivector],
-                 ctx: IsoContext | None) -> Multivector:
-    """Right-folded (iso-)wedge of basis vectors, e.g. v1 ∧ (v2 ∧ v3).
+def _wedge_chain(lifted: Sequence[Multivector], ctx: IsoContext) -> Multivector:
+    """Right-folded iso-wedge of lifted basis vectors, e.g. v1ζ ∧ (v2ζ ∧ v3ζ).
 
     The half-sum wedge formula expects a 1-vector on the left, so chains
-    associate to the right; in the lifted case every factor enters as vζ.
+    associate to the right.
     """
-    if ctx is None:
-        out = vectors[-1]
-        for v in reversed(vectors[:-1]):
-            out = wedge(v, out)
-        return out
-    out = lift(ctx, vectors[-1])
-    for v in reversed(vectors[:-1]):
-        out = iso_wedge(ctx, lift(ctx, v), out)
+    out = lifted[-1]
+    for v in reversed(lifted[:-1]):
+        out = iso_wedge(ctx, v, out)
     return out
 
 
@@ -95,35 +81,44 @@ def su_n_generators(n: int, ctx: IsoContext | None = None) -> GeneratorSet:
     """The n²-1 su(n) generators as bivectors of Cl(2n,0).
 
     Ordering: all ``E`` (p<q lexicographic), then all ``F``, then the
-    n-1 Cartan elements ``H``.  With a context, every generator is built
-    from lifted basis vectors and equals its rigid twin times ζ.
+    n-1 Cartan elements ``H``.  Every generator is built from basis
+    vectors lifted by ``ctx`` (ζ = 1 when omitted) and equals its rigid
+    twin times ζ.
     """
     if not 2 <= n <= 6:
         raise ValueError("su(n) construction supports 2 <= n <= 6")
     sig = Signature(2 * n, 0)
-    if ctx is not None and ctx.signature != sig:
+    if ctx is None:
+        ctx = IsoContext.identity(sig)
+    elif ctx.signature != sig:
         raise AlgebraError(f"iso context must live in Cl({2 * n},0)")
-    e = [sig.e(m) for m in range(2 * n)]
+    e = [lift(ctx, sig.e(m)) for m in range(2 * n)]
 
     def w(p, q):
         # paper indices are 1-based; internal masks 0-based
         return _wedge_chain((e[p - 1], e[q - 1]), ctx)
 
-    gens: list[Multivector] = []
-    labels: list[str] = []
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            gens.append(w(p, q) + w(p + n, q + n))
-            labels.append(f"E{p}{q}")
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            gens.append(w(p, q + n) - w(p + n, q))
-            labels.append(f"F{p}{q}")
-    for r in range(1, n):
-        gens.append(w(r, r + n) - w(r + 1, r + n + 1))
-        labels.append(f"H{r}")
-    tag = "rigid" if ctx is None else "iso"
-    return GeneratorSet(f"su({n})-{tag}", sig, tuple(gens), ctx)
+    pairs = [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
+    gens = ([w(p, q) + w(p + n, q + n) for p, q in pairs]
+            + [w(p, q + n) - w(p + n, q) for p, q in pairs]
+            + [w(r, r + n) - w(r + 1, r + n + 1) for r in range(1, n)])
+    return GeneratorSet(f"su({n})", ctx, tuple(gens))
+
+
+def _cl13_family(ctx: IsoContext | None, family: str):
+    """The shared set-up of the su(3) families: the context (ζ = 1 when
+    omitted), the lifted basis vectors ``v`` and the lifted wedge chain
+    ``w(*mus)``."""
+    if ctx is None:
+        ctx = IsoContext.identity(SIG13)
+    elif ctx.signature != SIG13:
+        raise AlgebraError(f"{family} su(3) lives in Cl(1,3)")
+    v = [lift(ctx, SIG13.e(mu)) for mu in range(4)]
+
+    def w(*mus):
+        return _wedge_chain([v[mu] for mu in mus], ctx)
+
+    return ctx, v, w
 
 
 def su3_case1_generators(ctx: IsoContext | None = None) -> GeneratorSet:
@@ -136,29 +131,19 @@ def su3_case1_generators(ctx: IsoContext | None = None) -> GeneratorSet:
     i on both of its terms (mirroring the seventh); dropping it from the
     trivector term breaks closure, which the oracle flags immediately.
     """
-    if ctx is not None and ctx.signature != SIG13:
-        raise AlgebraError("case-1 su(3) lives in Cl(1,3)")
-    e = [SIG13.e(mu) for mu in range(4)]
-
-    def v(mu):
-        return e[mu] if ctx is None else lift(ctx, e[mu])
-
-    def w(*mus):
-        return _wedge_chain([e[mu] for mu in mus], ctx)
-
+    ctx, v, w = _cl13_family(ctx, "case-1")
     s3 = math.sqrt(3.0)
     gens = (
         0.5 * (w(0, 1) + 1j * w(2, 3)),
         0.5 * (w(0, 2) - 1j * w(1, 3)),
         0.5 * (w(0, 3) + 1j * w(1, 2)),
-        0.5 * (v(0) + 1j * w(0, 1, 2)),
-        0.5 * (1j * v(3) - w(1, 2, 3)),
-        0.5j * (v(2) + w(0, 2, 3)),
-        0.5j * (v(1) + w(0, 1, 3)),
+        0.5 * (v[0] + 1j * w(0, 1, 2)),
+        0.5 * (1j * v[3] - w(1, 2, 3)),
+        0.5j * (v[2] + w(0, 2, 3)),
+        0.5j * (v[1] + w(0, 1, 3)),
         (1j / s3) * w(0, 1, 2, 3) + (1 / (2 * s3)) * w(0, 3) - (1j / (2 * s3)) * w(1, 2),
     )
-    tag = "rigid" if ctx is None else "iso"
-    return GeneratorSet(f"case1-su3-{tag}", SIG13, gens, ctx)
+    return GeneratorSet("case1-su3", ctx, gens)
 
 
 def su3_case2_generators(ctx: IsoContext | None = None) -> GeneratorSet:
@@ -171,29 +156,19 @@ def su3_case2_generators(ctx: IsoContext | None = None) -> GeneratorSet:
     on the Gell-Mann pattern with magnitude 2, up to a relabeling
     automorphism of the basis.
     """
-    if ctx is not None and ctx.signature != SIG13:
-        raise AlgebraError("case-2 su(3) lives in Cl(1,3)")
-    e = [SIG13.e(mu) for mu in range(4)]
-
-    def v(mu):
-        return e[mu] if ctx is None else lift(ctx, e[mu])
-
-    def w(*mus):
-        return _wedge_chain([e[mu] for mu in mus], ctx)
-
+    ctx, v, w = _cl13_family(ctx, "case-2")
     s3 = math.sqrt(3.0)
     gens = (
         -0.5j * (w(2, 3) + w(0, 2, 3)),
         0.5j * (w(1, 3) + w(0, 1, 3)),
         0.5j * (w(1, 2) + w(0, 1, 2)),
         0.5 * (w(0, 1, 2, 3) + 1j * w(0, 3)),
-        0.5 * (v(3) - 1j * w(1, 2, 3)),
-        0.5 * (v(2) - 1j * w(0, 1)),
-        0.5 * (v(1) + 1j * w(0, 2)),
-        (1j / (2 * s3)) * (2 * v(0) + 1j * w(1, 2) - 1j * w(0, 1, 2)),
+        0.5 * (v[3] - 1j * w(1, 2, 3)),
+        0.5 * (v[2] - 1j * w(0, 1)),
+        0.5 * (v[1] + 1j * w(0, 2)),
+        (1j / (2 * s3)) * (2 * v[0] + 1j * w(1, 2) - 1j * w(0, 1, 2)),
     )
-    tag = "rigid" if ctx is None else "iso"
-    return GeneratorSet(f"case2-su3-{tag}", SIG13, gens, ctx)
+    return GeneratorSet("case2-su3", ctx, gens)
 
 
 def _coefficient_matrix(elements: Sequence[Multivector]) -> np.ndarray:
@@ -222,15 +197,15 @@ class StructureConstants:
 def structure_constants(gs: GeneratorSet) -> StructureConstants:
     """Brute-force extraction of structure constants.
 
-    Every pairwise (iso-)commutator is decomposed by least squares over
-    the span of the generators plus the family's unit element; a residual
+    Every pairwise iso-commutator is decomposed by least squares over
+    the span of the generators plus the family's unit ζ; a residual
     above 1e-8 means the set does not close and raises
     :class:`ClosureViolationError`.
     """
     m = len(gs.generators)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     comms = [gs.commutator(i, j) for i, j in pairs]
-    coeffs = _coefficient_matrix([*gs.generators, gs.unit(), *comms])
+    coeffs = _coefficient_matrix([*gs.generators, gs.context.zeta, *comms])
     span, targets = coeffs[:, :m + 1], coeffs[:, m + 1:]
     solution, *_ = np.linalg.lstsq(span, targets, rcond=None)
     residuals = np.abs(span @ solution - targets).max(axis=0) if pairs else np.zeros(0)

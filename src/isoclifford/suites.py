@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +46,6 @@ from .multivector import (
 )
 
 DEFAULT_SEED = 0xC1F0
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
 
 
 class _Recorder:
@@ -323,7 +314,7 @@ def suite_su3(rec: _Recorder) -> None:
                 "the measured factor is 2i",
     })
 
-    sub = lie_su.GeneratorSet("su2xu1", gs.signature, gs.generators[:3])
+    sub = lie_su.GeneratorSet("su2xu1", gs.context, gs.generators[:3])
     sc_sub = lie_su.structure_constants(sub)
     rec.add("case1.su2_subalgebra_closure", sc_sub.max_residual, 1e-9)
     lam8 = gs.generators[7]
@@ -437,11 +428,11 @@ def suite_dirac(rec: _Recorder) -> None:
     rec.add_flag("spin.vector_rejected", not dirac.spin_plus_check(d, sig.e(1)))
     ctx = IsoContext.create(sig.scalar(2.0))
     rec.add_flag("spin.iso_scaled_rotor_accepted",
-                 dirac.iso_spin_plus_check(d, ctx, geometric_product(rotor, ctx.zeta)))
+                 dirac.iso_spin_plus_check(ctx, geometric_product(rotor, ctx.zeta)))
     zeta = sig.scalar(1.0) + 0.5 * sig.e(0, 1)
     ctx2 = IsoContext.create(zeta)
     rec.add_flag("spin.iso_nonscalar_unit_rejected",
-                 not dirac.iso_spin_plus_check(d, ctx2, geometric_product(rotor, zeta)))
+                 not dirac.iso_spin_plus_check(ctx2, geometric_product(rotor, zeta)))
 
     rec.compare("matrix_entry_table", _entry_table_comparison(d, rng))
 
@@ -613,8 +604,8 @@ def suite_flavor(rec: _Recorder) -> None:
                    - 2 * flavor.iso_tensor(z_mat, a_mat, b_mat)).max(), 1e-12)
 
     rec.compare("parameter_intervals", {
-        "su3": flavor.interval_report(iv3),
-        "su6": flavor.interval_report(iv6),
+        "su3": iv3,
+        "su6": iv6,
         "note": "reference intervals are echoed for comparison; no computed "
                 "convention reproduces all of them and the flags record this",
     })
@@ -672,16 +663,16 @@ def _map_suites(names: tuple[str, ...]) -> list:
     return list(map(_run_one, names))
 
 
-def run_suite(name: str, tol_override: float | None = None):
+def run_suite(name: str) -> tuple[list[tuple[str, float, float]], dict]:
     """Run one named suite (or ``all``); returns (checks, comparisons).
 
     ``all`` runs the suites in parallel worker processes where the machine
     has more than one CPU (see :func:`_map_suites`); a single suite runs in
-    process.  The check records are sorted by name, so the order in which
-    suites finish never reaches a report.  ``tol_override``, when given,
-    replaces every check's tolerance here, once.  A check or comparison
-    holding a value that is not finite raises ``ValueError`` (see
-    :meth:`_Recorder.add` and :meth:`_Recorder.compare`).
+    process.  ``checks`` is a list of ``(name, residual, tolerance)``
+    sorted by name, so the order in which suites finish never reaches a
+    report.  A check or comparison holding a value that is not finite
+    raises ``ValueError`` (see :meth:`_Recorder.add` and
+    :meth:`_Recorder.compare`).
     """
     if name == "all":
         names = SUITE_NAMES
@@ -694,9 +685,4 @@ def run_suite(name: str, tol_override: float | None = None):
     for suite_records, suite_comparisons in _map_suites(names):
         records.update(suite_records)
         comparisons.update(suite_comparisons)
-    checks = []
-    for check, (residual, tol) in sorted(records.items()):
-        if tol_override is not None:
-            tol = tol_override
-        checks.append(Check(check, residual <= tol, residual, tol))
-    return checks, comparisons
+    return [(check, *record) for check, record in sorted(records.items())], comparisons

@@ -91,12 +91,12 @@ def test_criterion_11_interval_report():
     worst = max(abs(lo - lo_oracle), abs(hi - hi_oracle))
     _criterion(11, "rigorous su3 alpha interval vs corner oracle", worst, 1e-3)
     # the reference intervals are echoed with mismatch flags
-    assert iv3["alpha"]["reference"] == (0.2204, 0.2638)
-    assert iv3["beta"]["reference"] == (0.2768, 0.3057)
+    assert iv3["alpha"]["reference"] == [0.2204, 0.2638]
+    assert iv3["beta"]["reference"] == [0.2768, 0.3057]
     assert not iv3["beta"]["matches_rigorous"]
     iv6 = flavor.param_intervals(bounds, "su6")
     assert set(iv6) == {"alpha", "beta", "omega", "kappa", "tau"}
-    assert iv6["tau"]["reference"] == (486.938, 677.379)
+    assert iv6["tau"]["reference"] == [486.938, 677.379]
     flagged = sum(1 for ent in iv6.values()
                   if "matches_joint" in ent and "matches_rigorous" in ent)
     _criterion(11, "reference intervals reported side-by-side with flags",

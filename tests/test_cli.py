@@ -186,8 +186,8 @@ def test_flavor_imports_only_the_flavor_module():
         "                              if m.partition('.')[0] == 'isoclifford')]))\n"
     )
     pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
-    proc = subprocess.run([sys.executable, "-c", code, *pinned["flavor_argv"]],
-                          capture_output=True, text=True, cwd=REPO)
+    proc = subprocess.run([sys.executable, "-c", code, *pinned["flavor_argv"],
+                           "--group", "su6"], capture_output=True, text=True, cwd=REPO)
     assert json.loads(proc.stdout) == [0, ["isoclifford", "isoclifford.cli",
                                            "isoclifford.flavor"]], proc.stderr
 
@@ -255,14 +255,15 @@ def test_flavor_su6_intervals_roundtrip(masses_file):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
-def test_flavor_deterministic_output_matches_pin(fmt):
+@pytest.mark.parametrize("group", ["su3", "su6"])
+def test_flavor_deterministic_output_matches_pin(group, fmt):
     pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
-    argv = [*pinned["flavor_argv"], "--format", fmt]
+    argv = [*pinned["flavor_argv"], "--group", group, "--format", fmt]
     first = run_cli(*argv, cwd=REPO)
     second = run_cli(*argv, cwd=REPO)
     assert first.stdout == second.stdout
     digest = hashlib.sha256(first.stdout.encode()).hexdigest()
-    assert digest == pinned["flavor_stdout_sha256"][fmt]
+    assert digest == pinned["flavor_stdout_sha256"][group][fmt]
 
 
 def test_verify_deterministic_output():

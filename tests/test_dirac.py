@@ -104,9 +104,9 @@ def test_spin_plus_membership(d):
     assert not spin_plus_check(d, 2.0 * rotor)        # wrong normalization
 
 
-def test_iso_spin_plus_membership(d):
+def test_iso_spin_plus_membership():
     rotor = clifford_exp(0.37 * S13.e(1, 2))
     # a reversion-symmetric central isounit passes for every rotor
     zeta5 = S13.scalar(1.0) + 0.5 * S13.e(0, 1, 2, 3)
     ctx5 = IsoContext.create(zeta5)
-    assert iso_spin_plus_check(d, ctx5, geometric_product(rotor, zeta5))
+    assert iso_spin_plus_check(ctx5, geometric_product(rotor, zeta5))

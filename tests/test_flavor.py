@@ -96,6 +96,19 @@ def test_isounit_validation():
         FlavorIsoUnit("su3", np.eye(4))
     with pytest.raises(ValueError):
         FlavorIsoUnit("su3", np.eye(3), delta=0.0)
+    # non-finite input (an infinite delta would make every lift all zero)
+    for make in (
+        lambda: FlavorIsoUnit.from_diagonal((2.0, 0.5, 1.0), delta=math.inf),
+        lambda: FlavorIsoUnit.from_diagonal((2.0, 0.5, 1.0), delta=math.nan),
+        lambda: FlavorIsoUnit.from_diagonal((2.0, math.nan, 1.0)),
+        lambda: FlavorIsoUnit.from_diagonal((2.0, math.inf, 1.0)),
+        lambda: FlavorIsoUnit.from_params("su3", (math.nan, 1.0)),
+        lambda: FlavorIsoUnit.from_params("su3", (math.inf, 1.0)),
+        # finite parameters whose product overflows the last entry
+        lambda: FlavorIsoUnit.from_params("su3", (1e200, 1e200)),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_iso_lift_matches_row_scaling():
@@ -217,9 +230,10 @@ def test_param_intervals_su3(bounds):
     lo, hi = iv["alpha"]["rigorous"]
     assert abs(lo - (1.5 ** 2 / (7.0 * 110.0)) ** (1 / 3)) < 1e-12
     assert abs(hi - (3.0 ** 2 / (3.0 * 70.0)) ** (1 / 3)) < 1e-12
-    assert iv["alpha"]["reference"] == (0.2204, 0.2638)
-    assert iv["alpha"]["reference_inside_rigorous"]
-    assert iv["beta"]["reference"] == (0.2768, 0.3057)
+    assert iv["alpha"]["reference"] == [0.2204, 0.2638]
+    ref_lo, ref_hi = iv["alpha"]["reference"]
+    assert lo <= ref_lo and ref_hi <= hi
+    assert iv["beta"]["reference"] == [0.2768, 0.3057]
     # the quoted lower end of the second parameter sits below the corner bound
     assert iv["beta"]["rigorous"][0] > iv["beta"]["reference"][0]
 
@@ -232,7 +246,7 @@ def test_param_intervals_su6(bounds):
     assert iv["omega"]["matches_joint"]
     assert iv["kappa"]["matches_joint"]
     assert not iv["tau"]["matches_joint"]
-    assert iv["tau"]["reference"] == (486.938, 677.379)
+    assert iv["tau"]["reference"] == [486.938, 677.379]
     lo, hi = iv["tau"]["rigorous"]
     assert hi < 486.938  # quoted interval is entirely outside the rigorous one
 
@@ -246,7 +260,7 @@ def test_degenerate_bounds_collapse():
         val = param_value("su6", which, b.centrals("su6"))
         assert abs(iv[name]["rigorous"][0] - val) < 1e-12
         assert abs(iv[name]["rigorous"][1] - val) < 1e-12
-        assert abs(iv[name]["joint"][0] - val) < 1e-12
+        assert abs(iv[name]["joint_endpoint"][0] - val) < 1e-12
 
 
 # -- input handling -------------------------------------------------------------------

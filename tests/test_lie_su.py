@@ -1,19 +1,91 @@
 """Generator families and the structure-constant oracle."""
 
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from isoclifford import lie_su
 from isoclifford.flavor import structure_constants_f
 from isoclifford.isotopy import random_invertible_context
 from isoclifford.lie_su import (
     ClosureViolationError,
     GeneratorSet,
+    span_rank,
     structure_constants,
     su3_case1_generators,
     su3_case2_generators,
     su_n_generators,
 )
 from isoclifford.multivector import Signature, geometric_product, wedge
+
+FAMILIES = {
+    "su2": functools.partial(su_n_generators, 2),
+    "su3": functools.partial(su_n_generators, 3),
+    "su6": functools.partial(su_n_generators, 6),
+    "case1": su3_case1_generators,
+    "case2": su3_case2_generators,
+}
+
+
+# -- the rigid reference: a family built without a context is the family
+# lifted by zeta = 1, bit for bit ------------------------------------------------------
+
+
+def _plain_wedge_chain(vectors, ctx):
+    """The rigid chain: right-folded plain wedges of unlifted basis vectors."""
+    out = vectors[-1]
+    for v in reversed(vectors[:-1]):
+        out = wedge(v, out)
+    return out
+
+
+class _RigidReference:
+    """A family on the rigid path: plain ``ab - ba`` commutators and the
+    scalar unit 1 of the ambient algebra."""
+
+    def __init__(self, label, generators):
+        self.label = label
+        self.generators = generators
+        self.context = SimpleNamespace(zeta=generators[0].signature.scalar(1.0))
+
+    def commutator(self, i, j):
+        a, b = self.generators[i], self.generators[j]
+        return geometric_product(a, b) - geometric_product(b, a)
+
+
+def _bits(x):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()]
+
+
+def _assert_bit_identical(got, want):
+    assert got == want
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_without_context_is_the_rigid_reference(family, monkeypatch):
+    gs = FAMILIES[family]()
+    with monkeypatch.context() as patch:
+        # the same formulas on unlifted vectors and plain wedges
+        patch.setattr(lie_su, "lift", lambda ctx, a: a)
+        patch.setattr(lie_su, "_wedge_chain", _plain_wedge_chain)
+        ref = _RigidReference(family, FAMILIES[family]().generators)
+    assert len(gs) == len(ref.generators)
+    for got, want in zip(gs.generators, ref.generators):
+        _assert_bit_identical(got, want)
+    for i in range(len(gs)):
+        for j in range(len(gs)):
+            _assert_bit_identical(gs.commutator(i, j), ref.commutator(i, j))
+    got, want = structure_constants(gs), structure_constants(ref)
+    assert np.array_equal(got.c, want.c)
+    assert np.array_equal(got.unit_component, want.unit_component)
+    assert got.max_residual == want.max_residual
+    assert span_rank(gs) == span_rank(ref)
+
+
+# -- families and the oracle ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -42,7 +114,7 @@ def test_broken_cartan_element_is_rejected():
     # replacing the corrected Cartan element with a null one breaks closure
     gs = su_n_generators(2)
     sig = gs.signature
-    broken = GeneratorSet("broken", sig, gs.generators[:2] + (sig.scalar(0.0),))
+    broken = GeneratorSet("broken", gs.context, gs.generators[:2] + (sig.scalar(0.0),))
     with pytest.raises(ClosureViolationError):
         structure_constants(broken)
 
