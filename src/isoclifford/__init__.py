@@ -4,8 +4,9 @@ Cl(1,3;C), a 4x4 spacetime-algebra representation, and the diagonal
 isounits that make the quark flavor symmetry exact in isospace.
 
 The names live in the submodules (``isoclifford.multivector``,
-``isotopy``, ``octonion``, ``lie_su``, ``dirac``, ``flavor``); importing
-the package loads none of them, so a command loads only what it runs.
+``isotopy``, ``octonion``, ``lie_su``, ``dirac``, ``flavor``,
+``flavor_matrices``); importing the package loads none of them, so a
+command loads only what it runs.
 """
 
 __version__ = "0.1.0"

@@ -14,9 +14,10 @@ finite, so no NaN or infinity reaches a report).  Under
 Reports are deterministic: the property suites run on a fixed seed and
 every float is rendered with 6 significant digits.
 
-Each command imports only what it runs: ``flavor`` needs the numpy-only
-:mod:`isoclifford.flavor`, and ``verify`` imports :mod:`isoclifford.suites`
-(and with it the Clifford-algebra modules) once its arguments are parsed.
+Each command imports only what it runs: ``flavor`` needs
+:mod:`isoclifford.flavor` alone, which runs on the standard library, and
+``verify`` imports :mod:`isoclifford.suites` (and with it numpy and the
+Clifford-algebra modules) once its arguments are parsed.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import json
 import math
 import sys
 from typing import Any
-
-import numpy as np
 
 from . import AlgebraError, flavor
 
@@ -45,9 +44,7 @@ def _round6(value: Any) -> Any:
         return float(f"{value:.6g}")
     if isinstance(value, complex):
         return [_round6(value.real), _round6(value.imag)]
-    if isinstance(value, np.generic):
-        return _round6(value.item())
-    if isinstance(value, np.ndarray):
+    if hasattr(value, "tolist"):  # a numpy array or scalar
         return _round6(value.tolist())
     if isinstance(value, dict):
         return {k: _round6(v) for k, v in value.items()}
@@ -150,16 +147,17 @@ def cmd_flavor(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, flavor.MassFormatError) else EXIT_DOMAIN
 
-    iso_matrix = flavor.iso_mass_operator(zeta, masses)
+    dressed = flavor.dressed_masses(zeta, masses)
     params = {name: val for name, val in zip(flavor.PARAM_NAMES[group], zeta.params)}
     params["iso_mass"] = flavor.common_iso_mass(masses, group)
-    params["iso_mass_matrix"] = [[v.real for v in row] for row in iso_matrix]
+    params["iso_mass_matrix"] = [[d if i == j else 0.0 for j in range(len(dressed))]
+                                 for i, d in enumerate(dressed)]
 
     report = {
         "command": "flavor",
         "group": group,
         "params": params,
-        "checks": [_check("det_zeta_equals_one", float(zeta.det_residual()), 1e-12)],
+        "checks": [_check("det_zeta_equals_one", zeta.det_residual(), 1e-12)],
     }
     if intervals is not None:
         report["paper_comparisons"] = {"parameter_intervals": intervals}

@@ -1,5 +1,5 @@
-"""Flavor-physics layer: Gell-Mann matrices, diagonal isounits, iso-states
-and the exact-flavor-symmetry quark-mass parameter solver.
+"""Flavor-physics layer: quark mass data, diagonal isounits and the
+exact-flavor-symmetry quark-mass parameter solver.
 
 The diagonal isounit diag(a⁻¹, b⁻¹, ab) (three flavors) or
 diag(a⁻¹, ..., t⁻¹, ab...t) (six flavors) has unit determinant by
@@ -10,10 +10,12 @@ masses.  Interval propagation over the mass bounds uses the fact that
 each parameter is monotone in every mass (increasing in its own,
 decreasing in the rest), so rigorous extremes sit at box corners.
 
-The module works on numpy matrices.  Only :func:`iso_tensor` uses the
-Clifford-algebra modules, and it imports them when called, so importing
-this module (as ``isoclifford flavor`` does) loads no other module of
-the package.
+Everything here is scalar arithmetic on the standard library: an isounit
+is its tuple of diagonal entries.  The matrices (Gell-Mann bases, dressed
+operators, iso-states and expectations) live in
+:mod:`isoclifford.flavor_matrices`, on numpy, so importing this module
+(as ``isoclifford flavor`` does) loads no other module of the package
+and no numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 FLAVORS = ("u", "d", "s", "c", "b", "t")
 GROUP_FLAVORS = {"su3": FLAVORS[:3], "su6": FLAVORS}
@@ -145,63 +145,33 @@ class QuarkMassBounds:
         return tuple(self.central[fl] for fl in GROUP_FLAVORS[group])
 
 
-# -- generalized Gell-Mann matrices ------------------------------------------------
-
-
-def gell_mann(n: int) -> list[np.ndarray]:
-    """The n²-1 generalized Gell-Mann matrices, traceless Hermitian with
-    tr(λ_a λ_b) = 2 δ_ab.
-
-    Ordering: for each column j = 2..n, the symmetric then antisymmetric
-    off-diagonal pair for every row i < j, followed by the diagonal
-    element closing that block (the n = 3 ordering everyone knows,
-    continued upward).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    out: list[np.ndarray] = []
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            sym = np.zeros((n, n), dtype=complex)
-            sym[i - 1, j - 1] = sym[j - 1, i - 1] = 1.0
-            asym = np.zeros((n, n), dtype=complex)
-            asym[i - 1, j - 1] = -1j
-            asym[j - 1, i - 1] = 1j
-            out.append(sym)
-            out.append(asym)
-        k = j - 1
-        diag = np.zeros(n, dtype=complex)
-        diag[:k] = 1.0
-        diag[k] = -k
-        out.append(math.sqrt(2.0 / (k * (k + 1))) * np.diag(diag))
-    return out
-
-
-def structure_constants_f(n: int) -> np.ndarray:
-    """Totally antisymmetric f with [λ_a, λ_b] = 2i f_abc λ_c."""
-    lams = gell_mann(n)
-    m = len(lams)
-    f = np.zeros((m, m, m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            comm = lams[a] @ lams[b] - lams[b] @ lams[a]
-            for c in range(m):
-                val = (np.trace(comm @ lams[c]) / 4j).real
-                if abs(val) > 1e-13:
-                    f[a, b, c] = val
-                    f[b, a, c] = -val
-    return f
-
-
 # -- isounits -----------------------------------------------------------------------
+
+
+def _log_sum(values) -> float:
+    """Σ log v, one rounding per term, left to right.
+
+    This is the order in which numpy's ``det`` folds the diagonal of its LU
+    factors, and unlike the builtin ``sum()`` (compensated for floats from
+    Python 3.12 on) it gives the same bits on every interpreter.
+    """
+    total = 0.0
+    for v in values:
+        total += math.log(v)
+    return total
 
 
 @dataclass(frozen=True)
 class FlavorIsoUnit:
-    """Diagonal isounit of a flavor group, with its normalization scalar."""
+    """Diagonal isounit of a flavor group, with its normalization scalar.
+
+    ``diagonal`` holds the entries of ζ, each real, finite and positive, so
+    ζ is positive definite; :mod:`isoclifford.flavor_matrices` builds its
+    matrix.
+    """
 
     group: str
-    matrix: np.ndarray
+    diagonal: tuple[float, ...]
     delta: float = 1.0
     params: tuple[float, ...] | None = None
 
@@ -209,14 +179,13 @@ class FlavorIsoUnit:
         if self.group not in GROUP_DIM:
             raise ValueError(f"unknown group {self.group!r}")
         dim = GROUP_DIM[self.group]
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (dim, dim):
-            raise ValueError(f"isounit matrix must be {dim}x{dim}")
-        if not np.isfinite(m).all():
-            raise ValueError("isounit matrix must be finite")
+        if len(self.diagonal) != dim:
+            raise ValueError(f"isounit diagonal must have {dim} entries")
+        if not all(isinstance(d, numbers.Real) and 0 < d < math.inf for d in self.diagonal):
+            raise ValueError("isounit diagonal entries must be real, finite and positive")
         if not 0 < self.delta < math.inf:
             raise ValueError("delta must be finite and positive")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "diagonal", tuple(float(d) for d in self.diagonal))
 
     @classmethod
     def from_params(cls, group: str, params: Sequence[float]) -> "FlavorIsoUnit":
@@ -224,46 +193,31 @@ class FlavorIsoUnit:
         params = tuple(float(p) for p in params)
         if not all(0 < p < math.inf for p in params):
             raise ValueError("isounit parameters must be finite and positive")
-        diag = [1 / p for p in params] + [math.prod(params)]
-        return cls(group, np.diag(np.array(diag, dtype=complex)), params=params)
+        return cls(group, tuple(1 / p for p in params) + (math.prod(params),), params=params)
 
     @classmethod
     def from_diagonal(cls, entries: Sequence[float], delta: float = 1.0) -> "FlavorIsoUnit":
-        entries = np.asarray(entries, dtype=complex)
+        entries = tuple(entries)
         group = {3: "su3", 6: "su6"}.get(len(entries))
         if group is None:
             raise ValueError("diagonal isounit must have 3 or 6 entries")
-        return cls(group, np.diag(entries), delta)
+        return cls(group, entries, delta)
 
     @classmethod
     def identity(cls, group: str) -> "FlavorIsoUnit":
-        return cls(group, np.eye(GROUP_DIM[group], dtype=complex))
-
-    @property
-    def inverse_matrix(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
+        return cls(group, (1.0,) * GROUP_DIM[group])
 
     def det_residual(self) -> float:
-        """How far the determinant sits from 1; zero for the parameter form."""
-        return abs(np.linalg.det(self.matrix) - 1.0)
+        """How far the determinant sits from 1; zero for the parameter form.
 
-
-def iso_lift_operator(zeta: FlavorIsoUnit, m: np.ndarray) -> np.ndarray:
-    """Operator lift ``δ^{-1/2} ζ m`` (left multiplication by the isounit).
-
-    Left multiplication is what scales row i of an off-diagonal generator
-    by the i-th diagonal entry, matching the dressed generator displays.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != zeta.matrix.shape:
-        raise ValueError("operator dimension does not match the isounit")
-    return zeta.delta ** -0.5 * (zeta.matrix @ m)
-
-
-def iso_matrix_commutator(zeta: FlavorIsoUnit, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix isocommutator ``a ζ⁻¹ b - b ζ⁻¹ a``."""
-    zinv = zeta.inverse_matrix
-    return a @ zinv @ b - b @ zinv @ a
+        ``exp(Σ log ζ_i)``, bit for bit numpy's ``det`` of the diagonal
+        matrix; a determinant beyond the float range is infinite.
+        """
+        try:
+            det = math.exp(_log_sum(self.diagonal))
+        except OverflowError:
+            det = math.inf
+        return abs(det - 1.0)
 
 
 # -- mass operators ------------------------------------------------------------------
@@ -278,71 +232,9 @@ def _check_masses(masses: Sequence[float], group: str) -> tuple[float, ...]:
     return masses
 
 
-def mass_operator(masses: Sequence[float], group: str) -> np.ndarray:
-    """The rigid mass operator diag(m_u, m_d, ...)."""
-    return np.diag(np.asarray(_check_masses(masses, group), dtype=complex))
-
-
-def decompose_mass(masses: Sequence[float], group: str) -> np.ndarray:
-    """Coefficients of diag(m) over {identity} ∪ {diagonal generators}.
-
-    Solved as a linear system on the diagonal; the reconstruction is
-    exact because the n diagonal basis elements are independent.
-    """
-    masses = _check_masses(masses, group)
-    mat = np.column_stack([np.diag(b) for b in decomposition_basis(group)])
-    return np.linalg.solve(mat, np.asarray(masses, dtype=complex))
-
-
-def decomposition_basis(group: str) -> list[np.ndarray]:
-    n = GROUP_DIM[group]
-    lams = gell_mann(n)
-    return [np.eye(n, dtype=complex)] + [lams[idx - 1] for idx in DIAGONAL_GENERATOR_INDEX[group]]
-
-
-def su3_closed_form_coefficients(masses: Sequence[float]) -> np.ndarray:
-    """Independent oracle for the three-flavor decomposition."""
-    mu, md, ms = _check_masses(masses, "su3")
-    return np.array([
-        (mu + md + ms) / 3.0,
-        0.5 * (mu - md),
-        math.sqrt(3.0) / 6.0 * (mu + md - 2 * ms),
-    ], dtype=complex)
-
-
-def su6_trace_form_coefficients(masses: Sequence[float]) -> np.ndarray:
-    """Independent oracle for the six-flavor decomposition via the trace
-    pairing coefficient tr(λ M)/2 (identity coefficient is the mean)."""
-    masses = np.asarray(_check_masses(masses, "su6"), dtype=float)
-    out = [masses.mean()]
-    lams = gell_mann(6)
-    for idx in DIAGONAL_GENERATOR_INDEX["su6"]:
-        out.append((np.diag(lams[idx - 1]).real * masses).sum() / 2.0)
-    return np.asarray(out, dtype=complex)
-
-
-def su6_quoted_coefficients(masses: Sequence[float]) -> np.ndarray:
-    """The six-flavor decomposition coefficients as quoted in print.
-
-    Kept only for the deviation report: the quoted identity coefficient
-    (sum/3 instead of sum/6) cannot reconstruct diag(m), and the solved
-    coefficients are the authoritative ones.
-    """
-    mu, md, ms, mc, mb, mt = _check_masses(masses, "su6")
-    total = mu + md + ms + mc + mb + mt
-    return np.array([
-        total / 3.0,
-        107.0 / 144.0 * (mu - md),
-        -55.0 * math.sqrt(3.0) / 144.0 * (mu + md - 2 * ms),
-        -55.0 * math.sqrt(6.0) / 144.0 * (mu + md + ms - 3 * mc),
-        -11.0 * math.sqrt(6.0) / 24.0 * (mu + md + ms + mc - 4 * mb),
-        -math.sqrt(30.0) / 6.0 * (mu + md + ms + mc + mb - 5 * mt),
-    ], dtype=complex)
-
-
-def iso_mass_operator(zeta: FlavorIsoUnit, masses: Sequence[float]) -> np.ndarray:
-    """Dressed mass operator ``ζ · diag(m)``; equals diag(m) at unit params."""
-    return zeta.matrix @ mass_operator(masses, zeta.group)
+def dressed_masses(zeta: FlavorIsoUnit, masses: Sequence[float]) -> tuple[float, ...]:
+    """Diagonal ``ζ_i m_i`` of the dressed mass operator ``ζ · diag(m)``."""
+    return tuple(z * m for z, m in zip(zeta.diagonal, _check_masses(masses, zeta.group)))
 
 
 # -- exact-symmetry parameters -------------------------------------------------------
@@ -382,7 +274,7 @@ def equal_mass_params(masses: Sequence[float], group: str) -> FlavorIsoUnit:
 def common_iso_mass(masses: Sequence[float], group: str) -> float:
     """Geometric mean of the masses: the shared eigenvalue at exact symmetry."""
     masses = _check_masses(masses, group)
-    return math.exp(sum(math.log(m) for m in masses) / len(masses))
+    return math.exp(_log_sum(masses) / len(masses))
 
 
 # -- interval propagation --------------------------------------------------------------
@@ -422,94 +314,3 @@ def param_intervals(bounds: QuarkMassBounds, group: str) -> dict[str, dict]:
 
 def _interval_close(a, b) -> bool:
     return all(abs(x - y) <= 2e-3 * max(abs(x), abs(y)) for x, y in zip(a, b))
-
-
-# -- states and expectations ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IsoState:
-    """Column state normalized against the isounit: ⟨ψ|ζ⁻¹|ψ⟩ = 1."""
-
-    vector: np.ndarray
-    zeta: FlavorIsoUnit
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        if v.shape[0] != GROUP_DIM[self.zeta.group]:
-            raise ValueError("state dimension does not match the group")
-        object.__setattr__(self, "vector", v)
-
-    def norm_residual(self) -> float:
-        v = self.vector
-        return abs(v.conj() @ self.zeta.inverse_matrix @ v - 1.0)
-
-
-def iso_states(zeta: FlavorIsoUnit) -> list[IsoState]:
-    """One basis state per flavor, scaled by the square root of the
-    matching diagonal isounit entry so each is iso-normalized."""
-    diag = np.diag(zeta.matrix)
-    states = []
-    for i in range(len(diag)):
-        v = np.zeros(len(diag), dtype=complex)
-        v[i] = np.sqrt(diag[i])
-        states.append(IsoState(v, zeta))
-    return states
-
-
-def iso_expectation(state: IsoState, iso_op: np.ndarray) -> complex:
-    """Two-sided insertion ⟨ψ| ζ⁻¹ O^ζ ζ⁻¹ |ψ⟩ for a dressed operator O^ζ.
-
-    With O^ζ = ζO and iso-normalized basis states this returns the bare
-    eigenvalue of O, which is the convention that reproduces masses,
-    hypercharge and isospin at their physical values simultaneously.
-    """
-    iso_op = np.asarray(iso_op, dtype=complex)
-    zinv = state.zeta.inverse_matrix
-    v = state.vector
-    return complex(v.conj() @ zinv @ iso_op @ zinv @ v)
-
-
-def hypercharge_operator(zeta: FlavorIsoUnit) -> np.ndarray:
-    """Dressed hypercharge ``(1/(2√3)) λ₈^ζ`` (three flavors only)."""
-    if zeta.group != "su3":
-        raise ValueError("hypercharge operator is defined for su3")
-    lam8 = gell_mann(3)[7]
-    return iso_lift_operator(zeta, lam8 / (2 * math.sqrt(3.0)))
-
-
-def isospin_operator(zeta: FlavorIsoUnit) -> np.ndarray:
-    """Dressed z-isospin ``½ λ₃^ζ`` (three flavors only)."""
-    if zeta.group != "su3":
-        raise ValueError("isospin operator is defined for su3")
-    lam3 = gell_mann(3)[2]
-    return iso_lift_operator(zeta, 0.5 * lam3)
-
-
-def charge_operator(zeta: FlavorIsoUnit) -> np.ndarray:
-    """Electric charge ``Q^ζ = Y^ζ + I₃^ζ``; expectations 2/3, -1/3, -1/3."""
-    return hypercharge_operator(zeta) + isospin_operator(zeta)
-
-
-# -- composite states ---------------------------------------------------------------------
-
-
-def iso_tensor(zeta_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Isotensor product of two 4x4 spinor-space operators.
-
-    Computes ``(ζ⁻¹ a) ⊗ (b · ((ζ⁻¹ Γ₀)~)*)`` where ~ transports matrix
-    reversion through the spacetime-algebra representation and * is the
-    entrywise conjugate.  At ζ = 1 this collapses to ``a ⊗ (b Γ₀)``.
-    """
-    from .dirac import build_dirac_rep
-    from .multivector import reversion
-
-    d = build_dirac_rep()
-    zeta_matrix = np.asarray(zeta_matrix, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if zeta_matrix.shape != (4, 4) or a.shape != (4, 4) or b.shape != (4, 4):
-        raise ValueError("iso_tensor expects 4x4 matrices")
-    zinv = np.linalg.inv(zeta_matrix)
-    dressed = d.rep(reversion(d.rep_inverse(zinv @ d.gamma[0]))).conj()
-    return np.kron(zinv @ a, b @ dressed)

@@ -15,6 +15,26 @@ import os
 import numpy as np
 
 from . import dirac, flavor, lie_su, octonion
+from .flavor_matrices import (
+    charge_operator,
+    decompose_mass,
+    decomposition_basis,
+    gell_mann,
+    hypercharge_operator,
+    iso_expectation,
+    iso_lift_operator,
+    iso_mass_operator,
+    iso_matrix_commutator,
+    iso_states,
+    iso_tensor,
+    isospin_operator,
+    isounit_inverse,
+    mass_operator,
+    structure_constants_f,
+    su3_closed_form_coefficients,
+    su6_quoted_coefficients,
+    su6_trace_form_coefficients,
+)
 from .isotopy import (
     IsoComplex,
     IsoContext,
@@ -322,7 +342,7 @@ def suite_su3(rec: _Recorder) -> None:
         g = gs.generators[k]
         rec.add("case1.lam8_commutes_with_su2", (lam8 * g - g * lam8).max_abs(), 1e-9)
 
-    f = flavor.structure_constants_f(3)
+    f = structure_constants_f(3)
     rec.add("case1.constants_match_2i_f", np.abs(sc.c - 2j * f).max(), 1e-6)
 
     ctx = random_invertible_context(Signature(1, 3), rng)
@@ -490,7 +510,7 @@ def _entry_table_comparison(d, rng) -> dict:
 def suite_flavor(rec: _Recorder) -> None:
     rng = _rng()
     for n in (3, 6):
-        lams = flavor.gell_mann(n)
+        lams = gell_mann(n)
         gram = np.array([[np.trace(a @ b) for b in lams] for a in lams])
         rec.add(f"gellmann{n}.trace_orthonormal",
                 np.abs(gram - 2 * np.eye(len(lams))).max(), 1e-12)
@@ -498,16 +518,16 @@ def suite_flavor(rec: _Recorder) -> None:
             rec.add(f"gellmann{n}.hermitian", np.abs(l - l.conj().T).max(), 1e-12)
             rec.add(f"gellmann{n}.traceless", np.trace(l), 1e-12)
 
-    f3 = flavor.structure_constants_f(3)
+    f3 = structure_constants_f(3)
     for delta in (1.0, 2.5):
         entries = np.exp(rng.standard_normal(2))
         diag = np.concatenate([entries, [1.0 / entries.prod()]])
         zeta = flavor.FlavorIsoUnit.from_diagonal(diag, delta=delta)
-        lams = flavor.gell_mann(3)
-        lifted = [flavor.iso_lift_operator(zeta, l) for l in lams]
+        lams = gell_mann(3)
+        lifted = [iso_lift_operator(zeta, l) for l in lams]
         for a in range(8):
             for b in range(8):
-                lhs = flavor.iso_matrix_commutator(zeta, lifted[a], lifted[b])
+                lhs = iso_matrix_commutator(zeta, lifted[a], lifted[b])
                 rhs = sum(2j * f3[a, b, c] * delta ** -0.5 * lifted[c] for c in range(8))
                 rec.add("iso_gellmann.commutator_relation", np.abs(lhs - rhs).max(), 1e-10)
 
@@ -517,49 +537,49 @@ def suite_flavor(rec: _Recorder) -> None:
     rec.add("su3.det_zeta", zeta3.det_residual(), 1e-12)
     gm3 = flavor.common_iso_mass(m3, "su3")
     rec.add("su3.equal_mass_fixed_point",
-            np.abs(flavor.iso_mass_operator(zeta3, m3) - gm3 * np.eye(3)).max() / gm3, 1e-12)
+            np.abs(iso_mass_operator(zeta3, m3) - gm3 * np.eye(3)).max() / gm3, 1e-12)
     rec.add("su3.alpha_value", abs(zeta3.params[0] - 0.22407), 1e-4)
 
-    states = flavor.iso_states(zeta3)
-    mz = flavor.iso_mass_operator(zeta3, m3)
-    y = flavor.hypercharge_operator(zeta3)
-    i3 = flavor.isospin_operator(zeta3)
-    q = flavor.charge_operator(zeta3)
-    zinv = zeta3.inverse_matrix
+    states = iso_states(zeta3)
+    mz = iso_mass_operator(zeta3, m3)
+    y = hypercharge_operator(zeta3)
+    i3 = isospin_operator(zeta3)
+    q = charge_operator(zeta3)
+    zinv = isounit_inverse(zeta3)
     for s, m, yv, i3v, qv in zip(states, m3, (1 / 6, 1 / 6, -1 / 3), (0.5, -0.5, 0.0),
                                  (2 / 3, -1 / 3, -1 / 3)):
         rec.add("su3.state_normalization", s.norm_residual(), 1e-12)
-        rec.add("su3.mass_expectations", flavor.iso_expectation(s, mz) - m, 1e-12)
-        rec.add("su3.hypercharge_expectations", flavor.iso_expectation(s, y) - yv, 1e-12)
-        rec.add("su3.isospin_expectations", flavor.iso_expectation(s, i3) - i3v, 1e-12)
-        rec.add("su3.charge_expectations", flavor.iso_expectation(s, q) - qv, 1e-12)
+        rec.add("su3.mass_expectations", iso_expectation(s, mz) - m, 1e-12)
+        rec.add("su3.hypercharge_expectations", iso_expectation(s, y) - yv, 1e-12)
+        rec.add("su3.isospin_expectations", iso_expectation(s, i3) - i3v, 1e-12)
+        rec.add("su3.charge_expectations", iso_expectation(s, q) - qv, 1e-12)
         rec.add("su3.eigenvalue_isoequation",
                 np.abs(zinv @ mz @ s.vector - m * s.vector).max(), 1e-12)
 
     ident = flavor.FlavorIsoUnit.identity("su3")
     rec.add("su3.limit_recovery",
-            np.abs(flavor.iso_mass_operator(ident, m3) - flavor.mass_operator(m3, "su3")).max(),
+            np.abs(iso_mass_operator(ident, m3) - mass_operator(m3, "su3")).max(),
             1e-12)
 
-    co = flavor.decompose_mass(m3, "su3")
+    co = decompose_mass(m3, "su3")
     rec.add("su3.decomposition_matches_closed_form",
-            np.abs(co - flavor.su3_closed_form_coefficients(m3)).max(), 1e-9)
+            np.abs(co - su3_closed_form_coefficients(m3)).max(), 1e-9)
     rec.add("su3.decomposition_reconstructs",
-            np.abs(sum(c * b for c, b in zip(co, flavor.decomposition_basis("su3")))
-                   - flavor.mass_operator(m3, "su3")).max(), 1e-9)
+            np.abs(sum(c * b for c, b in zip(co, decomposition_basis("su3")))
+                   - mass_operator(m3, "su3")).max(), 1e-9)
 
     m6 = bounds.centrals("su6")
     zeta6 = flavor.equal_mass_params(m6, "su6")
     rec.add("su6.det_zeta", zeta6.det_residual(), 1e-12)
     gm6 = flavor.common_iso_mass(m6, "su6")
     rec.add("su6.six_fold_equal_mass",
-            np.abs(np.diag(flavor.iso_mass_operator(zeta6, m6)) - gm6).max() / gm6, 1e-12)
-    co6 = flavor.decompose_mass(m6, "su6")
+            np.abs(np.diag(iso_mass_operator(zeta6, m6)) - gm6).max() / gm6, 1e-12)
+    co6 = decompose_mass(m6, "su6")
     rec.add("su6.decomposition_reconstructs",
-            np.abs(sum(c * b for c, b in zip(co6, flavor.decomposition_basis("su6")))
-                   - flavor.mass_operator(m6, "su6")).max(), 1e-9)
+            np.abs(sum(c * b for c, b in zip(co6, decomposition_basis("su6")))
+                   - mass_operator(m6, "su6")).max(), 1e-9)
     rec.add("su6.decomposition_matches_trace_oracle",
-            np.abs(co6 - flavor.su6_trace_form_coefficients(m6)).max() / max(m6), 1e-12)
+            np.abs(co6 - su6_trace_form_coefficients(m6)).max() / max(m6), 1e-12)
     a, b, w, k, t = zeta6.params
     chain = np.array([m6[0] / a, m6[1] / b, m6[2] / w, m6[3] / k, m6[4] / t,
                       a * b * w * k * t * m6[5]])
@@ -593,15 +613,15 @@ def suite_flavor(rec: _Recorder) -> None:
     d = dirac.build_dirac_rep()
     sig = Signature(1, 3)
     g0 = d.gamma[0]
-    t0 = flavor.iso_tensor(np.eye(4, dtype=complex), np.eye(4, dtype=complex),
-                           np.eye(4, dtype=complex))
+    t0 = iso_tensor(np.eye(4, dtype=complex), np.eye(4, dtype=complex),
+                    np.eye(4, dtype=complex))
     rec.add("iso_tensor.identity_reduction", np.abs(t0 - np.kron(np.eye(4), g0)).max(), 1e-12)
     a_mat = d.rep(random_multivector(sig, rng, 6))
     b_mat = d.rep(random_multivector(sig, rng, 6))
     z_mat = d.rep(sig.scalar(1.0) + 0.4 * sig.e(0, 1))
     rec.add("iso_tensor.bilinearity",
-            np.abs(flavor.iso_tensor(z_mat, 2 * a_mat, b_mat)
-                   - 2 * flavor.iso_tensor(z_mat, a_mat, b_mat)).max(), 1e-12)
+            np.abs(iso_tensor(z_mat, 2 * a_mat, b_mat)
+                   - 2 * iso_tensor(z_mat, a_mat, b_mat)).max(), 1e-12)
 
     rec.compare("parameter_intervals", {
         "su3": iv3,
@@ -609,7 +629,7 @@ def suite_flavor(rec: _Recorder) -> None:
         "note": "reference intervals are echoed for comparison; no computed "
                 "convention reproduces all of them and the flags record this",
     })
-    quoted = flavor.su6_quoted_coefficients(m6)
+    quoted = su6_quoted_coefficients(m6)
     rec.compare("su6_decomposition", {
         "solved": [float(x.real) for x in co6],
         "quoted": [float(x.real) for x in quoted],

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from isoclifford import flavor, lie_su
+from isoclifford.flavor_matrices import iso_mass_operator
 from isoclifford.isotopy import (
     IsoContext,
     iso_commutator,
@@ -76,7 +77,7 @@ def test_criterion_09_su3_flavor_numbers():
     masses = (2.25, 5.0, 90.0)
     zeta = flavor.equal_mass_params(masses, "su3")
     gm = 1012.5 ** (1.0 / 3.0)
-    iso_m = flavor.iso_mass_operator(zeta, masses)
+    iso_m = iso_mass_operator(zeta, masses)
     _criterion(9, "iso mass matrix is (1012.5)^(1/3) I",
                float(np.abs(iso_m - gm * np.eye(3)).max()) / gm, 1e-9)
 

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -183,13 +184,52 @@ def test_flavor_imports_only_the_flavor_module():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
         "print(json.dumps([code, sorted(m for m in sys.modules\n"
-        "                              if m.partition('.')[0] == 'isoclifford')]))\n"
+        "                              if m.partition('.')[0] == 'isoclifford'),\n"
+        "                  'numpy' in sys.modules]))\n"
     )
     pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
     proc = subprocess.run([sys.executable, "-c", code, *pinned["flavor_argv"],
                            "--group", "su6"], capture_output=True, text=True, cwd=REPO)
     assert json.loads(proc.stdout) == [0, ["isoclifford", "isoclifford.cli",
-                                           "isoclifford.flavor"]], proc.stderr
+                                           "isoclifford.flavor"], False], proc.stderr
+
+
+def test_flavor_reports_match_the_pins_with_numpy_blocked(tmp_path):
+    # an entry of None in sys.modules makes `import numpy` raise ImportError
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from isoclifford.cli import main\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    infinite = tmp_path / "infinite.json"
+    table = json.loads((REPO / "data" / "quark_masses.json").read_text())
+    table["t"]["max"] = math.inf
+    infinite.write_text(json.dumps(table))  # json writes the token Infinity
+    cases = [(group, fmt) for group in ("su3", "su6") for fmt in ("json", "csv", "text")]
+    argvs = [[*pinned["flavor_argv"], "--group", group, "--format", fmt] for group, fmt in cases]
+    argvs += [["flavor", "--group", "su6", "--masses", str(path), "--intervals"]
+              for path in (bad_json, infinite)]
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for (group, fmt), (exit_code, out, err) in zip(cases, runs):
+        assert exit_code == 0 and err == ""
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == pinned["flavor_stdout_sha256"][group][fmt]), (group, fmt)
+    bad, inf = runs[len(cases):]
+    assert bad[:2] == [2, ""] and bad[2].startswith("error: mass file is not valid JSON")
+    assert inf[:2] == [3, ""] and inf[2].startswith("error: flavor 't'")
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "inf", "1e400", "nan"])
@@ -256,13 +296,22 @@ def test_flavor_su6_intervals_roundtrip(masses_file):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("group", ["su3", "su6"])
-def test_flavor_deterministic_output_matches_pin(group, fmt):
+def test_flavor_deterministic_output_matches_pin(monkeypatch, capsys, group, fmt):
     pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
     argv = [*pinned["flavor_argv"], "--group", group, "--format", fmt]
-    first = run_cli(*argv, cwd=REPO)
-    second = run_cli(*argv, cwd=REPO)
-    assert first.stdout == second.stdout
-    digest = hashlib.sha256(first.stdout.encode()).hexdigest()
+    if (group, fmt) == ("su6", "json"):
+        # one case runs the `python -m isoclifford` entry point; the others
+        # call main in process, which prints the same bytes
+        first, second = (run_cli(*argv, cwd=REPO).stdout for _ in range(2))
+    else:
+        monkeypatch.chdir(REPO)
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        first, second = outputs
+    assert first == second
+    digest = hashlib.sha256(first.encode()).hexdigest()
     assert digest == pinned["flavor_stdout_sha256"][group][fmt]
 
 
@@ -388,7 +437,7 @@ def test_flavor_spread_corners_without_intervals_succeed(tmp_path, capsys):
 ], ids=lambda e: type(e).__name__)
 @pytest.mark.parametrize("command,target", [
     ("verify", "isoclifford.suites.run_suite"),
-    ("flavor", "isoclifford.flavor.iso_mass_operator"),
+    ("flavor", "isoclifford.flavor.equal_mass_params"),
 ])
 def test_escaping_domain_errors_exit_3_on_one_line(monkeypatch, capsys, masses_file,
                                                   exc, command, target):

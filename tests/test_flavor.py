@@ -11,24 +11,29 @@ from isoclifford import flavor
 from isoclifford.dirac import build_dirac_rep
 from isoclifford.flavor import (
     FlavorIsoUnit,
-    IsoState,
     MassDomainError,
     MassFormatError,
     MassInputError,
     QuarkMassBounds,
     common_iso_mass,
+    dressed_masses,
+    equal_mass_params,
+    param_intervals,
+    param_value,
+)
+from isoclifford.flavor_matrices import (
+    IsoState,
     decompose_mass,
     decomposition_basis,
-    equal_mass_params,
     gell_mann,
     iso_expectation,
     iso_lift_operator,
     iso_mass_operator,
     iso_states,
     iso_tensor,
+    isounit_inverse,
+    isounit_matrix,
     mass_operator,
-    param_intervals,
-    param_value,
     structure_constants_f,
     su6_quoted_coefficients,
 )
@@ -84,7 +89,7 @@ def test_isounit_determinant_automatic():
     z6 = FlavorIsoUnit.from_params("su6", (0.3, 0.8, 1.2, 2.0, 5.0))
     assert z6.det_residual() < 1e-12
     # the last entry is the product taken left to right
-    assert z6.matrix[5, 5] == 0.3 * 0.8 * 1.2 * 2.0 * 5.0
+    assert z6.diagonal[5] == 0.3 * 0.8 * 1.2 * 2.0 * 5.0
 
 
 def test_isounit_validation():
@@ -93,9 +98,9 @@ def test_isounit_validation():
     with pytest.raises(ValueError):
         FlavorIsoUnit.from_params("su4", (1.0, 2.0))
     with pytest.raises(ValueError):
-        FlavorIsoUnit("su3", np.eye(4))
+        FlavorIsoUnit("su3", (1.0,) * 4)
     with pytest.raises(ValueError):
-        FlavorIsoUnit("su3", np.eye(3), delta=0.0)
+        FlavorIsoUnit("su3", (1.0,) * 3, delta=0.0)
     # non-finite input (an infinite delta would make every lift all zero)
     for make in (
         lambda: FlavorIsoUnit.from_diagonal((2.0, 0.5, 1.0), delta=math.inf),
@@ -106,9 +111,37 @@ def test_isounit_validation():
         lambda: FlavorIsoUnit.from_params("su3", (math.inf, 1.0)),
         # finite parameters whose product overflows the last entry
         lambda: FlavorIsoUnit.from_params("su3", (1e200, 1e200)),
+        # an isounit is positive definite: no zero, negative or complex entry
+        lambda: FlavorIsoUnit.from_diagonal((2.0, -1.0, -0.5)),
+        lambda: FlavorIsoUnit.from_diagonal((2.0, 0.0, 1.0)),
+        lambda: FlavorIsoUnit.from_diagonal((2.0, 1j, -0.5j)),
+        lambda: FlavorIsoUnit.from_diagonal(np.array([2.0, 0.5, 1.0], dtype=complex)),
+        lambda: FlavorIsoUnit.from_params("su3", (1e-200, 1e-200)),
     ):
         with pytest.raises(ValueError):
             make()
+
+
+_SPAN = st.floats(1e-150, 1e150)
+
+
+@st.composite
+def _diagonal_and_masses(draw):
+    n = draw(st.sampled_from([3, 6]))
+    return (tuple(draw(st.lists(_SPAN, min_size=n, max_size=n))),
+            tuple(draw(st.lists(_SPAN, min_size=n, max_size=n))))
+
+
+@given(_diagonal_and_masses())
+@settings(max_examples=200, deadline=None)
+def test_scalar_isounit_arithmetic_is_numpy_bit_for_bit(case):
+    diag, masses = case
+    zeta = FlavorIsoUnit.from_diagonal(diag)
+    with np.errstate(over="ignore", invalid="ignore"):  # a determinant past the float range
+        det = np.linalg.det(np.diag(np.array(diag, dtype=complex)))
+    assert zeta.det_residual() == abs(det - 1.0)
+    product = isounit_matrix(zeta) @ mass_operator(masses, zeta.group)
+    assert dressed_masses(zeta, masses) == tuple(np.diag(product).real)
 
 
 def test_iso_lift_matches_row_scaling():
@@ -198,7 +231,7 @@ def test_iso_states_and_normalization():
     assert len(states) == 3
     for i, s in enumerate(states):
         for j, other in enumerate(states):
-            overlap = other.vector.conj() @ zeta.inverse_matrix @ s.vector
+            overlap = other.vector.conj() @ isounit_inverse(zeta) @ s.vector
             assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-12
     alpha = zeta.params[0]
     assert abs(states[0].vector[0] - alpha ** -0.5) < 1e-12

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from isoclifford import lie_su
-from isoclifford.flavor import structure_constants_f
+from isoclifford.flavor_matrices import structure_constants_f
 from isoclifford.isotopy import random_invertible_context
 from isoclifford.lie_su import (
     ClosureViolationError,
