@@ -15,14 +15,8 @@ import functools
 
 import numpy as np
 
-from .isotopy import IsoContext
-from .multivector import (
-    AlgebraError,
-    Multivector,
-    Signature,
-    geometric_product,
-    reversion,
-)
+from .isotopy import IsoContext, iso_product
+from .multivector import AlgebraError, Multivector, Signature, reversion
 
 SIG13 = Signature(1, 3)
 # Acceptance bound of both rotor-group membership tests.
@@ -133,5 +127,5 @@ def iso_spin_plus_check(ctx: IsoContext, r: Multivector) -> bool:
     """Isotopic variant: even elements with ``R ⋄ R~ = ζ``."""
     if any(k & 1 for k in r.grades()):
         return False
-    prod = geometric_product(geometric_product(r, ctx.zeta_inv), reversion(r))
+    prod = iso_product(ctx, r, reversion(r))
     return (prod - ctx.zeta).max_abs() <= _SPIN_TOL

@@ -132,6 +132,8 @@ class QuarkMassBounds:
             raise MassFormatError(f"mass file is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise MassFormatError(f"mass file is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise MassFormatError("mass file nests too deeply to read") from exc
         if not isinstance(data, dict):
             raise MassFormatError("mass file must hold one JSON object")
         return cls.from_mapping(data)

@@ -6,8 +6,8 @@ Lifted elements ``Aζ`` multiply like the originals (``Aζ ⋄ Bζ = ABζ``),
 which is what transports algebra identities into isospace unchanged.
 
 Non-associative base products (the octonions, in practice) get the two
-one-sided isotopes and the X-product, where the grouping matters and the
-base product is passed in explicitly.
+one-sided isotopes, where the grouping matters and the base product is
+passed in explicitly.
 """
 
 from __future__ import annotations
@@ -51,16 +51,9 @@ class IsoContext:
             raise AlgebraError(f"zeta * zeta_inv misses 1 by {residual:.3e}")
 
     @classmethod
-    def create(cls, zeta: Multivector, zeta_inv: Multivector | None = None) -> "IsoContext":
-        """Build a context, inverting ζ unless an inverse is supplied.
-
-        An explicit ``zeta_inv`` covers units of non-associative algebras
-        whose inverse is known in closed form (octonion conjugates, say);
-        it still has to be a two-sided Clifford inverse.
-        """
-        if zeta_inv is None:
-            zeta_inv = inverse(zeta)
-        return cls(zeta, zeta_inv)
+    def create(cls, zeta: Multivector) -> "IsoContext":
+        """Build a context by inverting ζ."""
+        return cls(zeta, inverse(zeta))
 
     @classmethod
     def identity(cls, sig: Signature) -> "IsoContext":
@@ -92,12 +85,6 @@ def lift(ctx: IsoContext, a: Multivector) -> Multivector:
     return geometric_product(a, ctx.zeta)
 
 
-def zeta_apply(ctx: IsoContext, a: Multivector) -> Multivector:
-    """Apply the isotopic element on the left: ``ζ⁻¹ a`` (undoes a right lift)."""
-    ctx._check(a)
-    return geometric_product(ctx.zeta_inv, a)
-
-
 def iso_commutator(ctx: IsoContext, a: Multivector, b: Multivector) -> Multivector:
     """``[a, b]_ζ = a ⋄ b - b ⋄ a``."""
     return iso_product(ctx, a, b) - iso_product(ctx, b, a)
@@ -107,11 +94,7 @@ def geno_commutator(ctx_left: IsoContext, ctx_right: IsoContext,
                     a: Multivector, b: Multivector) -> Multivector:
     """Two-unit generalization ``a ζ⁻¹ b - b ξ⁻¹ a``; reduces to the
     isocommutator when both contexts share their unit."""
-    ctx_left._check(a)
-    ctx_right._check(b)
-    left = geometric_product(geometric_product(a, ctx_left.zeta_inv), b)
-    right = geometric_product(geometric_product(b, ctx_right.zeta_inv), a)
-    return left - right
+    return iso_product(ctx_left, a, b) - iso_product(ctx_right, b, a)
 
 
 def iso_involution(ctx: IsoContext, a: Multivector) -> Multivector:
@@ -130,11 +113,6 @@ def iso_involution(ctx: IsoContext, a: Multivector) -> Multivector:
 def iso_wedge(ctx: IsoContext, v: Multivector, psi: Multivector) -> Multivector:
     """Iso exterior product ``½(v ⋄ ψ + ψ̂ ⋄ v)`` with the iso involution."""
     return 0.5 * (iso_product(ctx, v, psi) + iso_product(ctx, iso_involution(ctx, psi), v))
-
-
-def iso_contraction(ctx: IsoContext, v: Multivector, psi: Multivector) -> Multivector:
-    """Iso left contraction ``½(v ⋄ ψ - ψ̂ ⋄ v)``, twin of :func:`iso_wedge`."""
-    return 0.5 * (iso_product(ctx, v, psi) - iso_product(ctx, iso_involution(ctx, psi), v))
 
 
 def iso_metric(ctx: IsoContext, psi: Multivector, phi: Multivector) -> Multivector:
@@ -160,14 +138,6 @@ def isotope_left_product(ctx: IsoContext, a: Multivector, b: Multivector,
     ctx._check(a)
     ctx._check(b)
     return product(product(a, ctx.zeta_inv), b)
-
-
-def x_product(ctx: IsoContext, a: Multivector, b: Multivector,
-              product: ProductFn) -> Multivector:
-    """X-product ``A ∘_ζ B = (A ζ)(ζ⁻¹ B)`` under the supplied base product."""
-    ctx._check(a)
-    ctx._check(b)
-    return product(product(a, ctx.zeta), product(ctx.zeta_inv, b))
 
 
 # -- isocomplex numbers -----------------------------------------------------------

@@ -77,6 +77,22 @@ def _wedge_chain(lifted: Sequence[Multivector], ctx: IsoContext) -> Multivector:
     return out
 
 
+def _lifted_basis(sig: Signature, ctx: IsoContext | None, family: str):
+    """The shared set-up of every family: the context (ζ = 1 when
+    omitted), the lifted basis vectors ``v`` and the lifted wedge chain
+    ``w(*indices)``, all over 0-based basis indices."""
+    if ctx is None:
+        ctx = IsoContext.identity(sig)
+    elif ctx.signature != sig:
+        raise AlgebraError(f"{family} lives in Cl({sig.p},{sig.q})")
+    v = [lift(ctx, sig.e(i)) for i in range(sig.dim)]
+
+    def w(*indices):
+        return _wedge_chain([v[i] for i in indices], ctx)
+
+    return ctx, v, w
+
+
 def su_n_generators(n: int, ctx: IsoContext | None = None) -> GeneratorSet:
     """The n²-1 su(n) generators as bivectors of Cl(2n,0).
 
@@ -87,38 +103,12 @@ def su_n_generators(n: int, ctx: IsoContext | None = None) -> GeneratorSet:
     """
     if not 2 <= n <= 6:
         raise ValueError("su(n) construction supports 2 <= n <= 6")
-    sig = Signature(2 * n, 0)
-    if ctx is None:
-        ctx = IsoContext.identity(sig)
-    elif ctx.signature != sig:
-        raise AlgebraError(f"iso context must live in Cl({2 * n},0)")
-    e = [lift(ctx, sig.e(m)) for m in range(2 * n)]
-
-    def w(p, q):
-        # paper indices are 1-based; internal masks 0-based
-        return _wedge_chain((e[p - 1], e[q - 1]), ctx)
-
-    pairs = [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
+    ctx, _, w = _lifted_basis(Signature(2 * n, 0), ctx, f"su({n})")
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     gens = ([w(p, q) + w(p + n, q + n) for p, q in pairs]
             + [w(p, q + n) - w(p + n, q) for p, q in pairs]
-            + [w(r, r + n) - w(r + 1, r + n + 1) for r in range(1, n)])
+            + [w(r, r + n) - w(r + 1, r + n + 1) for r in range(n - 1)])
     return GeneratorSet(f"su({n})", ctx, tuple(gens))
-
-
-def _cl13_family(ctx: IsoContext | None, family: str):
-    """The shared set-up of the su(3) families: the context (ζ = 1 when
-    omitted), the lifted basis vectors ``v`` and the lifted wedge chain
-    ``w(*mus)``."""
-    if ctx is None:
-        ctx = IsoContext.identity(SIG13)
-    elif ctx.signature != SIG13:
-        raise AlgebraError(f"{family} su(3) lives in Cl(1,3)")
-    v = [lift(ctx, SIG13.e(mu)) for mu in range(4)]
-
-    def w(*mus):
-        return _wedge_chain([v[mu] for mu in mus], ctx)
-
-    return ctx, v, w
 
 
 def su3_case1_generators(ctx: IsoContext | None = None) -> GeneratorSet:
@@ -131,7 +121,7 @@ def su3_case1_generators(ctx: IsoContext | None = None) -> GeneratorSet:
     i on both of its terms (mirroring the seventh); dropping it from the
     trivector term breaks closure, which the oracle flags immediately.
     """
-    ctx, v, w = _cl13_family(ctx, "case-1")
+    ctx, v, w = _lifted_basis(SIG13, ctx, "case-1 su(3)")
     s3 = math.sqrt(3.0)
     gens = (
         0.5 * (w(0, 1) + 1j * w(2, 3)),
@@ -156,7 +146,7 @@ def su3_case2_generators(ctx: IsoContext | None = None) -> GeneratorSet:
     on the Gell-Mann pattern with magnitude 2, up to a relabeling
     automorphism of the basis.
     """
-    ctx, v, w = _cl13_family(ctx, "case-2")
+    ctx, v, w = _lifted_basis(SIG13, ctx, "case-2 su(3)")
     s3 = math.sqrt(3.0)
     gens = (
         -0.5j * (w(2, 3) + w(0, 2, 3)),

@@ -293,11 +293,6 @@ class Multivector:
             return self * (1.0 / other)
         return NotImplemented
 
-    def __xor__(self, other):
-        if isinstance(other, Multivector):
-            return wedge(self, other)
-        return NotImplemented
-
     # -- comparison --------------------------------------------------------------
 
     def __eq__(self, other):
@@ -429,19 +424,6 @@ def reversion(a: Multivector) -> Multivector:
 def grade_involution(a: Multivector) -> Multivector:
     """Main automorphism: grade k picks up ``(-1)^k``."""
     return _grade_signed(a, lambda k: -1 if k & 1 else 1)
-
-
-def conjugation(a: Multivector) -> Multivector:
-    """Reversion followed by the main automorphism."""
-    return grade_involution(reversion(a))
-
-
-def grade_project(a: Multivector, k: int) -> Multivector:
-    """The grade-k part of ``a``."""
-    if not 0 <= k <= a.signature.dim:
-        raise ValueError(f"grade {k} out of range for Cl({a.signature.p},{a.signature.q})")
-    return Multivector._from_terms(
-        a.signature, {m: c for m, c in a.terms.items() if m.bit_count() == k})
 
 
 def grade_select(a: Multivector, grades: Iterable[int]) -> Multivector:

@@ -9,7 +9,7 @@ cycles, so the projection formula and the table can check each other.
 
 from __future__ import annotations
 
-from .isotopy import IsoContext, isotope_left_product, isotope_right_product, x_product
+from .isotopy import IsoContext, isotope_left_product, isotope_right_product
 from .multivector import (
     AlgebraError,
     Multivector,
@@ -116,7 +116,7 @@ def oct_context(zeta: Multivector) -> IsoContext:
     inverse coincides with the Clifford inverse, so the context invariant
     holds as-is."""
     _require_paravector(zeta)
-    return IsoContext.create(zeta, oct_inverse(zeta))
+    return IsoContext(zeta, oct_inverse(zeta))
 
 
 def oct_isotope_right(zeta: Multivector, a: Multivector, b: Multivector) -> Multivector:
@@ -127,8 +127,3 @@ def oct_isotope_right(zeta: Multivector, a: Multivector, b: Multivector) -> Mult
 def oct_isotope_left(zeta: Multivector, a: Multivector, b: Multivector) -> Multivector:
     """``A _ζ⋄ B = (A ∘ ζ⁻¹) ∘ B`` with the octonion product as base."""
     return isotope_left_product(oct_context(zeta), a, b, product=oct_product)
-
-
-def oct_x_product(zeta: Multivector, a: Multivector, b: Multivector) -> Multivector:
-    """``(A ∘ ζ)(ζ⁻¹ ∘ B)``, the X-product on octonions."""
-    return x_product(oct_context(zeta), a, b, product=oct_product)

@@ -335,13 +335,19 @@ def test_flavor_malformed_file(tmp_path):
     assert "JSON" in proc.stderr
 
 
-def test_flavor_non_utf8_file_exits_2(tmp_path, capsys):
-    path = tmp_path / "utf16.json"
-    path.write_bytes(bytes.fromhex("fffe7b7d"))  # starts with a UTF-16 byte-order mark
+@pytest.mark.parametrize("raw,message", [
+    (bytes.fromhex("fffe7b7d"), "is not valid UTF-8"),  # starts with a UTF-16 byte-order mark
+    (b"[" * 200_000, "nests too deeply"),
+    (b'{"u": ' * 200_000, "nests too deeply"),
+], ids=["utf16", "nested_arrays", "nested_objects"])
+def test_flavor_unreadable_mass_file_exits_2(tmp_path, capsys, raw, message):
+    path = tmp_path / "masses.json"
+    path.write_bytes(raw)
     assert main(["flavor", "--group", "su3", "--masses", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: mass file is not valid UTF-8")
+    assert err.startswith(f"error: mass file {message}")
+    assert err.count("\n") == 1
 
 
 def test_flavor_missing_flavor_entry(tmp_path):

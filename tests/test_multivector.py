@@ -10,10 +10,9 @@ from isoclifford.multivector import (
     NonInvertibleError,
     Signature,
     SignatureMismatchError,
-    conjugation,
     geometric_product,
     grade_involution,
-    grade_project,
+    grade_select,
     inverse,
     left_contraction,
     random_multivector,
@@ -89,8 +88,6 @@ def test_involutions():
     e12 = S30.e(0, 1)
     assert reversion(e12) == -1 * e12
     assert grade_involution(S30.e(0)) == -1 * S30.e(0)
-    e123 = S30.e(0, 1, 2)
-    assert conjugation(e123) == e123
 
 
 @given(st.integers(0, 2), st.lists(st.floats(-4, 4), min_size=8, max_size=8))
@@ -104,16 +101,14 @@ def test_associativity_hypothesis(sig_index, comps):
     assert ((a * b) * c - a * (b * c)).max_abs() < 1e-10
 
 
-def test_grade_project():
+def test_grade_select():
     m = S30.scalar(1.0) + S30.e(0) + S30.e(0, 1)
-    assert grade_project(m, 1) == S30.e(0)
-    assert grade_project(S30.e(0, 1), 0).max_abs() == 0.0
+    assert grade_select(m, (1,)) == S30.e(0)
+    assert grade_select(S30.e(0, 1), (0,)).max_abs() == 0.0
     prod = (1 + S30.e(0)) * (1 + S30.e(1))
-    assert grade_project(prod, 2) == S30.e(0, 1)
-    recon = sum((grade_project(m, k) for k in range(4)), S30.scalar(0))
+    assert grade_select(prod, (2,)) == S30.e(0, 1)
+    recon = sum((grade_select(m, (k,)) for k in range(4)), S30.scalar(0))
     assert (recon - m).max_abs() == 0.0
-    with pytest.raises(ValueError):
-        grade_project(m, 5)
 
 
 def test_inverse_examples():
