@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -60,30 +61,31 @@ def _check(name: str, residual: float, tolerance: float) -> dict:
             "residual": residual, "tolerance": tolerance}
 
 
-def _emit(report: dict, fmt: str) -> int:
-    """Print the report; returns the exit code, 0 when every check passed."""
+def _render(report: dict, fmt: str) -> tuple[int, str]:
+    """The exit code of a report, 0 when every check passed, and its text."""
     code = EXIT_OK if all(c["pass"] for c in report["checks"]) else EXIT_CHECK_FAILURE
     report = _round6(report)
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        lines = [json.dumps(report, indent=2, sort_keys=True)]
     elif fmt == "csv":
-        print("name,pass,residual,tolerance")
+        lines = ["name,pass,residual,tolerance"]
         for chk in report.get("checks", []):
-            print(f"{chk['name']},{str(chk['pass']).lower()},"
-                  f"{chk['residual']:.6g},{chk['tolerance']:.6g}")
+            lines.append(f"{chk['name']},{str(chk['pass']).lower()},"
+                         f"{chk['residual']:.6g},{chk['tolerance']:.6g}")
     else:
+        lines = []
         for chk in report.get("checks", []):
             status = "PASS" if chk["pass"] else "FAIL"
-            print(f"{status}  {chk['name']:<48} residual={chk['residual']:<12.6g} "
-                  f"tol={chk['tolerance']:.6g}")
+            lines.append(f"{status}  {chk['name']:<48} residual={chk['residual']:<12.6g} "
+                         f"tol={chk['tolerance']:.6g}")
         if "params" in report:
-            print("params:")
+            lines.append("params:")
             for key, val in report["params"].items():
-                print(f"  {key} = {val}")
+                lines.append(f"  {key} = {val}")
         if "paper_comparisons" in report:
-            print("paper comparisons:")
-            print(json.dumps(report["paper_comparisons"], indent=2, sort_keys=True))
-    return code
+            lines.append("paper comparisons:")
+            lines.append(json.dumps(report["paper_comparisons"], indent=2, sort_keys=True))
+    return code, "".join(line + "\n" for line in lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,16 +110,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     from .suites import SUITE_NAMES, run_suite
 
     if args.tol is not None and not 0 < args.tol < math.inf:
         print("error: --tol must be a finite positive number", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, ""
     if args.suite not in ("all", *SUITE_NAMES):
         print(f"error: unknown suite {args.suite!r}; expected all or one of "
               f"{', '.join(SUITE_NAMES)}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, ""
     checks, comparisons = run_suite(args.suite)
     report = {
         "command": "verify",
@@ -127,16 +129,16 @@ def cmd_verify(args) -> int:
     }
     if comparisons:
         report["paper_comparisons"] = comparisons
-    return _emit(report, args.format)
+    return _render(report, args.format)
 
 
-def cmd_flavor(args) -> int:
+def cmd_flavor(args) -> tuple[int, str]:
     try:
         with open(args.masses, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         print(f"error: cannot read mass file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, ""
     group = args.group
     try:
         bounds = flavor.QuarkMassBounds.from_json(raw)
@@ -145,7 +147,7 @@ def cmd_flavor(args) -> int:
         intervals = flavor.param_intervals(bounds, group) if args.intervals else None
     except flavor.MassInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, flavor.MassFormatError) else EXIT_DOMAIN
+        return EXIT_USAGE if isinstance(exc, flavor.MassFormatError) else EXIT_DOMAIN, ""
 
     dressed = flavor.dressed_masses(zeta, masses)
     params = {name: val for name, val in zip(flavor.PARAM_NAMES[group], zeta.params)}
@@ -161,7 +163,7 @@ def cmd_flavor(args) -> int:
     }
     if intervals is not None:
         report["paper_comparisons"] = {"parameter_intervals": intervals}
-    return _emit(report, args.format)
+    return _render(report, args.format)
 
 
 def main(argv=None) -> int:
@@ -172,13 +174,21 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_flavor(args)
+        code, out = (cmd_verify if args.command == "verify" else cmd_flavor)(args)
     except (AlgebraError, ValueError) as exc:
         # a domain failure the command did not map itself: one line, no traceback
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_DOMAIN
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (``verify ... | head``): point stdout at the null
+        # device, so that the interpreter's last flush stays quiet as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

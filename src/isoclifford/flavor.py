@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -60,6 +61,13 @@ REFERENCE_PARAM_INTERVALS = {
 
 PARAM_NAMES = {"su3": ("alpha", "beta"), "su6": ("alpha", "beta", "omega", "kappa", "tau")}
 
+# The ``repr`` of an input value in an error message, cut to a few hundred
+# characters however large the value is (dict keys come out sorted).
+_input_repr = reprlib.Repr()
+_input_repr.maxlevel = 2
+_input_repr.maxdict = _input_repr.maxlist = 4
+_input_repr.maxstring = _input_repr.maxlong = _input_repr.maxother = 40
+
 
 class MassInputError(ValueError):
     """Invalid quark mass data; raised as one of the two subclasses below."""
@@ -79,7 +87,7 @@ class MassDomainError(MassInputError):
 def _mass_value(value) -> float:
     """A mass read from input data; strings and booleans are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"mass {value!r} is not a number")
+        raise TypeError(f"mass {_input_repr.repr(value)} is not a number")
     try:
         return float(value)
     except OverflowError:
@@ -120,7 +128,8 @@ class QuarkMassBounds:
                 hi[fl] = _mass_value(entry["max"])
                 central[fl] = _mass_value(entry.get("central", 0.5 * (lo[fl] + hi[fl])))
             except (AttributeError, TypeError, KeyError) as exc:
-                raise MassFormatError(f"flavor {fl!r}: bad entry {entry!r} ({exc})") from exc
+                raise MassFormatError(
+                    f"flavor {fl!r}: bad entry {_input_repr.repr(entry)} ({exc})") from exc
         return cls(lo, hi, central)
 
     @classmethod

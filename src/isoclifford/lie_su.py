@@ -19,6 +19,7 @@ closure (the oracle rejects it).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +27,14 @@ from typing import Sequence
 import numpy as np
 
 from .isotopy import IsoContext, iso_wedge, lift
-from .multivector import AlgebraError, Multivector, Signature, geometric_product
+from .multivector import (
+    AlgebraError,
+    Multivector,
+    Signature,
+    _blade_terms_numpy,
+    _kept,
+    geometric_product,
+)
 
 SIG13 = Signature(1, 3)
 
@@ -161,16 +169,63 @@ def su3_case2_generators(ctx: IsoContext | None = None) -> GeneratorSet:
     return GeneratorSet("case2-su3", ctx, gens)
 
 
-def _coefficient_matrix(elements: Sequence[Multivector]) -> np.ndarray:
-    """Blade coefficients with one column per element and one row per blade
-    that any element holds, in ascending mask order."""
-    rows = {mask: idx for idx, mask in
-            enumerate(sorted({mask for x in elements for mask in x.terms}))}
-    mat = np.zeros((len(rows), len(elements)), dtype=complex)
-    for k, x in enumerate(elements):
-        for mask, coeff in x.terms.items():
-            mat[rows[mask], k] = coeff
+def _element_terms(elements: Sequence[Multivector]) -> tuple[np.ndarray, ...]:
+    """The terms of ``elements`` as arrays ``(column, blade, coefficient)``,
+    column ``k`` holding ``elements[k]``."""
+    sizes = np.fromiter(map(len, elements), dtype=np.intp, count=len(elements))
+    columns = np.repeat(np.arange(sizes.size), sizes)
+    blades = np.fromiter(itertools.chain.from_iterable(x.terms for x in elements),
+                         dtype=np.int64, count=columns.size)
+    coeffs = np.fromiter(itertools.chain.from_iterable(x.terms.values() for x in elements),
+                         dtype=complex, count=columns.size)
+    return columns, blades, coeffs
+
+
+def _coefficient_matrix(columns: np.ndarray, blades: np.ndarray, coeffs: np.ndarray,
+                        width: int) -> np.ndarray:
+    """Blade coefficients with ``width`` columns and one row per blade that
+    occurs, in ascending mask order; term ``k`` is entry
+    ``(row of blades[k], columns[k])``."""
+    masks, rows = np.unique(blades, return_inverse=True)
+    mat = np.zeros((masks.size, width), dtype=complex)
+    mat[rows, columns] = coeffs
     return mat
+
+
+def _commutators(gs: GeneratorSet, first: np.ndarray,
+                 second: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``gs.commutator(i, j)`` for every pair ``(i, j) = (first[k], second[k])``,
+    bit for bit, as arrays ``(k, blade, coefficient)``.
+
+    One batched kernel call gives the products ``x = (g_i ζ⁻¹) g_j`` and
+    ``y = (g_j ζ⁻¹) g_i`` of every pair; the prunes and the subtraction of
+    ``Multivector`` are then done on arrays.  The difference on a blade in
+    both products is ``x + (-y)``, on a blade only in ``y`` it is
+    ``0.0 + (-y)``, and a blade only in ``x`` keeps ``x``.
+    """
+    m, sig = len(gs), gs.signature
+    # products 2k and 2k + 1 are the x and y of pair k
+    operands = [x.terms for x in (*gs._left, *gs.generators)]
+    pairs = np.stack([first, m + second, second, m + first], axis=1).reshape(-1, 2)
+    product, blades, coeffs = _blade_terms_numpy(operands, pairs, sig, None)
+    kept = _kept(coeffs)
+    product, blades, coeffs = product[kept], blades[kept], coeffs[kept]
+    # sorted by (pair, blade): the batch is product-major, so an x term comes
+    # just before the y term on its blade, which the difference then absorbs
+    n = product.size
+    shift = n.bit_length()
+    key = (product >> 1) << sig.dim | blades
+    order = np.sort(key << shift | np.arange(n)) & ((1 << shift) - 1)
+    key, coeffs = key[order], coeffs[order]
+    diff = np.where(product[order] & 1 == 1, 0j + -coeffs, coeffs)
+    both = np.flatnonzero(key[1:] == key[:-1])
+    diff[both] = coeffs[both] + -coeffs[both + 1]
+    alone = np.ones(n, dtype=bool)
+    alone[both + 1] = False
+    key, diff = key[alone], diff[alone]
+    kept = _kept(diff)
+    key, diff = key[kept], diff[kept]
+    return key >> sig.dim, key & (sig.blade_count - 1), diff
 
 
 @dataclass(frozen=True)
@@ -189,33 +244,40 @@ def structure_constants(gs: GeneratorSet) -> StructureConstants:
 
     Every pairwise iso-commutator is decomposed by least squares over
     the span of the generators plus the family's unit ζ; a residual
-    above 1e-8 means the set does not close and raises
-    :class:`ClosureViolationError`.
+    above 1e-8 (or NaN) means the set does not close and raises
+    :class:`ClosureViolationError` for the first such pair.
+
+    The commutators are those of :meth:`GeneratorSet.commutator`, bit for
+    bit, all formed by :func:`_commutators` in one batched kernel call.
     """
-    m = len(gs.generators)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    comms = [gs.commutator(i, j) for i, j in pairs]
-    coeffs = _coefficient_matrix([*gs.generators, gs.context.zeta, *comms])
+    m = len(gs)
+    first, second = np.triu_indices(m, 1)
+    span_columns, span_blades, span_coeffs = _element_terms((*gs.generators, gs.context.zeta))
+    pair, blades, diffs = _commutators(gs, first, second)
+    # columns: the generators, ζ, then one commutator per pair
+    coeffs = _coefficient_matrix(np.concatenate([span_columns, m + 1 + pair]),
+                                 np.concatenate([span_blades, blades]),
+                                 np.concatenate([span_coeffs, diffs]), m + 1 + first.size)
     span, targets = coeffs[:, :m + 1], coeffs[:, m + 1:]
     solution, *_ = np.linalg.lstsq(span, targets, rcond=None)
-    residuals = np.abs(span @ solution - targets).max(axis=0) if pairs else np.zeros(0)
+    residuals = np.abs(span @ solution - targets).max(axis=0) if first.size else np.zeros(0)
+    failed = np.flatnonzero(~(residuals <= 1e-8))
+    if failed.size:
+        col = failed[0]
+        raise ClosureViolationError(
+            f"{gs.label}: commutator ({first[col]},{second[col]}) escapes the span "
+            f"(residual {residuals[col]:.3e})")
 
     c = np.zeros((m, m, m), dtype=complex)
     unit_comp = np.zeros((m, m), dtype=complex)
-    worst = 0.0
-    for col, (i, j) in enumerate(pairs):
-        if residuals[col] > 1e-8:
-            raise ClosureViolationError(
-                f"{gs.label}: commutator ({i},{j}) escapes the span "
-                f"(residual {residuals[col]:.3e})")
-        c[i, j, :] = solution[:m, col]
-        c[j, i, :] = -solution[:m, col]
-        unit_comp[i, j] = solution[m, col]
-        unit_comp[j, i] = -solution[m, col]
-        worst = max(worst, float(residuals[col]))
-    return StructureConstants(c, unit_comp, worst)
+    c[first, second] = solution[:m].T
+    c[second, first] = -solution[:m].T
+    unit_comp[first, second] = solution[m]
+    unit_comp[second, first] = -solution[m]
+    return StructureConstants(c, unit_comp, float(residuals.max(initial=0.0)))
 
 
 def span_rank(gs: GeneratorSet) -> int:
     """Number of linearly independent generators (blade-coefficient rank)."""
-    return int(np.linalg.matrix_rank(_coefficient_matrix(gs.generators), tol=1e-9))
+    return int(np.linalg.matrix_rank(
+        _coefficient_matrix(*_element_terms(gs.generators), len(gs.generators)), tol=1e-9))

@@ -29,21 +29,27 @@ the two cross between 320 and 384 pairs in Cl(0,7) (about 180 us a
 product either way) and between 576 and 768 in Cl(12,0), whose products
 collide on fewer blades; at 128 x 128 terms the array path is 3 to 6
 times faster.
-Both paths give the same bits: the array path writes Python's complex
-product out in real and imaginary components, adds the terms of each
-blade in the loop's a-major pair order with ``np.bincount`` (a
-sequential sum onto 0.0), and emits the blades in order of first
-occurrence.
+The array path is one kernel, :func:`_blade_terms_numpy`, and it takes a
+batch of products: a single large product is a batch of one, and the
+structure-constant oracle of :mod:`isoclifford.lie_su` forms all of a
+family's commutator products in one call.  It gives the loop's bits: it
+writes Python's complex product out in real and imaginary components,
+adds the terms of each (product, blade) in the loop's a-major pair order
+with ``np.bincount`` (a sequential sum onto 0.0), and emits each
+product's blades in order of first occurrence.  Its bins are never more
+than its term pairs, so a batch of many sparse products in Cl(12,0)
+does not allocate a bin for each of its 4096 blades per product.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -164,6 +170,17 @@ def _pruned(terms: Mapping[int, complex]) -> MappingProxyType:
                 raise ValueError("multivector coefficients must be finite")
             kept[mask] = c
     return MappingProxyType(kept)
+
+
+def _kept(coeffs: np.ndarray) -> np.ndarray:
+    """:func:`_pruned`'s rule on an array: the mask of the coefficients with
+    ``|c| > PRUNE_EPS``; a non-finite ``c`` raises ``ValueError``."""
+    with np.errstate(all="ignore"):
+        a = np.abs(coeffs)
+        kept = ~(a <= PRUNE_EPS)
+        if not (a[kept] < math.inf).all():
+            raise ValueError("multivector coefficients must be finite")
+    return kept
 
 
 class Multivector:
@@ -331,13 +348,14 @@ def _blade_products(a: Multivector, b: Multivector, keep=None) -> Multivector:
     order of ``a``'s terms, then ``b``'s, so the result's terms and
     rounding do not depend on how the sign is found.  At
     ``_NUMPY_MIN_PAIRS`` pairs or more, :func:`_blade_terms_numpy` does the
-    same arithmetic on arrays.
+    same arithmetic on arrays, as a batch of one product.
     """
     a._check_signature(b)
     sig = a.signature
     a_terms, b_terms = a._terms, b._terms
     if len(a_terms) * len(b_terms) >= _NUMPY_MIN_PAIRS:
-        return Multivector._from_terms(sig, _blade_terms_numpy(a_terms, b_terms, sig, keep))
+        _, blades, coeffs = _blade_terms_numpy((a_terms, b_terms), [(0, 1)], sig, keep)
+        return Multivector._from_terms(sig, dict(zip(blades.tolist(), coeffs.tolist())))
     table = sig.sign_table
     rows = [(mb, cb, table[mb]) for mb, cb in b_terms.items()]
     out: dict[int, complex] = {}
@@ -349,41 +367,109 @@ def _blade_products(a: Multivector, b: Multivector, keep=None) -> Multivector:
     return Multivector._from_terms(sig, out)
 
 
-def _blade_terms_numpy(a: Mapping[int, complex], b: Mapping[int, complex],
-                       sig: Signature, keep) -> dict[int, complex]:
-    """The terms of :func:`_blade_products`, bit for bit, from array arithmetic.
+# ``sign * ca`` for sign = +1, -1: each product in this complex multiply is
+# exact, so numpy rounds it as Python does
+_SIGNS = np.array([1, -1], dtype=complex)
 
-    Python's complex ``*`` is written out in components, ``1 * ca`` as
-    ``(1*ar - 0*ai, 1*ai + 0*ar)`` and ``s * cb`` as
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[k] + arange(lengths[k])`` for every ``k``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _first_occurrence_bins(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, ...]:
+    """Bins to sum pairs by ``key`` (values below ``n_keys``): ``(bins, keys,
+    slots)``, with ``bins[p]`` the bin of pair ``p``, ``keys`` the distinct
+    keys in order of their first pair and ``slots[k]`` the bin of ``keys[k]``.
+
+    No more bins are made than pairs: while ``n_keys`` is at most the number
+    of pairs a key is its own bin, and beyond that one sort of ``(key,
+    pair)`` compacts the bins to the keys that occur.
+    """
+    n = key.size
+    if n_keys <= n:
+        first = np.full(n_keys, n)
+        np.minimum.at(first, key, np.arange(n))
+        seen = np.flatnonzero(first < n)
+        keys = seen[np.argsort(first[seen])]
+        return key, keys, keys
+    shift = n.bit_length()
+    low = (1 << shift) - 1
+    packed = np.sort(key << shift | np.arange(n))
+    pair = packed & low
+    packed >>= shift
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    heads = np.flatnonzero(new)
+    # a key's bin is its rank among the sorted keys
+    bins = np.empty(n, dtype=np.intp)
+    bins[pair] = np.repeat(np.arange(heads.size), np.diff(heads, append=n))
+    slots = np.sort(pair[heads] << shift | np.arange(heads.size)) & low
+    return bins, packed[heads][slots], slots
+
+
+def _blade_terms_numpy(operands: Sequence[Mapping[int, complex]], pairs, sig: Signature,
+                       keep) -> tuple[np.ndarray, ...]:
+    """The unpruned terms of :func:`_blade_products` for a batch of
+    products, bit for bit, from array arithmetic.
+
+    ``pairs`` holds ``(ia, ib)`` index pairs into ``operands``, one per
+    product ``operands[ia] * operands[ib]``.  The result is three arrays
+    with one entry per term, ``(product, blade, coefficient)``: products in
+    batch order, and each product's blades in order of first occurrence.
+
+    The term pairs are flattened product-major, then a-major.  Python's
+    complex ``s * cb`` is written out in components,
     ``(sr*br - si*bi, sr*bi + si*br)``, because numpy's complex multiply
     may fuse a multiply and an add and round once where Python rounds
-    twice.  The pairs are flattened a-major, ``np.bincount`` adds the
-    terms of a blade in that order onto 0.0 as the loop adds them onto
-    ``0j``, and the blades come out in order of first occurrence.
+    twice.  ``np.bincount`` adds the terms of each ``(product, blade)`` key
+    in pair order onto 0.0, as the loop adds them onto ``0j``; see
+    :func:`_first_occurrence_bins` for the bins.
     """
-    ma = np.fromiter(a.keys(), dtype=np.int64, count=len(a))[:, None]
-    mb = np.fromiter(b.keys(), dtype=np.int64, count=len(b))
-    ca = np.fromiter(a.values(), dtype=complex, count=len(a))[:, None]
-    cb = np.fromiter(b.values(), dtype=complex, count=len(b))
+    sizes = np.fromiter(map(len, operands), dtype=np.intp, count=len(operands))
+    masks = np.fromiter(itertools.chain.from_iterable(operands), dtype=np.int64,
+                        count=int(sizes.sum()))
+    coeffs = np.fromiter(itertools.chain.from_iterable(op.values() for op in operands),
+                         dtype=complex, count=masks.size)
+    starts = np.cumsum(sizes) - sizes
+    # per term pair: ta, its a term doubled (to index the signed pairs
+    # below), tb, its b term, and ka, its a blade under a prefix that numbers
+    # the product.  One product broadcasts a column of a terms against a row
+    # of b terms, in half the numpy calls of the ragged layout of a batch.
+    if len(pairs) == 1:
+        (ia, ib), = pairs
+        ta = 2 * np.arange(starts[ia], starts[ia] + sizes[ia])[:, None]
+        tb = np.arange(starts[ib], starts[ib] + sizes[ib])
+        ka = masks[ta >> 1]
+    else:
+        ia, ib = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+        na, nb = sizes[ia], sizes[ib]
+        rows = _ragged_arange(starts[ia], na)
+        row_nb = np.repeat(nb, na)
+        ta = np.repeat(2 * rows, row_nb)
+        tb = _ragged_arange(np.repeat(starts[ib], na), row_nb)
+        ka = np.repeat(np.repeat(np.arange(ia.size) << sig.dim, na) | masks[rows], row_nb)
+    mb = masks[tb]
+    key = ka ^ mb
+    # the prefix lies above the bits of F, so this is ``ma & F[mb]``
+    odd = np.bitwise_count(ka & sig.sign_array[mb]) & 1
     with np.errstate(all="ignore"):  # inf and NaN reach the check in _pruned
-        odd = np.bitwise_count(ma & sig.sign_array[mb]) & 1
-        ar, ai = ca.real, ca.imag
-        sr = np.where(odd, -1.0 * ar - 0.0 * ai, 1.0 * ar - 0.0 * ai)
-        si = np.where(odd, -1.0 * ai + 0.0 * ar, 1.0 * ai + 0.0 * ar)
-        re = sr * cb.real - si * cb.imag
-        im = sr * cb.imag + si * cb.real
-    masks = ma ^ mb
+        sa = (coeffs[:, None] * _SIGNS).reshape(-1)[ta + odd]
+        cb = coeffs[tb]
+        re = sa.real * cb.real
+        re -= sa.imag * cb.imag
+        im = sa.real * cb.imag
+        im += sa.imag * cb.real
     if keep is not None:
-        kept = keep(ma, mb)
-        masks, re, im = masks[kept], re[kept], im[kept]
-    masks, n = masks.ravel(), sig.blade_count
-    first = np.full(n, masks.size)  # index of each blade's first pair
-    np.minimum.at(first, masks, np.arange(masks.size))
-    blades = masks[np.sort(first[first < masks.size])]
-    coeffs = np.empty(blades.size, dtype=complex)
-    coeffs.real = np.bincount(masks, weights=re.ravel(), minlength=n)[blades]
-    coeffs.imag = np.bincount(masks, weights=im.ravel(), minlength=n)[blades]
-    return dict(zip(blades.tolist(), coeffs.tolist()))
+        kept = keep(ka & (sig.blade_count - 1), mb)
+        key, re, im = key[kept], re[kept], im[kept]
+    bins, keys, slots = _first_occurrence_bins(key.reshape(-1), len(pairs) << sig.dim)
+    sums = np.empty(keys.size, dtype=complex)
+    sums.real = np.bincount(bins, weights=re.reshape(-1))[slots]
+    sums.imag = np.bincount(bins, weights=im.reshape(-1))[slots]
+    return keys >> sig.dim, keys & (sig.blade_count - 1), sums
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:

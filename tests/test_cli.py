@@ -350,6 +350,24 @@ def test_flavor_unreadable_mass_file_exits_2(tmp_path, capsys, raw, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", [
+    [0] * 100_000,
+    {"min": [0] * 100_000, "max": 2.0},
+    {"min": 1.0, "max": "9" * 100_000},
+], ids=["long_list", "long_min", "long_string"])
+def test_flavor_bad_entry_error_is_one_short_line(tmp_path, capsys, entry):
+    entries = json.loads((REPO / "data" / "quark_masses.json").read_text())
+    entries["u"] = entry
+    path = tmp_path / "masses.json"
+    path.write_text(json.dumps(entries))
+    assert main(["flavor", "--group", "su3", "--masses", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: flavor 'u': bad entry ")
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 1024
+
+
 def test_flavor_missing_flavor_entry(tmp_path):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"u": {"min": 1, "max": 2}}))
@@ -457,3 +475,17 @@ def test_escaping_domain_errors_exit_3_on_one_line(monkeypatch, capsys, masses_f
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_into_a_closed_pipe_exits_quietly(fmt):
+    # the read end is closed before the child writes, as ``verify ... | head``
+    # leaves it: the write fails with EPIPE
+    proc = subprocess.Popen(RUN + ["verify", "--suite", "octonion", "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert err == ""

@@ -13,12 +13,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoclifford import multivector
 from isoclifford.dirac import regular_representation
 from isoclifford.multivector import (
     Multivector,
     Signature,
+    _blade_products,
     geometric_product,
     left_contraction,
     random_multivector,
@@ -299,3 +302,54 @@ def test_overflow_raises_the_same_error_on_both_paths(product):
         for threshold in (0, 1 << 30):
             with pytest.raises(ValueError, match="coefficients must be finite"):
                 _by_path(product, a, b, threshold)
+
+
+# -- the batched array kernel ------------------------------------------------------------
+
+BATCH_SIGNATURES = [Signature(1, 3), Signature(0, 7), Signature(12, 0)]
+KEEPS = [None, lambda ma, mb: (ma & mb) == 0, lambda ma, mb: (ma & ~mb) == 0,
+         lambda ma, mb: (mb & ~ma) == 0]
+
+
+@st.composite
+def _batches(draw):
+    """Operands of mixed sizes (empty ones among them) and the negation of
+    one, with pairs of indices into them that include that ``b, -b`` pair."""
+    sig = draw(st.sampled_from(BATCH_SIGNATURES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 3e-8]))
+    sizes = draw(st.lists(st.integers(0, min(sig.blade_count, 40)), min_size=1, max_size=6))
+    operands = [random_multivector(sig, rng, k, scale=scale) for k in sizes]
+    operands.append(-operands[-1])
+    index = st.integers(0, len(operands) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=0, max_size=7))
+    pairs.append((len(operands) - 2, len(operands) - 1))
+    return sig, operands, pairs, draw(st.sampled_from(KEEPS))
+
+
+def _batch_terms(sig, operands, pairs, keep):
+    """Each product of a batch, as the kernel's terms under the prune."""
+    product, blades, coeffs = multivector._blade_terms_numpy(
+        [x.terms for x in operands], pairs, sig, keep)
+    assert np.all(np.diff(product) >= 0)
+    return [Multivector._from_terms(sig, dict(zip(blades[product == k].tolist(),
+                                                  coeffs[product == k].tolist())))
+            for k in range(len(pairs))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batches())
+def test_batched_kernel_equals_the_loop_bit_for_bit(batch):
+    sig, operands, pairs, keep = batch
+    want = [_by_path(lambda a, b: _blade_products(a, b, keep), operands[i], operands[j], 1 << 30)
+            for i, j in pairs]
+    got = _batch_terms(sig, operands, pairs, keep)
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+    # and every product as a batch of one
+    for pair, x in zip(pairs, want):
+        assert [_bits(y) for y in _batch_terms(sig, operands, [pair], keep)] == [_bits(x)]
+
+
+def test_batched_kernel_takes_an_empty_batch():
+    product, blades, coeffs = multivector._blade_terms_numpy([], [], Signature(1, 3), None)
+    assert product.size == blades.size == coeffs.size == 0
