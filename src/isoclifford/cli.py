@@ -17,7 +17,9 @@ every float is rendered with 6 significant digits.
 Each command imports only what it runs: ``flavor`` needs
 :mod:`isoclifford.flavor` alone, which runs on the standard library, and
 ``verify`` imports :mod:`isoclifford.suites` (and with it numpy and the
-Clifford-algebra modules) once its arguments are parsed.
+Clifford-algebra modules) once its arguments are parsed, after setting
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to
+1 where the user has not set them.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _round6(value: Any) -> Any:
@@ -111,6 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    # One BLAS thread per process unless the user chose otherwise: the
+    # suites' linear algebra is small and runs in one pool worker per CPU,
+    # where OpenBLAS's default thread count (the host's cores, which can be
+    # far more than the CPUs this process may use) only contends.  The
+    # variables are read when numpy loads its BLAS.
+    for var in _BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
     from .suites import SUITE_NAMES, run_suite
 
     if args.tol is not None and not 0 < args.tol < math.inf:

@@ -8,16 +8,28 @@ which is what transports algebra identities into isospace unchanged.
 Non-associative base products (the octonions, in practice) get the two
 one-sided isotopes, where the grouping matters and the base product is
 passed in explicitly.
+
+ζ and ζ⁻¹ recur as right factors of every ⋄ product, lift and iso
+involution, and the exponent recurs in every step of a series.  Each is
+prepared once as a :class:`~isoclifford.multivector.RightFactor`: ζ and
+ζ⁻¹ on first use by their context, which keeps them, and the exponent at
+the start of its series.  The results are bit for bit those of
+:func:`~isoclifford.multivector.geometric_product`.  The one-off right
+factor ``b`` of ``a ⋄ b = (a ζ⁻¹) b`` keeps the plain product, where
+forming rows would cost more than they save (see the
+:mod:`~isoclifford.multivector` docstring for the measured costs).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from .multivector import (
     AlgebraError,
     Multivector,
+    RightFactor,
     Signature,
     geometric_product,
     grade_involution,
@@ -64,6 +76,16 @@ class IsoContext:
     def signature(self) -> Signature:
         return self.zeta.signature
 
+    @functools.cached_property
+    def zeta_right(self) -> RightFactor:
+        """ζ prepared as a right factor: ``ctx.zeta_right(a)`` is ``a ζ``."""
+        return RightFactor(self.zeta)
+
+    @functools.cached_property
+    def zeta_inv_right(self) -> RightFactor:
+        """ζ⁻¹ prepared as a right factor: ``ctx.zeta_inv_right(a)`` is ``a ζ⁻¹``."""
+        return RightFactor(self.zeta_inv)
+
     def _check(self, a: Multivector) -> None:
         if a.signature != self.signature:
             raise AlgebraError("operand signature does not match the iso context")
@@ -76,13 +98,13 @@ def iso_product(ctx: IsoContext, a: Multivector, b: Multivector) -> Multivector:
     """``a ⋄ b = a ζ⁻¹ b``; ζ is the two-sided unit of this product."""
     ctx._check(a)
     ctx._check(b)
-    return geometric_product(geometric_product(a, ctx.zeta_inv), b)
+    return geometric_product(ctx.zeta_inv_right(a), b)
 
 
 def lift(ctx: IsoContext, a: Multivector) -> Multivector:
     """Send ``a`` to its isospace avatar ``aζ``."""
     ctx._check(a)
-    return geometric_product(a, ctx.zeta)
+    return ctx.zeta_right(a)
 
 
 def iso_commutator(ctx: IsoContext, a: Multivector, b: Multivector) -> Multivector:
@@ -107,7 +129,7 @@ def iso_involution(ctx: IsoContext, a: Multivector) -> Multivector:
     ``ψζ`` would drag a spurious ``ζ̂ ζ⁻¹`` factor in whenever ζ has odd
     grades.
     """
-    return geometric_product(grade_involution(geometric_product(a, ctx.zeta_inv)), ctx.zeta)
+    return ctx.zeta_right(grade_involution(ctx.zeta_inv_right(a)))
 
 
 def iso_wedge(ctx: IsoContext, v: Multivector, psi: Multivector) -> Multivector:
@@ -189,10 +211,11 @@ def iso_mul(x: IsoComplex, y: IsoComplex) -> IsoComplex:
 
 def clifford_exp(a: Multivector) -> Multivector:
     """Ordinary Clifford exponential by power series."""
+    times_a = RightFactor(a)
     result = a.signature.scalar(1.0)
     term = a.signature.scalar(1.0)
     for k in range(1, _EXP_MAX_TERMS + 1):
-        term = geometric_product(term, a) * (1.0 / k)
+        term = times_a(term) * (1.0 / k)
         result = result + term
         if term.max_abs() <= _EXP_REL_TOL * max(result.max_abs(), 1e-300):
             return result
@@ -207,16 +230,17 @@ def iso_exp(ctx: IsoContext, a: Multivector) -> Multivector:
     keeps the literal ⋄-power sum around as a cross-check.
     """
     ctx._check(a)
-    return geometric_product(clifford_exp(geometric_product(a, ctx.zeta_inv)), ctx.zeta)
+    return ctx.zeta_right(clifford_exp(ctx.zeta_inv_right(a)))
 
 
 def iso_exp_series(ctx: IsoContext, a: Multivector) -> Multivector:
     """Literal ⋄-power series for the iso exponential (slow path, oracle)."""
     ctx._check(a)
+    times_a = RightFactor(a)
     result = ctx.zeta
     term = ctx.zeta
     for k in range(1, _EXP_MAX_TERMS + 1):
-        term = iso_product(ctx, term, a) * (1.0 / k)
+        term = times_a(ctx.zeta_inv_right(term)) * (1.0 / k)
         result = result + term
         if term.max_abs() <= _EXP_REL_TOL * max(result.max_abs(), 1e-300):
             return result

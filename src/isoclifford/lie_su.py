@@ -61,8 +61,7 @@ class GeneratorSet:
     @functools.cached_property
     def _left(self) -> tuple[Multivector, ...]:
         """``g_k ζ⁻¹`` for every generator."""
-        zeta_inv = self.context.zeta_inv
-        return tuple(geometric_product(g, zeta_inv) for g in self.generators)
+        return tuple(map(self.context.zeta_inv_right, self.generators))
 
     def commutator(self, i: int, j: int) -> Multivector:
         """``(g_i ζ⁻¹) g_j - (g_j ζ⁻¹) g_i``: the association of

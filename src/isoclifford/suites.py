@@ -304,9 +304,12 @@ def suite_octonion(rec: _Recorder) -> None:
 def _case1_factor(gs):
     comm = gs.commutator(0, 1)
     lam3 = gs.generators[2]
-    # least-squares scalar: comm ~ factor * lam3
-    num = sum(comm.coeff(m) * np.conj(c) for m, c in lam3.terms.items())
-    den = sum(abs(c) ** 2 for c in lam3.terms.values())
+    # least-squares scalar: comm ~ factor * lam3, its sums folded left to
+    # right (the builtin sum() compensates float sums from Python 3.12 on)
+    num = den = 0
+    for m, c in lam3.terms.items():
+        num += comm.coeff(m) * np.conj(c)
+        den += abs(c) ** 2
     factor = num / den
     resid = (comm - lam3 * factor).max_abs()
     return complex(factor), float(resid)

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoclifford import dirac, suites
+from isoclifford import cli, dirac, suites
 from isoclifford.cli import main
 from isoclifford.multivector import NonInvertibleError, SignatureMismatchError
 
@@ -175,6 +176,32 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     code = "import sys, isoclifford.cli; print('multiprocessing' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout == "False\n", proc.stderr
+
+
+@pytest.mark.parametrize("user_value", [None, "2"], ids=["unset", "user_2"])
+def test_verify_loads_numpy_with_one_blas_thread_unless_the_user_chose(user_value):
+    # a finder ahead of the others records the variables when numpy is first imported
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "VARS = ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append([os.environ.get(v) for v in VARS])\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "from isoclifford.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--suite', 'octonion'])\n"
+        "print(json.dumps([code, seen]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS}
+    if user_value is not None:
+        env.update(dict.fromkeys(cli._BLAS_THREAD_VARS, user_value))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    want = user_value or "1"
+    assert json.loads(proc.stdout) == [0, [[want, want, want]]], proc.stderr
 
 
 def test_flavor_imports_only_the_flavor_module():

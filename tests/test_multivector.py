@@ -1,10 +1,14 @@
 """Core blade arithmetic: products, involutions, grades, inversion."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoclifford import lie_su, multivector, suites
+from isoclifford.isotopy import IsoContext
 from isoclifford.multivector import (
     Multivector,
     NonInvertibleError,
@@ -167,3 +171,31 @@ def test_random_multivector_draws_the_per_term_stream(make_rng, sig, n_terms, sc
 
     assert list(got.terms.items()) == list(want.terms.items())
     assert rng.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
+
+
+def _correctly_rounded_sum(values, start=0):
+    """A float sum with no rounding until the end, as the compensated
+    builtin ``sum()`` of Python 3.12 on approaches; complex values sum their
+    parts apart."""
+    values = [start, *values]
+    if all(isinstance(v, (int, float)) for v in values):
+        return math.fsum(values)
+    return complex(math.fsum(complex(v).real for v in values),
+                   math.fsum(complex(v).imag for v in values))
+
+
+def test_float_sums_do_not_depend_on_the_interpreter(monkeypatch):
+    """``norm`` and the case-1 factor of the su(3) suite fold their sums left
+    to right: after 1e16, each added 1.0 rounds away, so a compensated
+    ``sum()`` would give other bits."""
+    sig = Signature(10, 0)
+    lam3 = Multivector(sig, {3: 1e8, **{m: 1.0 for m in range(4, 1004)}})
+    gs = lie_su.GeneratorSet("sums", IsoContext.identity(sig), (sig.e(0), sig.e(1), lam3))
+    # [e0, e1] = 2 e01, and e01 is blade 3 of lam3
+    want_factor = 2e8 / 1e16
+    before = lam3.norm(), suites._case1_factor(gs)
+    for module in (multivector, suites):
+        monkeypatch.setattr(module, "sum", _correctly_rounded_sum, raising=False)
+    assert (lam3.norm(), suites._case1_factor(gs)) == before
+    assert lam3.norm() == 1e8
+    assert before[1][0] == want_factor

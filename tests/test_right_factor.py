@@ -1,0 +1,226 @@
+"""The prepared right factor against the product loop and the functions it
+replaced.
+
+A :class:`~isoclifford.multivector.RightFactor` keeps the loop's visiting
+order and moves each blade-pair sign from ``ca`` onto ``cb``, which can
+change a term only in the sign of an exact zero.  So every comparison here
+is exact: blades in order, and the ``repr`` of every coefficient.  The
+references below are the series and isotopic products as they were
+written with :func:`geometric_product` alone.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoclifford import isotopy, lie_su, multivector
+from isoclifford.isotopy import (
+    ConvergenceError,
+    IsoContext,
+    clifford_exp,
+    iso_exp,
+    iso_exp_series,
+    iso_involution,
+    iso_product,
+    lift,
+    random_invertible_context,
+)
+from isoclifford.multivector import (
+    Multivector,
+    RightFactor,
+    Signature,
+    geometric_product,
+    grade_involution,
+    random_multivector,
+)
+
+THRESHOLD = multivector._NUMPY_MIN_PAIRS
+SIGNATURES = [Signature(3, 0), Signature(1, 3), Signature(0, 7), Signature(12, 0)]
+S13 = Signature(1, 3)
+
+# -- references --------------------------------------------------------------------
+
+
+def iso_product_ref(ctx, a, b):
+    return geometric_product(geometric_product(a, ctx.zeta_inv), b)
+
+
+def clifford_exp_ref(a):
+    result = a.signature.scalar(1.0)
+    term = a.signature.scalar(1.0)
+    for k in range(1, isotopy._EXP_MAX_TERMS + 1):
+        term = geometric_product(term, a) * (1.0 / k)
+        result = result + term
+        if term.max_abs() <= isotopy._EXP_REL_TOL * max(result.max_abs(), 1e-300):
+            return result
+    raise ConvergenceError("exponential series did not settle")
+
+
+def iso_exp_series_ref(ctx, a):
+    result = ctx.zeta
+    term = ctx.zeta
+    for k in range(1, isotopy._EXP_MAX_TERMS + 1):
+        term = iso_product_ref(ctx, term, a) * (1.0 / k)
+        result = result + term
+        if term.max_abs() <= isotopy._EXP_REL_TOL * max(result.max_abs(), 1e-300):
+            return result
+    raise ConvergenceError("iso exponential series did not settle")
+
+
+def _reprs(x: Multivector) -> list:
+    """Terms in order, each coefficient by its ``repr`` (which shows -0.0)."""
+    return [(m, repr(c)) for m, c in x.terms.items()]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as comparable data: its terms, or the type it raised."""
+    try:
+        return _reprs(fn(*args))
+    except ConvergenceError:
+        return "ConvergenceError"
+
+
+# -- the prepared product ------------------------------------------------------------
+
+
+def _element(sig, rng, n_terms, scale, kind):
+    """A random element with real, imaginary or complex coefficients."""
+    x = random_multivector(sig, rng, n_terms, scale=scale)
+    part = {"real": lambda c: complex(c.real, 0.0), "imag": lambda c: complex(0.0, c.imag),
+            "mixed": lambda c: c}[kind]
+    return Multivector(sig, {m: part(c) for m, c in x.terms.items()})
+
+
+@st.composite
+def _cases(draw):
+    """A factor and the left operands it is reused on: random ones of sizes
+    on both sides of the array threshold where the algebra allows it, empty
+    ones, and the factor and its negation (whose products cancel to exact
+    zeros where blades anticommute)."""
+    sig = draw(st.sampled_from(SIGNATURES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 3e-8]))
+    kind = st.sampled_from(["real", "imag", "mixed"])
+    size = st.integers(0, min(sig.blade_count, 40))
+    b = _element(sig, rng, draw(size), scale, draw(kind))
+    lefts = [_element(sig, rng, k, scale, draw(kind))
+             for k in draw(st.lists(size, min_size=1, max_size=8))]
+    return b, lefts + [b, -b]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cases())
+def test_prepared_product_equals_the_loop_bit_for_bit(case):
+    b, lefts = case
+    times_b = RightFactor(b)
+    # twice over: rows are formed on the first pass and read on the second
+    for x in lefts + lefts:
+        assert _reprs(times_b(x)) == _reprs(geometric_product(x, b))
+
+
+@pytest.mark.parametrize("sig", [Signature(0, 7), Signature(12, 0)], ids=str)
+@pytest.mark.parametrize("shape", [(11, 33), (28, 13), (13, 28), (40, 40)])
+def test_prepared_product_on_both_sides_of_the_threshold(sig, shape):
+    na, nb = shape
+    assert (na * nb >= THRESHOLD) == (shape != (11, 33))
+    rng = np.random.default_rng(na * nb + sig.dim)
+    for scale in (1.0, 3e-8):
+        x, b = (random_multivector(sig, rng, n, scale=scale) for n in shape)
+        times_b = RightFactor(b)
+        for left in (x, x, b, -b):
+            assert _reprs(times_b(left)) == _reprs(geometric_product(left, b))
+
+
+def test_prepared_product_checks_the_signature():
+    with pytest.raises(multivector.SignatureMismatchError):
+        RightFactor(S13.e(1))(Signature(3, 0).e(1))
+
+
+def test_row_cache_of_a_cl12_factor_stays_small():
+    sig = Signature(12, 0)
+    rng = np.random.default_rng(12)
+    blades = [Multivector(sig, {m: 1.0}) for m in range(sig.blade_count)]
+    b = random_multivector(sig, rng, 16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        times_b = RightFactor(b)
+        for x in blades:
+            times_b(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(times_b._rows) == sig.blade_count
+    # 65536 pairs: a tuple, a blade int and a slot each, about 100 bytes
+    assert held <= 128 * multivector._ROW_CACHE_PAIRS, held
+
+
+def test_rows_beyond_the_cache_bound_are_formed_and_not_kept():
+    sig = Signature(12, 0)
+    rng = np.random.default_rng(17)
+    b = random_multivector(sig, rng, 17)
+    times_b = RightFactor(b)
+    for m in range(sig.blade_count):
+        x = Multivector(sig, {m: 1.0 + 0.5j})
+        assert _reprs(times_b(x)) == _reprs(geometric_product(x, b))
+    assert len(times_b._rows) == multivector._ROW_CACHE_PAIRS // 17
+
+
+# -- the series and the isotopic products against the functions they replaced -----------
+
+
+def _dense_exponents():
+    """Dense Cl(1,3) exponents at ℓ1 norms up to 220: random ones, and ones
+    led by the rotation bivector e12, whose series exhaust the 200-term
+    cap and raise ConvergenceError from an ℓ1 norm near 90 on."""
+    rng = np.random.default_rng(220)
+    for norm in (0.01, 0.7, 3.0, 12.0, 40.0, 90.0, 140.0, 180.0, 220.0):
+        for lead in (0.0, 0.95):
+            x = random_multivector(S13, rng, 16)
+            x = x * ((1.0 - lead) * norm / sum(abs(c) for c in x.terms.values()))
+            yield x + S13.e(1, 2) * (lead * norm)
+
+
+def test_clifford_exp_equals_the_product_loop_series():
+    outcomes = []
+    for a in _dense_exponents():
+        outcomes.append(_outcome(clifford_exp, a))
+        assert outcomes[-1] == _outcome(clifford_exp_ref, a)
+    assert "ConvergenceError" in outcomes
+    assert outcomes[0] != "ConvergenceError"
+
+
+def test_iso_exp_series_equals_the_product_loop_series():
+    ctx = random_invertible_context(S13, np.random.default_rng(3))
+    outcomes = []
+    for a in _dense_exponents():
+        outcomes.append(_outcome(iso_exp_series, ctx, a))
+        assert outcomes[-1] == _outcome(iso_exp_series_ref, ctx, a)
+    assert "ConvergenceError" in outcomes
+    assert outcomes[0] != "ConvergenceError"
+
+
+@pytest.mark.parametrize("sig", SIGNATURES[:3], ids=str)
+def test_isotopic_products_equal_the_product_loop(sig):
+    rng = np.random.default_rng(31 + sig.dim)
+    for ctx in (random_invertible_context(sig, rng), IsoContext.identity(sig)):
+        zeta, zeta_inv = ctx.zeta, ctx.zeta_inv
+        for _ in range(4):
+            a, b = random_multivector(sig, rng, 6), random_multivector(sig, rng, 5)
+            assert _reprs(iso_product(ctx, a, b)) == _reprs(iso_product_ref(ctx, a, b))
+            assert _reprs(lift(ctx, a)) == _reprs(geometric_product(a, zeta))
+            assert _reprs(iso_involution(ctx, a)) == _reprs(
+                geometric_product(grade_involution(geometric_product(a, zeta_inv)), zeta))
+            small = a * 0.3
+            assert _reprs(iso_exp(ctx, small)) == _reprs(
+                geometric_product(clifford_exp_ref(geometric_product(small, zeta_inv)), zeta))
+
+
+def test_generator_left_factors_equal_the_product_loop():
+    ctx = random_invertible_context(S13, np.random.default_rng(8))
+    gs = lie_su.su3_case1_generators(ctx)
+    assert [_reprs(x) for x in gs._left] == [
+        _reprs(geometric_product(g, ctx.zeta_inv)) for g in gs.generators]
