@@ -19,7 +19,7 @@ from .isotopy import IsoContext, iso_product
 from .multivector import AlgebraError, Multivector, Signature, reversion
 
 SIG13 = Signature(1, 3)
-# Acceptance bound of both rotor-group membership tests.
+# Acceptance bound of the rotor-group membership test.
 _SPIN_TOL = 1e-9
 
 
@@ -115,16 +115,9 @@ def build_dirac_rep() -> DiracRep:
     return DiracRep()
 
 
-def spin_plus_check(d: DiracRep, r: Multivector) -> bool:
-    """Membership test for the even elements with ``R R~ = 1``."""
-    if any(k & 1 for k in r.grades()):
-        return False
-    m = d.rep(r) @ d.rep(reversion(r))
-    return bool(np.abs(m - np.eye(4)).max() <= _SPIN_TOL)
-
-
 def iso_spin_plus_check(ctx: IsoContext, r: Multivector) -> bool:
-    """Isotopic variant: even elements with ``R ⋄ R~ = ζ``."""
+    """Membership of the even elements with ``R ⋄ R~ = ζ``; the rigid
+    group, ``R R~ = 1``, is the case ζ = 1."""
     if any(k & 1 for k in r.grades()):
         return False
     prod = iso_product(ctx, r, reversion(r))

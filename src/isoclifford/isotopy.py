@@ -5,10 +5,6 @@ for a fixed invertible element ζ, which becomes the new two-sided unit.
 Lifted elements ``Aζ`` multiply like the originals (``Aζ ⋄ Bζ = ABζ``),
 which is what transports algebra identities into isospace unchanged.
 
-Non-associative base products (the octonions, in practice) get the two
-one-sided isotopes, where the grouping matters and the base product is
-passed in explicitly.
-
 ζ and ζ⁻¹ recur as right factors of every ⋄ product, lift and iso
 involution, and the exponent recurs in every step of a series.  Each is
 prepared once as a :class:`~isoclifford.multivector.RightFactor`: ζ and
@@ -24,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 from .multivector import (
     AlgebraError,
@@ -35,8 +30,6 @@ from .multivector import (
     grade_involution,
     inverse,
 )
-
-ProductFn = Callable[[Multivector, Multivector], Multivector]
 
 # Both exponential series stop at a term below _EXP_REL_TOL times the sum
 # and raise ConvergenceError after _EXP_MAX_TERMS terms.
@@ -86,24 +79,17 @@ class IsoContext:
         """ζ⁻¹ prepared as a right factor: ``ctx.zeta_inv_right(a)`` is ``a ζ⁻¹``."""
         return RightFactor(self.zeta_inv)
 
-    def _check(self, a: Multivector) -> None:
-        if a.signature != self.signature:
-            raise AlgebraError("operand signature does not match the iso context")
-
 
 # -- associative isotope ---------------------------------------------------------
 
 
 def iso_product(ctx: IsoContext, a: Multivector, b: Multivector) -> Multivector:
     """``a ⋄ b = a ζ⁻¹ b``; ζ is the two-sided unit of this product."""
-    ctx._check(a)
-    ctx._check(b)
     return geometric_product(ctx.zeta_inv_right(a), b)
 
 
 def lift(ctx: IsoContext, a: Multivector) -> Multivector:
     """Send ``a`` to its isospace avatar ``aζ``."""
-    ctx._check(a)
     return ctx.zeta_right(a)
 
 
@@ -140,26 +126,6 @@ def iso_wedge(ctx: IsoContext, v: Multivector, psi: Multivector) -> Multivector:
 def iso_metric(ctx: IsoContext, psi: Multivector, phi: Multivector) -> Multivector:
     """``½(ψ ⋄ φ + φ ⋄ ψ)``; for lifted vectors ``uζ, vζ`` this is ``g(u,v) ζ``."""
     return 0.5 * (iso_product(ctx, psi, phi) + iso_product(ctx, phi, psi))
-
-
-# -- non-associative isotopes ---------------------------------------------------
-
-
-def isotope_right_product(ctx: IsoContext, a: Multivector, b: Multivector,
-                          product: ProductFn) -> Multivector:
-    """``A ⋄_ζ B = A (ζ⁻¹ B)`` under the supplied base product; ζ is its
-    right unit.  Grouping only matters for non-associative ``product``."""
-    ctx._check(a)
-    ctx._check(b)
-    return product(a, product(ctx.zeta_inv, b))
-
-
-def isotope_left_product(ctx: IsoContext, a: Multivector, b: Multivector,
-                         product: ProductFn) -> Multivector:
-    """``A _ζ⋄ B = (A ζ⁻¹) B``; ζ is the left unit of this grouping."""
-    ctx._check(a)
-    ctx._check(b)
-    return product(product(a, ctx.zeta_inv), b)
 
 
 # -- isocomplex numbers -----------------------------------------------------------
@@ -229,13 +195,11 @@ def iso_exp(ctx: IsoContext, a: Multivector) -> Multivector:
     ``exp(a ζ⁻¹) ζ`` with one ordinary series; :func:`iso_exp_series`
     keeps the literal ⋄-power sum around as a cross-check.
     """
-    ctx._check(a)
     return ctx.zeta_right(clifford_exp(ctx.zeta_inv_right(a)))
 
 
 def iso_exp_series(ctx: IsoContext, a: Multivector) -> Multivector:
     """Literal ⋄-power series for the iso exponential (slow path, oracle)."""
-    ctx._check(a)
     times_a = RightFactor(a)
     result = ctx.zeta
     term = ctx.zeta

@@ -206,7 +206,7 @@ def _commutators(gs: GeneratorSet, first: np.ndarray,
     # products 2k and 2k + 1 are the x and y of pair k
     operands = [x.terms for x in (*gs._left, *gs.generators)]
     pairs = np.stack([first, m + second, second, m + first], axis=1).reshape(-1, 2)
-    product, blades, coeffs = _blade_terms_numpy(operands, pairs, sig, None)
+    product, blades, coeffs = _blade_terms_numpy(operands, pairs, sig)
     kept = _kept(coeffs)
     product, blades, coeffs = product[kept], blades[kept], coeffs[kept]
     # sorted by (pair, blade): the batch is product-major, so an x term comes

@@ -20,7 +20,7 @@ numpy gathers.  One private kernel reads it for the geometric product,
 the wedge and both contractions, which differ only in the blade pairs
 they keep.
 
-The kernel has two paths, chosen by the number of term pairs
+The geometric product has two paths, chosen by the number of term pairs
 ``len(a) * len(b)``.  Below ``_NUMPY_MIN_PAIRS`` (364) a Python loop
 visits the pairs; from there on numpy does the same arithmetic on
 arrays.  The array path pays for some thirty numpy calls whatever the
@@ -28,7 +28,7 @@ operand size, so the loop wins on small operands.  On a 2-core x86-64
 the two cross between 320 and 384 pairs in Cl(0,7) (about 180 us a
 product either way) and between 576 and 768 in Cl(12,0), whose products
 collide on fewer blades; at 128 x 128 terms the array path is 3 to 6
-times faster.
+times faster.  The wedge and the contractions always take the loop.
 The array path is one kernel, :func:`_blade_terms_numpy`, and it takes a
 batch of products: a single large product is a batch of one, and the
 structure-constant oracle of :mod:`isoclifford.lie_su` forms all of a
@@ -236,6 +236,11 @@ class Multivector:
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
+    def __reduce__(self):
+        # the terms' read-only proxy does not pickle: rebuild through the
+        # constructor, whose complex() keeps every coefficient's bits
+        return Multivector, (self.signature, dict(self._terms))
+
     # -- views ----------------------------------------------------------------
 
     @property
@@ -367,18 +372,18 @@ class Multivector:
 def _blade_products(a: Multivector, b: Multivector, keep=None) -> Multivector:
     """Sum of ``sign * ca * cb`` on blade ``ma ^ mb`` over the term pairs.
 
-    ``keep(ma, mb)``, when given, selects the blade pairs that contribute;
-    it must accept ints and int64 arrays alike.  Pairs are visited in the
-    order of ``a``'s terms, then ``b``'s, so the result's terms and
-    rounding do not depend on how the sign is found.  At
-    ``_NUMPY_MIN_PAIRS`` pairs or more, :func:`_blade_terms_numpy` does the
-    same arithmetic on arrays, as a batch of one product.
+    ``keep(ma, mb)``, when given, selects the blade pairs that contribute.
+    Pairs are visited in the order of ``a``'s terms, then ``b``'s, so the
+    result's terms and rounding do not depend on how the sign is found.
+    An unfiltered product of ``_NUMPY_MIN_PAIRS`` pairs or more goes to
+    :func:`_blade_terms_numpy`, which does the same arithmetic on arrays,
+    as a batch of one product; a filtered one always takes the loop.
     """
     a._check_signature(b)
     sig = a.signature
     a_terms, b_terms = a._terms, b._terms
-    if len(a_terms) * len(b_terms) >= _NUMPY_MIN_PAIRS:
-        _, blades, coeffs = _blade_terms_numpy((a_terms, b_terms), [(0, 1)], sig, keep)
+    if keep is None and len(a_terms) * len(b_terms) >= _NUMPY_MIN_PAIRS:
+        _, blades, coeffs = _blade_terms_numpy((a_terms, b_terms), [(0, 1)], sig)
         return Multivector._from_terms(sig, dict(zip(blades.tolist(), coeffs.tolist())))
     table = sig.sign_table
     rows = [(mb, cb, table[mb]) for mb, cb in b_terms.items()]
@@ -434,10 +439,10 @@ def _first_occurrence_bins(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, ..
     return bins, packed[heads][slots], slots
 
 
-def _blade_terms_numpy(operands: Sequence[Mapping[int, complex]], pairs, sig: Signature,
-                       keep) -> tuple[np.ndarray, ...]:
-    """The unpruned terms of :func:`_blade_products` for a batch of
-    products, bit for bit, from array arithmetic.
+def _blade_terms_numpy(operands: Sequence[Mapping[int, complex]], pairs,
+                       sig: Signature) -> tuple[np.ndarray, ...]:
+    """The unpruned terms of the geometric products of a batch, bit for
+    bit those of :func:`_blade_products`, from array arithmetic.
 
     ``pairs`` holds ``(ia, ib)`` index pairs into ``operands``, one per
     product ``operands[ia] * operands[ib]``.  The result is three arrays
@@ -486,9 +491,6 @@ def _blade_terms_numpy(operands: Sequence[Mapping[int, complex]], pairs, sig: Si
         re -= sa.imag * cb.imag
         im = sa.real * cb.imag
         im += sa.imag * cb.real
-    if keep is not None:
-        kept = keep(ka & (sig.blade_count - 1), mb)
-        key, re, im = key[kept], re[kept], im[kept]
     bins, keys, slots = _first_occurrence_bins(key.reshape(-1), len(pairs) << sig.dim)
     sums = np.empty(keys.size, dtype=complex)
     sums.real = np.bincount(bins, weights=re.reshape(-1))[slots]

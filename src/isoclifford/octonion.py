@@ -5,11 +5,15 @@ The product is the grade-projected Clifford expression
 from seven index cycles.  The signed multiplication table that falls out
 (``e_a ∘ e_b = eps_ab^c e_c - delta_ab``) is generated from the same
 cycles, so the projection formula and the table can check each other.
+
+The octonion product is not associative, so an isounit ζ gives two
+one-sided isotopes here, where the grouping matters: ``A ∘ (ζ⁻¹ ∘ B)``
+with ζ as its right unit and ``(A ∘ ζ⁻¹) ∘ B`` with ζ as its left unit.
 """
 
 from __future__ import annotations
 
-from .isotopy import IsoContext, isotope_left_product, isotope_right_product
+from .isotopy import IsoContext
 from .multivector import (
     AlgebraError,
     Multivector,
@@ -120,10 +124,10 @@ def oct_context(zeta: Multivector) -> IsoContext:
 
 
 def oct_isotope_right(zeta: Multivector, a: Multivector, b: Multivector) -> Multivector:
-    """``A ⋄_ζ B = A ∘ (ζ⁻¹ ∘ B)`` with the octonion product as base."""
-    return isotope_right_product(oct_context(zeta), a, b, product=oct_product)
+    """``A ⋄_ζ B = A ∘ (ζ⁻¹ ∘ B)``; ζ is its right unit."""
+    return oct_product(a, oct_product(oct_context(zeta).zeta_inv, b))
 
 
 def oct_isotope_left(zeta: Multivector, a: Multivector, b: Multivector) -> Multivector:
-    """``A _ζ⋄ B = (A ∘ ζ⁻¹) ∘ B`` with the octonion product as base."""
-    return isotope_left_product(oct_context(zeta), a, b, product=oct_product)
+    """``A _ζ⋄ B = (A ∘ ζ⁻¹) ∘ B``; ζ is its left unit."""
+    return oct_product(oct_product(a, oct_context(zeta).zeta_inv), b)

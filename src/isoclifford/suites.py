@@ -447,8 +447,9 @@ def suite_dirac(rec: _Recorder) -> None:
                        @ dirac.regular_representation(b)).max(), 1e-10)
 
     rotor = clifford_exp(0.37 * sig.e(1, 2))
-    rec.add_flag("spin.rotor_accepted", dirac.spin_plus_check(d, rotor))
-    rec.add_flag("spin.vector_rejected", not dirac.spin_plus_check(d, sig.e(1)))
+    rigid = IsoContext.identity(sig)
+    rec.add_flag("spin.rotor_accepted", dirac.iso_spin_plus_check(rigid, rotor))
+    rec.add_flag("spin.vector_rejected", not dirac.iso_spin_plus_check(rigid, sig.e(1)))
     ctx = IsoContext.create(sig.scalar(2.0))
     rec.add_flag("spin.iso_scaled_rotor_accepted",
                  dirac.iso_spin_plus_check(ctx, geometric_product(rotor, ctx.zeta)))

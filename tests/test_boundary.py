@@ -4,14 +4,18 @@
 arithmetic on validated operands are built by ``Multivector._from_terms``,
 which only prunes and rejects non-finite coefficients.  Each reference
 below forms the same expression in the same order and builds its result
-through the public constructor, so every comparison is exact: equal
-elements and identical term order.  The four blade products are held to
-such a reference in ``test_sign_table.py``.
+through the public constructor, so every comparison is exact: identical
+term order and the same bits in every coefficient.  The four blade
+products are held to such a reference in ``test_sign_table.py``.  A
+pickled element is rebuilt through the public constructor too.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
+from bit_identity import bits
 from isoclifford.isotopy import IsoContext, iso_commutator, random_invertible_context
 from isoclifford.lie_su import (
     GeneratorSet,
@@ -32,12 +36,6 @@ from isoclifford.multivector import (
 from isoclifford.octonion import SIG07, oct_conjugate
 
 SIGNATURES = [Signature(3, 0), Signature(1, 3), Signature(0, 7), Signature(12, 0)]
-
-
-def assert_identical(got: Multivector, want: Multivector) -> None:
-    assert got == want
-    assert list(got.terms.items()) == list(want.terms.items())
-    assert all(type(m) is int and type(c) is complex for m, c in got.terms.items())
 
 
 def _operands(sig, seed):
@@ -81,16 +79,16 @@ def _grade_signed_ref(a, sign_of_grade):
 def test_linear_structure_equals_the_public_constructor_reference(sig):
     pool = _operands(sig, 83 + sig.dim)
     for a in pool:
-        assert_identical(-a, _neg_ref(a))
+        assert bits(-a) == bits(_neg_ref(a))
         for s in (2, -0.5, 1.5 - 2j, np.float64(0.25), np.complex128(0.5 + 3j), 0, 1e-15):
-            assert_identical(a * s, _scale_ref(a, s))
-            assert_identical(s * a, _scale_ref(a, s))
-        assert_identical(a / 4.0, _scale_ref(a, 1.0 / 4.0))
-        assert_identical(a + 1.5, _add_ref(a, sig.scalar(1.5)))
-        assert_identical(a - 1.5, _add_ref(a, _neg_ref(sig.scalar(1.5))))
+            assert bits(a * s) == bits(_scale_ref(a, s))
+            assert bits(s * a) == bits(_scale_ref(a, s))
+        assert bits(a / 4.0) == bits(_scale_ref(a, 1.0 / 4.0))
+        assert bits(a + 1.5) == bits(_add_ref(a, sig.scalar(1.5)))
+        assert bits(a - 1.5) == bits(_add_ref(a, _neg_ref(sig.scalar(1.5))))
         for b in pool:
-            assert_identical(a + b, _add_ref(a, b))
-            assert_identical(a - b, _add_ref(a, _neg_ref(b)))
+            assert bits(a + b) == bits(_add_ref(a, b))
+            assert bits(a - b) == bits(_add_ref(a, _neg_ref(b)))
 
 
 @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: f"cl{s.p}_{s.q}")
@@ -102,12 +100,12 @@ def test_involutions_and_grade_parts_equal_the_public_constructor_reference(sig)
         return -1 if k & 1 else 1
 
     for a in _operands(sig, 97 + sig.dim):
-        assert_identical(reversion(a), _grade_signed_ref(a, rev))
-        assert_identical(grade_involution(a), _grade_signed_ref(a, inv))
+        assert bits(reversion(a)) == bits(_grade_signed_ref(a, rev))
+        assert bits(grade_involution(a)) == bits(_grade_signed_ref(a, inv))
         for k in range(sig.dim + 1):
-            assert_identical(grade_select(a, (k,)), Multivector(
+            assert bits(grade_select(a, (k,))) == bits(Multivector(
                 sig, {m: c for m, c in a.terms.items() if m.bit_count() == k}))
-        assert_identical(grade_select(a, (0, 2)), Multivector(
+        assert bits(grade_select(a, (0, 2))) == bits(Multivector(
             sig, {m: c for m, c in a.terms.items() if m.bit_count() in (0, 2)}))
 
 
@@ -116,7 +114,7 @@ def test_octonion_conjugate_equals_the_public_constructor_reference():
     comps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     x = Multivector(SIG07, {0: comps[0], **{1 << i: comps[i + 1] for i in range(7)}})
     want = Multivector(SIG07, {m: (c if m == 0 else -c) for m, c in x.terms.items()})
-    assert_identical(oct_conjugate(x), want)
+    assert bits(oct_conjugate(x)) == bits(want)
 
 
 def test_numpy_scalar_factor_leaves_python_complex_coefficients():
@@ -165,8 +163,8 @@ def test_numpy_integer_masks_become_int():
     a = Multivector(sig, {np.int64(3): 2.0, np.uint8(1): 1.0})
     assert [type(m) for m in a.terms] == [int, int]
     assert a == Multivector(sig, {3: 2.0, 1: 1.0})
-    assert_identical(a * a, geometric_product(Multivector(sig, {3: 2.0, 1: 1.0}),
-                                              Multivector(sig, {3: 2.0, 1: 1.0})))
+    assert bits(a * a) == bits(geometric_product(Multivector(sig, {3: 2.0, 1: 1.0}),
+                                                 Multivector(sig, {3: 2.0, 1: 1.0})))
     with pytest.raises(ValueError):
         Multivector(sig, {np.int64(8): 1.0})
 
@@ -190,7 +188,7 @@ def test_lifted_oracle_equals_the_pairwise_iso_commutator_reference(gs, monkeypa
     for i in range(len(gs)):
         for j in range(len(gs)):
             a, b = gs.generators[i], gs.generators[j]
-            assert_identical(gs.commutator(i, j), iso_commutator(gs.context, a, b))
+            assert bits(gs.commutator(i, j)) == bits(iso_commutator(gs.context, a, b))
     monkeypatch.setattr(GeneratorSet, "commutator",
                         lambda self, i, j: iso_commutator(
                             self.context, self.generators[i], self.generators[j]))
@@ -198,3 +196,42 @@ def test_lifted_oracle_equals_the_pairwise_iso_commutator_reference(gs, monkeypa
     assert np.array_equal(got.c, want.c)
     assert np.array_equal(got.unit_component, want.unit_component)
     assert got.max_residual == want.max_residual
+
+
+# -- pickling -----------------------------------------------------------------------------
+
+
+def _round_trip(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+def test_an_element_pickles_bit_for_bit():
+    x = Multivector(Signature(1, 3), {5: complex(-0.0, 1.5), 0: 2j, 3: complex(-1.25, -0.0)})
+    copy = _round_trip(x)
+    assert copy.signature == x.signature
+    assert bits(copy) == bits(x)
+
+
+def test_a_context_with_prepared_factors_pickles_bit_for_bit():
+    sig = Signature(1, 3)
+    rng = np.random.default_rng(17)
+    ctx = random_invertible_context(sig, rng)
+    x = random_multivector(sig, rng, 6)
+    # use both prepared factors, so the pickle carries their kept rows
+    ctx.zeta_right(x)
+    ctx.zeta_inv_right(x)
+    copy = _round_trip(ctx)
+    assert [bits(copy.zeta), bits(copy.zeta_inv)] == [bits(ctx.zeta), bits(ctx.zeta_inv)]
+    assert bits(copy.zeta_right(x)) == bits(ctx.zeta_right(x))
+    assert bits(copy.zeta_inv_right(x)) == bits(ctx.zeta_inv_right(x))
+
+
+def test_a_lifted_family_pickles_bit_for_bit():
+    gs = su3_case1_generators(random_invertible_context(Signature(1, 3),
+                                                        np.random.default_rng(19)))
+    gs.commutator(0, 1)  # forms the cached left factors g ζ⁻¹
+    copy = _round_trip(gs)
+    assert copy.label == gs.label
+    assert [bits(g) for g in copy.generators] == [bits(g) for g in gs.generators]
+    assert [bits(g) for g in copy._left] == [bits(g) for g in gs._left]
+    assert bits(copy.commutator(2, 5)) == bits(gs.commutator(2, 5))

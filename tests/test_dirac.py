@@ -7,7 +7,6 @@ from isoclifford.dirac import (
     build_dirac_rep,
     iso_spin_plus_check,
     regular_representation,
-    spin_plus_check,
 )
 from isoclifford.isotopy import IsoContext, clifford_exp
 from isoclifford.multivector import (
@@ -95,13 +94,14 @@ def test_regular_representation_blade_permutation():
         assert set(np.abs(row[np.abs(row) > 0])) == {1.0}
 
 
-def test_spin_plus_membership(d):
-    assert spin_plus_check(d, S13.scalar(1.0))
+def test_spin_plus_membership():
+    rigid = IsoContext.identity(S13)
+    assert iso_spin_plus_check(rigid, S13.scalar(1.0))
     rotor = clifford_exp(0.8 * S13.e(1, 2))
-    assert spin_plus_check(d, rotor)
+    assert iso_spin_plus_check(rigid, rotor)
     boost = clifford_exp(0.5 * S13.e(0, 1))
-    assert spin_plus_check(d, boost)
-    assert not spin_plus_check(d, 2.0 * rotor)        # wrong normalization
+    assert iso_spin_plus_check(rigid, boost)
+    assert not iso_spin_plus_check(rigid, 2.0 * rotor)        # wrong normalization
 
 
 def test_iso_spin_plus_membership():

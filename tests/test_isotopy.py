@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isoclifford import isotopy
+from isoclifford.dirac import iso_spin_plus_check
 from isoclifford.isotopy import (
     ConvergenceError,
     IsoComplex,
@@ -12,10 +13,10 @@ from isoclifford.isotopy import (
     geno_commutator,
     iso_commutator,
     iso_exp,
+    iso_exp_series,
+    iso_involution,
     iso_product,
     iso_wedge,
-    isotope_left_product,
-    isotope_right_product,
     lift,
     random_invertible_context,
 )
@@ -27,6 +28,7 @@ from isoclifford.multivector import (
     random_vector,
     wedge,
 )
+from isoclifford.octonion import SIG07, oct_isotope_left, oct_isotope_right, oct_unit
 
 S30 = Signature(3, 0)
 S13 = Signature(1, 3)
@@ -98,14 +100,33 @@ def test_iso_wedge_identity_unit(rng):
     assert iso_wedge(ctx, v, v).max_abs() < 1e-12
 
 
-def test_nonassociative_groupings_collapse_for_clifford(rng):
-    # with the associative base product both groupings agree
-    ctx = random_invertible_context(S30, rng)
-    a = random_multivector(S30, rng, 5)
-    b = random_multivector(S30, rng, 5)
-    plain = iso_product(ctx, a, b)
-    assert (isotope_right_product(ctx, a, b, geometric_product) - plain).max_abs() < 1e-10
-    assert (isotope_left_product(ctx, a, b, geometric_product) - plain).max_abs() < 1e-10
+# Each ⋄ operation of a Cl(1,3) context fed a Cl(3,0) operand, and each
+# octonion isotope fed a Cl(0,7) bivector: the product kernel's signature
+# check or the paravector check refuses every one.  The Cl(3,0) operand is
+# even, so the Spin⁺ check reaches its product.
+_CTX = IsoContext.create(S13.scalar(1.0) + 0.5 * S13.e(0, 1))
+_FOREIGN = S30.scalar(1.0) + S30.e(0, 1)
+_BIVECTOR = SIG07.e(0, 1)
+_ONE, _E1 = oct_unit(0), oct_unit(1)
+FOREIGN_OPERANDS = {
+    "iso_product_left": lambda: iso_product(_CTX, _FOREIGN, S13.e(0)),
+    "iso_product_right": lambda: iso_product(_CTX, S13.e(0), _FOREIGN),
+    "lift": lambda: lift(_CTX, _FOREIGN),
+    "iso_exp": lambda: iso_exp(_CTX, _FOREIGN),
+    "iso_exp_series": lambda: iso_exp_series(_CTX, _FOREIGN),
+    "iso_involution": lambda: iso_involution(_CTX, _FOREIGN),
+    "iso_spin_plus_check": lambda: iso_spin_plus_check(_CTX, _FOREIGN),
+    "oct_isotope_right_a": lambda: oct_isotope_right(_ONE, _BIVECTOR, _E1),
+    "oct_isotope_right_b": lambda: oct_isotope_right(_ONE, _E1, _BIVECTOR),
+    "oct_isotope_left_a": lambda: oct_isotope_left(_ONE, _BIVECTOR, _E1),
+    "oct_isotope_left_b": lambda: oct_isotope_left(_ONE, _E1, _BIVECTOR),
+}
+
+
+@pytest.mark.parametrize("operation", FOREIGN_OPERANDS)
+def test_an_operand_of_another_algebra_is_refused(operation):
+    with pytest.raises(AlgebraError):
+        FOREIGN_OPERANDS[operation]()
 
 
 def test_isoscalar_action(rng):

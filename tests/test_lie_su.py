@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bit_identity import bits
 from isoclifford import lie_su
 from isoclifford.flavor_matrices import structure_constants_f
 from isoclifford.isotopy import IsoContext, random_invertible_context
@@ -111,10 +112,6 @@ def _integer_family(seed):
     return GeneratorSet("integer", IsoContext.create(sig.scalar(2.0) + sig.e(0, 1)), generators)
 
 
-def _bits(x):
-    return [(m, c.real.hex(), c.imag.hex()) for m, c in x]
-
-
 def test_batched_commutators_equal_the_one_pair_api_bit_for_bit():
     families = [su_n_generators(3), *(su_n_generators(3, ctx)
                                       for ctx in _two_term_contexts(SIGNATURES["su3"])),
@@ -124,7 +121,7 @@ def test_batched_commutators_equal_the_one_pair_api_bit_for_bit():
         pair, blades, coeffs = lie_su._commutators(gs, first, second)
         for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
             got = zip(blades[pair == k].tolist(), coeffs[pair == k].tolist())
-            assert sorted(_bits(got)) == sorted(_bits(gs.commutator(i, j)))
+            assert sorted(bits(got)) == sorted(bits(gs.commutator(i, j)))
 
 
 def test_a_nan_residual_is_a_closure_violation(monkeypatch):
@@ -180,11 +177,6 @@ class _RigidReference:
         return geometric_product(a, b) - geometric_product(b, a)
 
 
-def _assert_bit_identical(got, want):
-    assert got == want
-    assert _bits(got) == _bits(want)
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_family_without_context_is_the_rigid_reference(family, monkeypatch):
     gs = FAMILIES[family]()
@@ -195,10 +187,10 @@ def test_family_without_context_is_the_rigid_reference(family, monkeypatch):
         ref = _RigidReference(family, FAMILIES[family]().generators)
     assert len(gs) == len(ref.generators)
     for got, want in zip(gs.generators, ref.generators):
-        _assert_bit_identical(got, want)
+        assert bits(got) == bits(want)
     for i in range(len(gs)):
         for j in range(len(gs)):
-            _assert_bit_identical(gs.commutator(i, j), ref.commutator(i, j))
+            assert bits(gs.commutator(i, j)) == bits(ref.commutator(i, j))
     _assert_same_bytes(structure_constants(gs), reference_structure_constants(ref))
     assert span_rank(gs) == span_rank(ref)
 

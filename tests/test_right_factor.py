@@ -4,7 +4,7 @@ replaced.
 A :class:`~isoclifford.multivector.RightFactor` keeps the loop's visiting
 order and moves each blade-pair sign from ``ca`` onto ``cb``, which can
 change a term only in the sign of an exact zero.  So every comparison here
-is exact: blades in order, and the ``repr`` of every coefficient.  The
+is exact: blades in order, and the bits of every coefficient.  The
 references below are the series and isotopic products as they were
 written with :func:`geometric_product` alone.
 """
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bit_identity import bits
 from isoclifford import isotopy, lie_su, multivector
 from isoclifford.isotopy import (
     ConvergenceError,
@@ -70,15 +71,10 @@ def iso_exp_series_ref(ctx, a):
     raise ConvergenceError("iso exponential series did not settle")
 
 
-def _reprs(x: Multivector) -> list:
-    """Terms in order, each coefficient by its ``repr`` (which shows -0.0)."""
-    return [(m, repr(c)) for m, c in x.terms.items()]
-
-
 def _outcome(fn, *args):
     """``fn(*args)`` as comparable data: its terms, or the type it raised."""
     try:
-        return _reprs(fn(*args))
+        return bits(fn(*args))
     except ConvergenceError:
         return "ConvergenceError"
 
@@ -118,7 +114,7 @@ def test_prepared_product_equals_the_loop_bit_for_bit(case):
     times_b = RightFactor(b)
     # twice over: rows are formed on the first pass and read on the second
     for x in lefts + lefts:
-        assert _reprs(times_b(x)) == _reprs(geometric_product(x, b))
+        assert bits(times_b(x)) == bits(geometric_product(x, b))
 
 
 @pytest.mark.parametrize("sig", [Signature(0, 7), Signature(12, 0)], ids=str)
@@ -131,7 +127,7 @@ def test_prepared_product_on_both_sides_of_the_threshold(sig, shape):
         x, b = (random_multivector(sig, rng, n, scale=scale) for n in shape)
         times_b = RightFactor(b)
         for left in (x, x, b, -b):
-            assert _reprs(times_b(left)) == _reprs(geometric_product(left, b))
+            assert bits(times_b(left)) == bits(geometric_product(left, b))
 
 
 def test_prepared_product_checks_the_signature():
@@ -165,7 +161,7 @@ def test_rows_beyond_the_cache_bound_are_formed_and_not_kept():
     times_b = RightFactor(b)
     for m in range(sig.blade_count):
         x = Multivector(sig, {m: 1.0 + 0.5j})
-        assert _reprs(times_b(x)) == _reprs(geometric_product(x, b))
+        assert bits(times_b(x)) == bits(geometric_product(x, b))
     assert len(times_b._rows) == multivector._ROW_CACHE_PAIRS // 17
 
 
@@ -210,17 +206,17 @@ def test_isotopic_products_equal_the_product_loop(sig):
         zeta, zeta_inv = ctx.zeta, ctx.zeta_inv
         for _ in range(4):
             a, b = random_multivector(sig, rng, 6), random_multivector(sig, rng, 5)
-            assert _reprs(iso_product(ctx, a, b)) == _reprs(iso_product_ref(ctx, a, b))
-            assert _reprs(lift(ctx, a)) == _reprs(geometric_product(a, zeta))
-            assert _reprs(iso_involution(ctx, a)) == _reprs(
+            assert bits(iso_product(ctx, a, b)) == bits(iso_product_ref(ctx, a, b))
+            assert bits(lift(ctx, a)) == bits(geometric_product(a, zeta))
+            assert bits(iso_involution(ctx, a)) == bits(
                 geometric_product(grade_involution(geometric_product(a, zeta_inv)), zeta))
             small = a * 0.3
-            assert _reprs(iso_exp(ctx, small)) == _reprs(
+            assert bits(iso_exp(ctx, small)) == bits(
                 geometric_product(clifford_exp_ref(geometric_product(small, zeta_inv)), zeta))
 
 
 def test_generator_left_factors_equal_the_product_loop():
     ctx = random_invertible_context(S13, np.random.default_rng(8))
     gs = lie_su.su3_case1_generators(ctx)
-    assert [_reprs(x) for x in gs._left] == [
-        _reprs(geometric_product(g, ctx.zeta_inv)) for g in gs.generators]
+    assert [bits(x) for x in gs._left] == [
+        bits(geometric_product(g, ctx.zeta_inv)) for g in gs.generators]

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bit_identity import bits
 from isoclifford import multivector
 from isoclifford.dirac import regular_representation
 from isoclifford.multivector import (
@@ -181,11 +182,6 @@ THRESHOLD = multivector._NUMPY_MIN_PAIRS
 ARRAY_SIGNATURES = [Signature(0, 7), Signature(4, 4), Signature(12, 0)]
 
 
-def _bits(x: Multivector) -> list:
-    """Terms in order, each coefficient as the exact bits of its components."""
-    return [(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()]
-
-
 def _shape(pairs: int) -> tuple[int, int]:
     """The most nearly square ``(len(a), len(b))`` with ``pairs`` term pairs
     that fits in Cl(0,7)'s 128 blades."""
@@ -211,12 +207,15 @@ def _assert_both_paths_equal(product, reference, a, b):
     for threshold in (0, THRESHOLD, 1 << 30):
         got = _by_path(product, a, b, threshold)
         assert got == want
-        assert _bits(got) == _bits(want)
+        assert bits(got) == bits(want)
 
 
 @pytest.mark.parametrize("sig", ARRAY_SIGNATURES, ids=lambda s: f"cl{s.p}_{s.q}")
 @pytest.mark.parametrize("product,reference", PRODUCTS, ids=lambda f: f.__name__)
 def test_array_path_equals_the_loop_bit_for_bit(sig, product, reference):
+    """The geometric product against its reference on both sides of the
+    array threshold.  The wedge and the contractions always take the loop,
+    so for them the same shapes check the loop against the reference."""
     rng = np.random.default_rng(71 + sig.dim)
     for na, nb in SHAPES:
         # unit scale, and a scale whose products straddle PRUNE_EPS
@@ -235,7 +234,7 @@ def test_array_path_cancels_exactly(sig):
     assert len(x) ** 2 >= THRESHOLD
     square = geometric_product(x, x)
     assert square.grades() <= {0, 4}
-    assert _bits(square) == _bits(geometric_product_ref(x, x))
+    assert bits(square) == bits(geometric_product_ref(x, x))
 
 
 def test_small_coefficients_reach_the_prune_on_the_array_path():
@@ -307,8 +306,6 @@ def test_overflow_raises_the_same_error_on_both_paths(product):
 # -- the batched array kernel ------------------------------------------------------------
 
 BATCH_SIGNATURES = [Signature(1, 3), Signature(0, 7), Signature(12, 0)]
-KEEPS = [None, lambda ma, mb: (ma & mb) == 0, lambda ma, mb: (ma & ~mb) == 0,
-         lambda ma, mb: (mb & ~ma) == 0]
 
 
 @st.composite
@@ -324,13 +321,13 @@ def _batches(draw):
     index = st.integers(0, len(operands) - 1)
     pairs = draw(st.lists(st.tuples(index, index), min_size=0, max_size=7))
     pairs.append((len(operands) - 2, len(operands) - 1))
-    return sig, operands, pairs, draw(st.sampled_from(KEEPS))
+    return sig, operands, pairs
 
 
-def _batch_terms(sig, operands, pairs, keep):
+def _batch_terms(sig, operands, pairs):
     """Each product of a batch, as the kernel's terms under the prune."""
     product, blades, coeffs = multivector._blade_terms_numpy(
-        [x.terms for x in operands], pairs, sig, keep)
+        [x.terms for x in operands], pairs, sig)
     assert np.all(np.diff(product) >= 0)
     return [Multivector._from_terms(sig, dict(zip(blades[product == k].tolist(),
                                                   coeffs[product == k].tolist())))
@@ -340,16 +337,15 @@ def _batch_terms(sig, operands, pairs, keep):
 @settings(max_examples=60, deadline=None)
 @given(_batches())
 def test_batched_kernel_equals_the_loop_bit_for_bit(batch):
-    sig, operands, pairs, keep = batch
-    want = [_by_path(lambda a, b: _blade_products(a, b, keep), operands[i], operands[j], 1 << 30)
-            for i, j in pairs]
-    got = _batch_terms(sig, operands, pairs, keep)
-    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+    sig, operands, pairs = batch
+    want = [_by_path(_blade_products, operands[i], operands[j], 1 << 30) for i, j in pairs]
+    got = _batch_terms(sig, operands, pairs)
+    assert [bits(x) for x in got] == [bits(x) for x in want]
     # and every product as a batch of one
     for pair, x in zip(pairs, want):
-        assert [_bits(y) for y in _batch_terms(sig, operands, [pair], keep)] == [_bits(x)]
+        assert [bits(y) for y in _batch_terms(sig, operands, [pair])] == [bits(x)]
 
 
 def test_batched_kernel_takes_an_empty_batch():
-    product, blades, coeffs = multivector._blade_terms_numpy([], [], Signature(1, 3), None)
+    product, blades, coeffs = multivector._blade_terms_numpy([], [], Signature(1, 3))
     assert product.size == blades.size == coeffs.size == 0
