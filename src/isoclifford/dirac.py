@@ -117,7 +117,10 @@ def build_dirac_rep() -> DiracRep:
 
 def iso_spin_plus_check(ctx: IsoContext, r: Multivector) -> bool:
     """Membership of the even elements with ``R ⋄ R~ = ζ``; the rigid
-    group, ``R R~ = 1``, is the case ζ = 1."""
+    group, ``R R~ = 1``, is the case ζ = 1.  An element of another algebra
+    raises :class:`~isoclifford.multivector.SignatureMismatchError`,
+    whatever its grades."""
+    ctx.zeta._check_signature(r)
     if any(k & 1 for k in r.grades()):
         return False
     prod = iso_product(ctx, r, reversion(r))

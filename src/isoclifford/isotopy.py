@@ -24,11 +24,13 @@ from dataclasses import dataclass
 from .multivector import (
     AlgebraError,
     Multivector,
+    NonInvertibleError,
     RightFactor,
     Signature,
     geometric_product,
     grade_involution,
     inverse,
+    random_multivector,
 )
 
 # Both exponential series stop at a term below _EXP_REL_TOL times the sum
@@ -213,8 +215,6 @@ def iso_exp_series(ctx: IsoContext, a: Multivector) -> Multivector:
 
 def random_invertible_context(sig: Signature, rng) -> IsoContext:
     """Random isounit drawn until inversion succeeds (well-conditioned)."""
-    from .multivector import NonInvertibleError, random_multivector
-
     for _ in range(20):
         zeta = sig.scalar(1.0 + 0.5 * rng.standard_normal()) + random_multivector(
             sig, rng, n_terms=6, scale=0.3)

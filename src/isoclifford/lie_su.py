@@ -18,7 +18,6 @@ closure (the oracle rejects it).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +32,6 @@ from .multivector import (
     Signature,
     _blade_terms_numpy,
     _kept,
-    geometric_product,
 )
 
 SIG13 = Signature(1, 3)
@@ -57,19 +55,6 @@ class GeneratorSet:
 
     def __len__(self) -> int:
         return len(self.generators)
-
-    @functools.cached_property
-    def _left(self) -> tuple[Multivector, ...]:
-        """``g_k ζ⁻¹`` for every generator."""
-        return tuple(map(self.context.zeta_inv_right, self.generators))
-
-    def commutator(self, i: int, j: int) -> Multivector:
-        """``(g_i ζ⁻¹) g_j - (g_j ζ⁻¹) g_i``: the association of
-        :func:`~isoclifford.isotopy.iso_commutator`, with each ``g ζ⁻¹``
-        formed once per family."""
-        left = self._left
-        return (geometric_product(left[i], self.generators[j])
-                - geometric_product(left[j], self.generators[i]))
 
 
 def _wedge_chain(lifted: Sequence[Multivector], ctx: IsoContext) -> Multivector:
@@ -193,18 +178,21 @@ def _coefficient_matrix(columns: np.ndarray, blades: np.ndarray, coeffs: np.ndar
 
 def _commutators(gs: GeneratorSet, first: np.ndarray,
                  second: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``gs.commutator(i, j)`` for every pair ``(i, j) = (first[k], second[k])``,
-    bit for bit, as arrays ``(k, blade, coefficient)``.
+    """``iso_commutator(gs.context, g_i, g_j)`` for every pair
+    ``(i, j) = (first[k], second[k])``, bit for bit, as arrays
+    ``(k, blade, coefficient)``.
 
-    One batched kernel call gives the products ``x = (g_i ζ⁻¹) g_j`` and
-    ``y = (g_j ζ⁻¹) g_i`` of every pair; the prunes and the subtraction of
-    ``Multivector`` are then done on arrays.  The difference on a blade in
-    both products is ``x + (-y)``, on a blade only in ``y`` it is
-    ``0.0 + (-y)``, and a blade only in ``x`` keeps ``x``.
+    Each ``g ζ⁻¹`` is formed once per call, and one batched kernel call gives
+    the products ``x = (g_i ζ⁻¹) g_j`` and ``y = (g_j ζ⁻¹) g_i`` of every
+    pair; the prunes and the subtraction of ``Multivector`` are then done on
+    arrays.  The difference on a blade in both products is ``x + (-y)``, on
+    a blade only in ``y`` it is ``0.0 + (-y)``, and a blade only in ``x``
+    keeps ``x``.
     """
     m, sig = len(gs), gs.signature
     # products 2k and 2k + 1 are the x and y of pair k
-    operands = [x.terms for x in (*gs._left, *gs.generators)]
+    left = map(gs.context.zeta_inv_right, gs.generators)
+    operands = [x.terms for x in (*left, *gs.generators)]
     pairs = np.stack([first, m + second, second, m + first], axis=1).reshape(-1, 2)
     product, blades, coeffs = _blade_terms_numpy(operands, pairs, sig)
     kept = _kept(coeffs)
@@ -246,8 +234,9 @@ def structure_constants(gs: GeneratorSet) -> StructureConstants:
     above 1e-8 (or NaN) means the set does not close and raises
     :class:`ClosureViolationError` for the first such pair.
 
-    The commutators are those of :meth:`GeneratorSet.commutator`, bit for
-    bit, all formed by :func:`_commutators` in one batched kernel call.
+    The commutators are those of
+    :func:`~isoclifford.isotopy.iso_commutator`, bit for bit, all formed
+    by :func:`_commutators` in one batched kernel call.
     """
     m = len(gs)
     first, second = np.triu_indices(m, 1)

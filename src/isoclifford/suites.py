@@ -302,7 +302,7 @@ def suite_octonion(rec: _Recorder) -> None:
 
 
 def _case1_factor(gs):
-    comm = gs.commutator(0, 1)
+    comm = iso_commutator(gs.context, gs.generators[0], gs.generators[1])
     lam3 = gs.generators[2]
     # least-squares scalar: comm ~ factor * lam3, its sums folded left to
     # right (the builtin sum() compensates float sums from Python 3.12 on)
@@ -382,10 +382,11 @@ def suite_su6(rec: _Recorder) -> None:
             rec.add(f"sun{n}.iso_equals_rigid_times_zeta",
                     (geometric_product(g, zeta) - gi).max_abs(), 1e-9)
 
+        rigid, lifted = gs.generators, gsi.generators
         for a in range(len(gs)):
             for b in range(a + 1, len(gs)):
-                lhs = gsi.commutator(a, b)
-                rhs = geometric_product(gs.commutator(a, b), zeta)
+                lhs = iso_commutator(ctx, lifted[a], lifted[b])
+                rhs = geometric_product(iso_commutator(gs.context, rigid[a], rigid[b]), zeta)
                 rec.add(f"sun{n}.iso_transport", (lhs - rhs).max_abs(), 1e-9)
 
     # the loop ends on rigid su(6), the 35-generator E, F, H family

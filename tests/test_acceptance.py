@@ -53,7 +53,7 @@ def test_criterion_03_case1_commutator_example():
         worst = max(worst, (comm - 2j * gs.generators[2]).max_abs())
     # the naked factor i does not reproduce the commutator; keep that fact pinned
     rigid = lie_su.su3_case1_generators()
-    plain = rigid.commutator(0, 1)
+    plain = iso_commutator(rigid.context, rigid.generators[0], rigid.generators[1])
     assert (plain - 1j * rigid.generators[2]).max_abs() > 0.4
     _criterion(3, "case-1 commutator closes on third generator, factor 2i "
                   "(quoted bare factor i flagged as mismatch)", worst, 1e-9)

@@ -102,8 +102,9 @@ def test_iso_wedge_identity_unit(rng):
 
 # Each ⋄ operation of a Cl(1,3) context fed a Cl(3,0) operand, and each
 # octonion isotope fed a Cl(0,7) bivector: the product kernel's signature
-# check or the paravector check refuses every one.  The Cl(3,0) operand is
-# even, so the Spin⁺ check reaches its product.
+# check or the paravector check refuses every one.  The Spin⁺ check is fed
+# an even and an odd Cl(3,0) operand: it refuses both before its odd-grade
+# shortcut.
 _CTX = IsoContext.create(S13.scalar(1.0) + 0.5 * S13.e(0, 1))
 _FOREIGN = S30.scalar(1.0) + S30.e(0, 1)
 _BIVECTOR = SIG07.e(0, 1)
@@ -116,6 +117,7 @@ FOREIGN_OPERANDS = {
     "iso_exp_series": lambda: iso_exp_series(_CTX, _FOREIGN),
     "iso_involution": lambda: iso_involution(_CTX, _FOREIGN),
     "iso_spin_plus_check": lambda: iso_spin_plus_check(_CTX, _FOREIGN),
+    "iso_spin_plus_check_odd": lambda: iso_spin_plus_check(_CTX, S30.e(0)),
     "oct_isotope_right_a": lambda: oct_isotope_right(_ONE, _BIVECTOR, _E1),
     "oct_isotope_right_b": lambda: oct_isotope_right(_ONE, _E1, _BIVECTOR),
     "oct_isotope_left_a": lambda: oct_isotope_left(_ONE, _BIVECTOR, _E1),

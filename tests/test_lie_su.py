@@ -10,7 +10,7 @@ import pytest
 from bit_identity import bits
 from isoclifford import lie_su
 from isoclifford.flavor_matrices import structure_constants_f
-from isoclifford.isotopy import IsoContext, random_invertible_context
+from isoclifford.isotopy import IsoContext, iso_commutator, random_invertible_context
 from isoclifford.lie_su import (
     ClosureViolationError,
     GeneratorSet,
@@ -34,8 +34,8 @@ FAMILIES = {
 }
 
 
-# -- the reference oracle: one GeneratorSet.commutator call per pair, and a loop
-# that fills c ---------------------------------------------------------------------------
+# -- the reference oracle: one iso_commutator call per pair, and a loop that
+# fills c --------------------------------------------------------------------------------
 
 
 def _reference_coefficient_matrix(elements):
@@ -49,12 +49,12 @@ def _reference_coefficient_matrix(elements):
 
 
 def reference_structure_constants(gs):
-    """The per-pair oracle: ``gs.commutator(i, j)`` for each pair, one
-    least-squares solve, and a Python loop that fills ``c``."""
-    m = len(gs.generators)
+    """The per-pair oracle: ``iso_commutator(gs.context, g_i, g_j)`` for
+    each pair, one least-squares solve, and a Python loop that fills ``c``."""
+    m, g = len(gs.generators), gs.generators
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    comms = [gs.commutator(i, j) for i, j in pairs]
-    coeffs = _reference_coefficient_matrix([*gs.generators, gs.context.zeta, *comms])
+    comms = [iso_commutator(gs.context, g[i], g[j]) for i, j in pairs]
+    coeffs = _reference_coefficient_matrix([*g, gs.context.zeta, *comms])
     span, targets = coeffs[:, :m + 1], coeffs[:, m + 1:]
     solution, *_ = np.linalg.lstsq(span, targets, rcond=None)
     residuals = np.abs(span @ solution - targets).max(axis=0) if pairs else np.zeros(0)
@@ -121,7 +121,8 @@ def test_batched_commutators_equal_the_one_pair_api_bit_for_bit():
         pair, blades, coeffs = lie_su._commutators(gs, first, second)
         for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
             got = zip(blades[pair == k].tolist(), coeffs[pair == k].tolist())
-            assert sorted(bits(got)) == sorted(bits(gs.commutator(i, j)))
+            want = iso_commutator(gs.context, gs.generators[i], gs.generators[j])
+            assert sorted(bits(got)) == sorted(bits(want))
 
 
 def test_a_nan_residual_is_a_closure_violation(monkeypatch):
@@ -164,17 +165,15 @@ def _plain_wedge_chain(vectors, ctx):
 
 
 class _RigidReference:
-    """A family on the rigid path: plain ``ab - ba`` commutators and the
-    scalar unit 1 of the ambient algebra."""
+    """A family on the rigid path: the scalar unit 1 of the ambient algebra,
+    and a context whose ``a ζ⁻¹`` is ``a`` itself, so that
+    :func:`iso_commutator` on it is the plain ``ab - ba``."""
 
     def __init__(self, label, generators):
         self.label = label
         self.generators = generators
-        self.context = SimpleNamespace(zeta=generators[0].signature.scalar(1.0))
-
-    def commutator(self, i, j):
-        a, b = self.generators[i], self.generators[j]
-        return geometric_product(a, b) - geometric_product(b, a)
+        self.context = SimpleNamespace(zeta=generators[0].signature.scalar(1.0),
+                                       zeta_inv_right=lambda a: a)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -190,7 +189,9 @@ def test_family_without_context_is_the_rigid_reference(family, monkeypatch):
         assert bits(got) == bits(want)
     for i in range(len(gs)):
         for j in range(len(gs)):
-            assert bits(gs.commutator(i, j)) == bits(ref.commutator(i, j))
+            got = iso_commutator(gs.context, gs.generators[i], gs.generators[j])
+            want = iso_commutator(ref.context, ref.generators[i], ref.generators[j])
+            assert bits(got) == bits(want)
     _assert_same_bytes(structure_constants(gs), reference_structure_constants(ref))
     assert span_rank(gs) == span_rank(ref)
 
@@ -273,7 +274,7 @@ def test_case1_closure_and_constants():
 
 def test_case1_example_commutator():
     gs = su3_case1_generators()
-    comm = gs.commutator(0, 1)
+    comm = iso_commutator(gs.context, gs.generators[0], gs.generators[1])
     # single component on the third generator, factor 2i
     assert (comm - 2j * gs.generators[2]).max_abs() < 1e-12
     assert (comm - 1j * gs.generators[2]).max_abs() > 0.4

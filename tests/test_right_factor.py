@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bit_identity import bits
-from isoclifford import isotopy, lie_su, multivector
+from isoclifford import isotopy, multivector
 from isoclifford.isotopy import (
     ConvergenceError,
     IsoContext,
@@ -213,10 +213,3 @@ def test_isotopic_products_equal_the_product_loop(sig):
             small = a * 0.3
             assert bits(iso_exp(ctx, small)) == bits(
                 geometric_product(clifford_exp_ref(geometric_product(small, zeta_inv)), zeta))
-
-
-def test_generator_left_factors_equal_the_product_loop():
-    ctx = random_invertible_context(S13, np.random.default_rng(8))
-    gs = lie_su.su3_case1_generators(ctx)
-    assert [bits(x) for x in gs._left] == [
-        bits(geometric_product(g, ctx.zeta_inv)) for g in gs.generators]
