@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .isotopy import IsoContext, iso_product
-from .multivector import AlgebraError, Multivector, Signature, reversion
+from .multivector import AlgebraError, Multivector, Signature, _term_arrays, reversion
 
 SIG13 = Signature(1, 3)
 # Acceptance bound of the rotor-group membership test.
@@ -39,8 +39,8 @@ def regular_representation(a: Multivector) -> np.ndarray:
     sig = a.signature
     n = sig.blade_count
     cols = np.arange(n)
-    masks = np.fromiter(a.terms.keys(), dtype=np.int64, count=len(a))[:, None]
-    coeffs = np.fromiter(a.terms.values(), dtype=complex, count=len(a))[:, None]
+    _, masks, coeffs = _term_arrays([a.terms])
+    masks, coeffs = masks[:, None], coeffs[:, None]
     signs = np.where(np.bitwise_count(masks & sig.sign_array) & 1, -1, 1)
     mat = np.zeros((n, n), dtype=complex)
     mat[masks ^ cols, cols] += signs * coeffs

@@ -27,6 +27,7 @@ from .multivector import (
     NonInvertibleError,
     RightFactor,
     Signature,
+    SignatureMismatchError,
     geometric_product,
     grade_involution,
     inverse,
@@ -45,17 +46,19 @@ class ConvergenceError(AlgebraError):
 
 @dataclass(frozen=True)
 class IsoContext:
-    """A fixed isounit ζ with its precomputed isotopic element ζ⁻¹."""
+    """A fixed isounit ζ with its precomputed isotopic element ζ⁻¹; a pair
+    from two algebras raises :class:`SignatureMismatchError`, and one whose
+    ζ ζ⁻¹ misses 1 by more than 1e-10 :class:`NonInvertibleError`."""
 
     zeta: Multivector
     zeta_inv: Multivector
 
     def __post_init__(self):
         if self.zeta.signature != self.zeta_inv.signature:
-            raise AlgebraError("isounit and isotopic element must share a signature")
+            raise SignatureMismatchError("isounit and isotopic element must share a signature")
         residual = (geometric_product(self.zeta, self.zeta_inv) - 1).max_abs()
         if residual > 1e-10:
-            raise AlgebraError(f"zeta * zeta_inv misses 1 by {residual:.3e}")
+            raise NonInvertibleError(f"zeta * zeta_inv misses 1 by {residual:.3e}")
 
     @classmethod
     def create(cls, zeta: Multivector) -> "IsoContext":

@@ -18,7 +18,6 @@ closure (the oracle rejects it).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,6 +31,7 @@ from .multivector import (
     Signature,
     _blade_terms_numpy,
     _kept,
+    _term_arrays,
 )
 
 SIG13 = Signature(1, 3)
@@ -155,14 +155,10 @@ def su3_case2_generators(ctx: IsoContext | None = None) -> GeneratorSet:
 
 def _element_terms(elements: Sequence[Multivector]) -> tuple[np.ndarray, ...]:
     """The terms of ``elements`` as arrays ``(column, blade, coefficient)``,
-    column ``k`` holding ``elements[k]``."""
-    sizes = np.fromiter(map(len, elements), dtype=np.intp, count=len(elements))
-    columns = np.repeat(np.arange(sizes.size), sizes)
-    blades = np.fromiter(itertools.chain.from_iterable(x.terms for x in elements),
-                         dtype=np.int64, count=columns.size)
-    coeffs = np.fromiter(itertools.chain.from_iterable(x.terms.values() for x in elements),
-                         dtype=complex, count=columns.size)
-    return columns, blades, coeffs
+    column ``k`` holding ``elements[k]``: :func:`_term_arrays` flattens
+    them, and each term's column repeats ``k`` over its element's size."""
+    sizes, blades, coeffs = _term_arrays([x.terms for x in elements])
+    return np.repeat(np.arange(sizes.size), sizes), blades, coeffs
 
 
 def _coefficient_matrix(columns: np.ndarray, blades: np.ndarray, coeffs: np.ndarray,
@@ -185,9 +181,11 @@ def _commutators(gs: GeneratorSet, first: np.ndarray,
     Each ``g ζ⁻¹`` is formed once per call, and one batched kernel call gives
     the products ``x = (g_i ζ⁻¹) g_j`` and ``y = (g_j ζ⁻¹) g_i`` of every
     pair; the prunes and the subtraction of ``Multivector`` are then done on
-    arrays.  The difference on a blade in both products is ``x + (-y)``, on
-    a blade only in ``y`` it is ``0.0 + (-y)``, and a blade only in ``x``
-    keeps ``x``.
+    arrays.  ``np.unique`` gives each ``(pair, blade)`` that occurs a slot,
+    in ascending order; the x terms are set in their slots and ``-y`` is
+    added onto them, so the difference is ``x + (-y)`` on a blade in both
+    products, ``0.0 + (-y)`` on a blade only in ``y`` and ``x`` on a blade
+    only in ``x``, as ``Multivector.__sub__`` forms it.
     """
     m, sig = len(gs), gs.signature
     # products 2k and 2k + 1 are the x and y of pair k
@@ -197,19 +195,11 @@ def _commutators(gs: GeneratorSet, first: np.ndarray,
     product, blades, coeffs = _blade_terms_numpy(operands, pairs, sig)
     kept = _kept(coeffs)
     product, blades, coeffs = product[kept], blades[kept], coeffs[kept]
-    # sorted by (pair, blade): the batch is product-major, so an x term comes
-    # just before the y term on its blade, which the difference then absorbs
-    n = product.size
-    shift = n.bit_length()
-    key = (product >> 1) << sig.dim | blades
-    order = np.sort(key << shift | np.arange(n)) & ((1 << shift) - 1)
-    key, coeffs = key[order], coeffs[order]
-    diff = np.where(product[order] & 1 == 1, 0j + -coeffs, coeffs)
-    both = np.flatnonzero(key[1:] == key[:-1])
-    diff[both] = coeffs[both] + -coeffs[both + 1]
-    alone = np.ones(n, dtype=bool)
-    alone[both + 1] = False
-    key, diff = key[alone], diff[alone]
+    key, slot = np.unique((product >> 1) << sig.dim | blades, return_inverse=True)
+    in_y = product & 1 == 1
+    diff = np.zeros(key.size, dtype=complex)
+    diff[slot[~in_y]] = coeffs[~in_y]
+    diff[slot[in_y]] += -coeffs[in_y]
     kept = _kept(diff)
     key, diff = key[kept], diff[kept]
     return key >> sig.dim, key & (sig.blade_count - 1), diff

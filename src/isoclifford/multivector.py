@@ -37,8 +37,11 @@ writes Python's complex product out in real and imaginary components,
 adds the terms of each (product, blade) in the loop's a-major pair order
 with ``np.bincount`` (a sequential sum onto 0.0), and emits each
 product's blades in order of first occurrence.  Its bins are never more
-than its term pairs, so a batch of many sparse products in Cl(12,0)
-does not allocate a bin for each of its 4096 blades per product.
+than its term pairs: where the (product, blade) keys outnumber the
+pairs, as in a batch of sparse products in Cl(12,0), ``np.unique``
+numbers only the keys that occur.  :func:`_term_arrays` is the one
+flatten of sparse terms into arrays, here, in the oracle and in the
+regular representation.
 
 A right factor that recurs can be prepared once as a
 :class:`RightFactor`.  It keeps, for each left blade it has met, the row
@@ -407,14 +410,26 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
+def _term_arrays(mappings: Sequence[Mapping[int, complex]]) -> tuple[np.ndarray, ...]:
+    """The terms of ``mappings`` flattened in order, as arrays ``(sizes,
+    masks, coeffs)`` with ``sizes[k]`` the number of terms of ``mappings[k]``."""
+    sizes = np.fromiter(map(len, mappings), dtype=np.intp, count=len(mappings))
+    masks = np.fromiter(itertools.chain.from_iterable(mappings), dtype=np.int64,
+                        count=int(sizes.sum()))
+    coeffs = np.fromiter(itertools.chain.from_iterable(m.values() for m in mappings),
+                         dtype=complex, count=masks.size)
+    return sizes, masks, coeffs
+
+
 def _first_occurrence_bins(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, ...]:
     """Bins to sum pairs by ``key`` (values below ``n_keys``): ``(bins, keys,
     slots)``, with ``bins[p]`` the bin of pair ``p``, ``keys`` the distinct
     keys in order of their first pair and ``slots[k]`` the bin of ``keys[k]``.
 
     No more bins are made than pairs: while ``n_keys`` is at most the number
-    of pairs a key is its own bin, and beyond that one sort of ``(key,
-    pair)`` compacts the bins to the keys that occur.
+    of pairs a key is its own bin, and beyond that ``np.unique`` numbers the
+    keys that occur in ascending order, so a key's bin is its rank.  The
+    dense case keeps its own branch because a sort is slower there.
     """
     n = key.size
     if n_keys <= n:
@@ -423,20 +438,9 @@ def _first_occurrence_bins(key: np.ndarray, n_keys: int) -> tuple[np.ndarray, ..
         seen = np.flatnonzero(first < n)
         keys = seen[np.argsort(first[seen])]
         return key, keys, keys
-    shift = n.bit_length()
-    low = (1 << shift) - 1
-    packed = np.sort(key << shift | np.arange(n))
-    pair = packed & low
-    packed >>= shift
-    new = np.empty(n, dtype=bool)
-    new[:1] = True
-    np.not_equal(packed[1:], packed[:-1], out=new[1:])
-    heads = np.flatnonzero(new)
-    # a key's bin is its rank among the sorted keys
-    bins = np.empty(n, dtype=np.intp)
-    bins[pair] = np.repeat(np.arange(heads.size), np.diff(heads, append=n))
-    slots = np.sort(pair[heads] << shift | np.arange(heads.size)) & low
-    return bins, packed[heads][slots], slots
+    keys, first, bins = np.unique(key, return_index=True, return_inverse=True)
+    slots = np.argsort(first)
+    return bins, keys[slots], slots
 
 
 def _blade_terms_numpy(operands: Sequence[Mapping[int, complex]], pairs,
@@ -449,19 +453,15 @@ def _blade_terms_numpy(operands: Sequence[Mapping[int, complex]], pairs,
     with one entry per term, ``(product, blade, coefficient)``: products in
     batch order, and each product's blades in order of first occurrence.
 
-    The term pairs are flattened product-major, then a-major.  Python's
-    complex ``s * cb`` is written out in components,
-    ``(sr*br - si*bi, sr*bi + si*br)``, because numpy's complex multiply
-    may fuse a multiply and an add and round once where Python rounds
-    twice.  ``np.bincount`` adds the terms of each ``(product, blade)`` key
+    :func:`_term_arrays` flattens the operands' terms, and the term pairs
+    are flattened product-major, then a-major.  Python's complex ``s * cb``
+    is written out in components, ``(sr*br - si*bi, sr*bi + si*br)``,
+    because numpy's complex multiply may fuse a multiply and an add and
+    round once where Python rounds twice.  ``np.bincount`` adds the terms of each ``(product, blade)`` key
     in pair order onto 0.0, as the loop adds them onto ``0j``; see
     :func:`_first_occurrence_bins` for the bins.
     """
-    sizes = np.fromiter(map(len, operands), dtype=np.intp, count=len(operands))
-    masks = np.fromiter(itertools.chain.from_iterable(operands), dtype=np.int64,
-                        count=int(sizes.sum()))
-    coeffs = np.fromiter(itertools.chain.from_iterable(op.values() for op in operands),
-                         dtype=complex, count=masks.size)
+    sizes, masks, coeffs = _term_arrays(operands)
     starts = np.cumsum(sizes) - sizes
     # per term pair: ta, its a term doubled (to index the signed pairs
     # below), tb, its b term, and ka, its a blade under a prefix that numbers

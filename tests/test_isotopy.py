@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isoclifford import isotopy
-from isoclifford.dirac import iso_spin_plus_check
+from isoclifford.dirac import iso_spin_plus_check, regular_representation
 from isoclifford.isotopy import (
     ConvergenceError,
     IsoComplex,
@@ -22,8 +22,11 @@ from isoclifford.isotopy import (
 )
 from isoclifford.multivector import (
     AlgebraError,
+    NonInvertibleError,
     Signature,
+    SignatureMismatchError,
     geometric_product,
+    inverse,
     random_multivector,
     random_vector,
     wedge,
@@ -54,8 +57,33 @@ def test_blade_isounit_example():
 
 
 def test_context_validation():
-    with pytest.raises(AlgebraError):
+    with pytest.raises(NonInvertibleError, match="misses 1"):
         IsoContext(S30.e(0), S30.e(1))
+    with pytest.raises(SignatureMismatchError):
+        IsoContext(S30.e(0), S13.e(0))
+    # a ζ just off an eigenvalue of its regular representation: ``inverse``
+    # accepts its residual of some 6e-9, the context's 1e-10 bound does not
+    z0 = random_multivector(S13, np.random.default_rng(7), 16)
+    z = z0 - (np.linalg.eigvals(regular_representation(z0))[0] - 1e-7)
+    residual = (z * inverse(z) - 1).max_abs()
+    assert 1e-10 < residual <= 1e-8
+    with pytest.raises(NonInvertibleError, match="misses 1"):
+        IsoContext.create(z)
+
+
+def test_random_context_draws_again_past_the_context_bound(monkeypatch):
+    # the first ζ⁻¹ passes a residual check of 1e-8 but not the context's 1e-10
+    calls = []
+
+    def off_by_5e_9(z):
+        calls.append(z)
+        zi = inverse(z)
+        return zi + 5e-9 * z.signature.e(0) if len(calls) == 1 else zi
+
+    monkeypatch.setattr(isotopy, "inverse", off_by_5e_9)
+    ctx = random_invertible_context(S13, np.random.default_rng(42))
+    assert len(calls) == 2
+    assert ctx.zeta == calls[1] and ctx.zeta_inv == inverse(calls[1])
 
 
 def test_lift_of_one_is_the_isounit(rng):

@@ -19,10 +19,13 @@ from hypothesis import strategies as st
 from bit_identity import bits
 from isoclifford import multivector
 from isoclifford.dirac import regular_representation
+from isoclifford.isotopy import IsoContext
+from isoclifford.lie_su import structure_constants, su_n_generators
 from isoclifford.multivector import (
     Multivector,
     Signature,
     _blade_products,
+    _first_occurrence_bins,
     geometric_product,
     left_contraction,
     random_multivector,
@@ -349,3 +352,43 @@ def test_batched_kernel_equals_the_loop_bit_for_bit(batch):
 def test_batched_kernel_takes_an_empty_batch():
     product, blades, coeffs = multivector._blade_terms_numpy([], [], Signature(1, 3))
     assert product.size == blades.size == coeffs.size == 0
+
+
+def _su6_oracle_keys(monkeypatch):
+    """The ``(key, n_keys)`` of the last kernel call of the lifted su(6)
+    oracle, the batch of all its commutator products."""
+    sig = Signature(12, 0)
+    gs = su_n_generators(6, IsoContext.create(sig.scalar(1.7) + 0.4 * sig.e(0, 1)))
+    calls = []
+    monkeypatch.setattr(multivector, "_first_occurrence_bins", lambda key, n_keys:
+                        calls.append((key, n_keys)) or _first_occurrence_bins(key, n_keys))
+    structure_constants(gs)
+    return calls[-1]
+
+
+def _first_occurrence_sums(key, weights):
+    """The distinct keys in order of first occurrence, and the weights of
+    each added in pair order onto 0.0."""
+    sums = {}
+    for k, w in zip(key.tolist(), weights.tolist()):
+        sums[k] = sums.get(k, 0.0) + w
+    return list(sums), np.array(list(sums.values()), dtype=float)
+
+
+def test_first_occurrence_bins_agree_on_both_branches(monkeypatch):
+    su6_key, su6_n_keys = _su6_oracle_keys(monkeypatch)
+    assert su6_n_keys > su6_key.size  # the oracle's batch takes the sparse branch
+    rng = np.random.default_rng(23)
+    # the dense branch needs keys below the pair count: the su(6) keys by rank
+    ranked = np.searchsorted(np.array(sorted(set(su6_key.tolist()))), su6_key)
+    keys = [ranked, rng.integers(0, 5, 300), rng.integers(0, 300, 300),
+            rng.permutation(64), np.zeros(7, dtype=np.int64), np.zeros(0, dtype=np.int64)]
+    cases = [(key, (key.size, key.size + 1)) for key in keys] + [(su6_key, (su6_n_keys,))]
+    for key, branches in cases:
+        # magnitudes over 16 decades, so the sums' bits depend on their order
+        weights = rng.standard_normal(key.size) * 10.0 ** rng.integers(-8, 9, key.size)
+        want_keys, want_sums = _first_occurrence_sums(key, weights)
+        for n_keys in branches:
+            bins, got_keys, slots = _first_occurrence_bins(key, n_keys)
+            assert got_keys.tolist() == want_keys
+            assert np.bincount(bins, weights)[slots].tobytes() == want_sums.tobytes()
