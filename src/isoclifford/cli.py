@@ -9,8 +9,11 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 domain
 error (non-positive masses and the like; also any ``AlgebraError`` or
 ``ValueError`` a command lets escape, reported on one ``error:`` line,
 among them a ``verify`` check or comparison holding a value that is not
-finite, so no NaN or infinity reaches a report).  Under
-``verify --suite all`` the first suite to fail stops the others.
+finite, so no NaN or infinity reaches a report).  A report that cannot
+be written (stdout closed, or a write that fails other than on a closed
+pipe) exits 2 on one ``error:`` line; a reader that leaves early
+(``verify ... | head``) ends the command quietly with the checks' code.
+Under ``verify --suite all`` the first suite to fail stops the others.
 Reports are deterministic: the property suites run on a fixed seed and
 every float is rendered with 6 significant digits.
 
@@ -47,10 +50,6 @@ def _round6(value: Any) -> Any:
         return value
     if isinstance(value, float):
         return float(f"{value:.6g}")
-    if isinstance(value, complex):
-        return [_round6(value.real), _round6(value.imag)]
-    if hasattr(value, "tolist"):  # a numpy array or scalar
-        return _round6(value.tolist())
     if isinstance(value, dict):
         return {k: _round6(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -190,15 +189,22 @@ def main(argv=None) -> int:
         # a domain failure the command did not map itself: one line, no traceback
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_DOMAIN
+    if sys.stdout is None:  # started with stdout closed
+        print("error: cannot write the report: stdout is closed", file=sys.stderr)
+        return EXIT_USAGE
     try:
         sys.stdout.write(out)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone (``verify ... | head``): point stdout at the null
-        # device, so that the interpreter's last flush stays quiet as well
+    except OSError as exc:
+        # point stdout at the null device, so that the interpreter's last
+        # flush of what is still buffered stays quiet as well
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        # a reader that left early (``verify ... | head``) is no error
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

@@ -207,14 +207,6 @@ class FlavorIsoUnit:
         return cls(group, tuple(1 / p for p in params) + (math.prod(params),), params=params)
 
     @classmethod
-    def from_diagonal(cls, entries: Sequence[float], delta: float = 1.0) -> "FlavorIsoUnit":
-        entries = tuple(entries)
-        group = {3: "su3", 6: "su6"}.get(len(entries))
-        if group is None:
-            raise ValueError("diagonal isounit must have 3 or 6 entries")
-        return cls(group, entries, delta)
-
-    @classmethod
     def identity(cls, group: str) -> "FlavorIsoUnit":
         return cls(group, (1.0,) * GROUP_DIM[group])
 

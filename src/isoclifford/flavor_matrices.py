@@ -6,8 +6,6 @@ The isounits, the mass data and the parameter solver are scalar and live
 in :mod:`isoclifford.flavor`, which imports only the standard library;
 this module builds their matrices.  ``isoclifford verify`` imports it
 through :mod:`isoclifford.suites`; ``isoclifford flavor`` never does.
-Only :func:`iso_tensor` uses the Clifford-algebra modules, and it imports
-them when called.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dirac import build_dirac_rep
 from .flavor import (
     DIAGONAL_GENERATOR_INDEX,
     GROUP_DIM,
@@ -25,6 +24,7 @@ from .flavor import (
     _check_masses,
     dressed_masses,
 )
+from .multivector import reversion
 
 # -- generalized Gell-Mann matrices ------------------------------------------------
 
@@ -252,9 +252,6 @@ def iso_tensor(zeta_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
     reversion through the spacetime-algebra representation and * is the
     entrywise conjugate.  At ζ = 1 this collapses to ``a ⊗ (b Γ₀)``.
     """
-    from .dirac import build_dirac_rep
-    from .multivector import reversion
-
     d = build_dirac_rep()
     zeta_matrix = np.asarray(zeta_matrix, dtype=complex)
     a = np.asarray(a, dtype=complex)

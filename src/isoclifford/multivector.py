@@ -122,6 +122,8 @@ class Signature:
     q: int
 
     def __post_init__(self):
+        for name in ("p", "q"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), "signature count"))
         if self.p < 0 or self.q < 0:
             raise ValueError("signature counts must be non-negative")
         if self.p + self.q > MAX_DIMENSION:
@@ -164,15 +166,15 @@ class Signature:
         return out
 
 
-def _index_mask(mask) -> int:
-    """A blade mask as ``int``; numpy integers are accepted, ``bool`` and
-    non-integral values (``1.0``) are not."""
-    if isinstance(mask, bool):
-        raise ValueError(f"blade mask {mask!r} is a bool, not an integer")
+def _as_int(value, what: str) -> int:
+    """A signature count or blade mask as ``int``; numpy integers are
+    accepted, ``bool`` and non-integral values (``1.0``) are not."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is a bool, not an integer")
     try:
-        return operator.index(mask)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"blade mask {mask!r} is not an integer") from None
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 def _pruned(terms: Mapping[int, complex]) -> MappingProxyType:
@@ -218,7 +220,7 @@ class Multivector:
         checked: dict[int, complex] = {}
         for mask, coeff in terms.items():
             if type(mask) is not int:
-                mask = _index_mask(mask)
+                mask = _as_int(mask, "blade mask")
             if not 0 <= mask < limit:
                 raise ValueError(f"blade mask {mask} invalid for Cl({signature.p},{signature.q})")
             checked[mask] = complex(coeff)

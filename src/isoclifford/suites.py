@@ -224,12 +224,11 @@ def suite_isotopy(rec: _Recorder) -> None:
     rec.add("isofield.closure",
             (p.value - ctx.zeta * (x.scalar * y.scalar)).max_abs(), 1e-9)
 
-    eta = {(0, 0): 1.0, (1, 1): -1.0, (2, 2): -1.0, (3, 3): -1.0}
     for mu in range(4):
         for nu in range(4):
             lu = lift(ctx, sig.e(mu))
             lv = lift(ctx, sig.e(nu))
-            want = ctx.zeta * eta.get((mu, nu), 0.0)
+            want = ctx.zeta * (sig.metric(mu) if mu == nu else 0)
             got = iso_product(ctx, lu, lv) + iso_product(ctx, lv, lu)
             rec.add("iso_metric.lifted_anticommutation", (got - 2 * want).max_abs(), 1e-10)
             rec.add("iso_metric.lifted_anticommutation",
@@ -401,11 +400,11 @@ def suite_dirac(rec: _Recorder) -> None:
     rng = _rng()
     d = dirac.build_dirac_rep()
     sig = Signature(1, 3)
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
     for mu in range(4):
         for nu in range(4):
             ac = d.gamma[mu] @ d.gamma[nu] + d.gamma[nu] @ d.gamma[mu]
-            rec.add("gamma.anticommutation", np.abs(ac - 2 * eta[mu, nu] * np.eye(4)).max(), 0.0)
+            g = 2 * (sig.metric(mu) if mu == nu else 0)
+            rec.add("gamma.anticommutation", np.abs(ac - g * np.eye(4)).max(), 0.0)
 
     g5 = d.rep(sig.e(0, 1, 2, 3))
     rec.add("gamma5.squares_to_minus_one", np.abs(g5 @ g5 + np.eye(4)).max(), 0.0)
@@ -427,13 +426,9 @@ def suite_dirac(rec: _Recorder) -> None:
     rec.add("blade_images.full_rank", abs(np.linalg.matrix_rank(basis) - 16), 0.0)
 
     e5 = sig.e(0, 1, 2, 3)
-    for mu in range(4):
-        x = sig.e(mu)
-        rhs = (f * x * f) - (f * x * e5 * f) * e5 - e5 * (f * e5 * x * f) \
-            + e5 * (f * e5 * x * e5 * f) * e5
-        rec.add("ideal.decomposition_identity", (x - rhs).max_abs(), 1e-12)
-    for _ in range(10):
-        x = random_multivector(sig, rng, 8)
+    samples = ([sig.e(mu) for mu in range(4)]
+               + [random_multivector(sig, rng, 8) for _ in range(10)])
+    for x in samples:
         rhs = (f * x * f) - (f * x * e5 * f) * e5 - e5 * (f * e5 * x * f) \
             + e5 * (f * e5 * x * e5 * f) * e5
         rec.add("ideal.decomposition_identity", (x - rhs).max_abs(), 1e-12)
@@ -527,7 +522,7 @@ def suite_flavor(rec: _Recorder) -> None:
     for delta in (1.0, 2.5):
         entries = np.exp(rng.standard_normal(2))
         diag = np.concatenate([entries, [1.0 / entries.prod()]])
-        zeta = flavor.FlavorIsoUnit.from_diagonal(diag, delta=delta)
+        zeta = flavor.FlavorIsoUnit("su3", diag, delta)
         lams = gell_mann(3)
         lifted = [iso_lift_operator(zeta, l) for l in lams]
         for a in range(8):

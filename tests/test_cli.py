@@ -516,3 +516,28 @@ def test_verify_into_a_closed_pipe_exits_quietly(fmt):
     assert proc.wait(timeout=300) in (0, 1, 2, 3)
     assert "Traceback" not in err
     assert err == ""
+
+
+_REPORTS = {
+    "verify": ["verify", "--suite", "octonion"],
+    "flavor": ["flavor", "--group", "su3", "--masses", str(REPO / "data" / "quark_masses.json")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORTS))
+@pytest.mark.parametrize("stdout", ["full", "closed"])
+def test_a_report_that_cannot_be_written_exits_2_on_one_line(command, stdout):
+    argv = RUN + _REPORTS[command]
+    if stdout == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=300)
+    else:
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+                              stderr=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the report: "), lines

@@ -103,19 +103,19 @@ def test_isounit_validation():
         FlavorIsoUnit("su3", (1.0,) * 3, delta=0.0)
     # non-finite input (an infinite delta would make every lift all zero)
     for make in (
-        lambda: FlavorIsoUnit.from_diagonal((2.0, 0.5, 1.0), delta=math.inf),
-        lambda: FlavorIsoUnit.from_diagonal((2.0, 0.5, 1.0), delta=math.nan),
-        lambda: FlavorIsoUnit.from_diagonal((2.0, math.nan, 1.0)),
-        lambda: FlavorIsoUnit.from_diagonal((2.0, math.inf, 1.0)),
+        lambda: FlavorIsoUnit("su3", (2.0, 0.5, 1.0), delta=math.inf),
+        lambda: FlavorIsoUnit("su3", (2.0, 0.5, 1.0), delta=math.nan),
+        lambda: FlavorIsoUnit("su3", (2.0, math.nan, 1.0)),
+        lambda: FlavorIsoUnit("su3", (2.0, math.inf, 1.0)),
         lambda: FlavorIsoUnit.from_params("su3", (math.nan, 1.0)),
         lambda: FlavorIsoUnit.from_params("su3", (math.inf, 1.0)),
         # finite parameters whose product overflows the last entry
         lambda: FlavorIsoUnit.from_params("su3", (1e200, 1e200)),
         # an isounit is positive definite: no zero, negative or complex entry
-        lambda: FlavorIsoUnit.from_diagonal((2.0, -1.0, -0.5)),
-        lambda: FlavorIsoUnit.from_diagonal((2.0, 0.0, 1.0)),
-        lambda: FlavorIsoUnit.from_diagonal((2.0, 1j, -0.5j)),
-        lambda: FlavorIsoUnit.from_diagonal(np.array([2.0, 0.5, 1.0], dtype=complex)),
+        lambda: FlavorIsoUnit("su3", (2.0, -1.0, -0.5)),
+        lambda: FlavorIsoUnit("su3", (2.0, 0.0, 1.0)),
+        lambda: FlavorIsoUnit("su3", (2.0, 1j, -0.5j)),
+        lambda: FlavorIsoUnit("su3", np.array([2.0, 0.5, 1.0], dtype=complex)),
         lambda: FlavorIsoUnit.from_params("su3", (1e-200, 1e-200)),
     ):
         with pytest.raises(ValueError):
@@ -127,16 +127,17 @@ _SPAN = st.floats(1e-150, 1e150)
 
 @st.composite
 def _diagonal_and_masses(draw):
-    n = draw(st.sampled_from([3, 6]))
-    return (tuple(draw(st.lists(_SPAN, min_size=n, max_size=n))),
+    group = draw(st.sampled_from(["su3", "su6"]))
+    n = flavor.GROUP_DIM[group]
+    return (group, tuple(draw(st.lists(_SPAN, min_size=n, max_size=n))),
             tuple(draw(st.lists(_SPAN, min_size=n, max_size=n))))
 
 
 @given(_diagonal_and_masses())
 @settings(max_examples=200, deadline=None)
 def test_scalar_isounit_arithmetic_is_numpy_bit_for_bit(case):
-    diag, masses = case
-    zeta = FlavorIsoUnit.from_diagonal(diag)
+    group, diag, masses = case
+    zeta = FlavorIsoUnit(group, diag)
     with np.errstate(over="ignore", invalid="ignore"):  # a determinant past the float range
         det = np.linalg.det(np.diag(np.array(diag, dtype=complex)))
     assert zeta.det_residual() == abs(det - 1.0)
@@ -145,7 +146,7 @@ def test_scalar_isounit_arithmetic_is_numpy_bit_for_bit(case):
 
 
 def test_iso_lift_matches_row_scaling():
-    zeta = FlavorIsoUnit.from_diagonal((2.0, 3.0, 1.0 / 6.0))
+    zeta = FlavorIsoUnit("su3", (2.0, 3.0, 1.0 / 6.0))
     lam1 = gell_mann(3)[0]
     lifted = iso_lift_operator(zeta, lam1)
     want = np.array([[0, 2, 0], [3, 0, 0], [0, 0, 0]], dtype=complex)

@@ -36,7 +36,13 @@ def test_signature_validation():
         Signature(-1, 0)
     with pytest.raises(ValueError):
         Signature(7, 6)
+    # a count is an integer: no float, however integral, and no bool
+    for p, q in ((1.5, 2), (2.0, 2), (True, 3), (1, False)):
+        with pytest.raises(ValueError):
+            Signature(p, q)
     assert Signature(12, 0).blade_count == 4096
+    sig = Signature(np.int64(1), 3)
+    assert sig == Signature(1, 3) and type(sig.p) is int
 
 
 def test_idempotent_difference_vanishes():
