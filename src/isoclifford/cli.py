@@ -46,8 +46,6 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 def _round6(value: Any) -> Any:
     """Recursively round floats to 6 significant digits for stable output."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
     if isinstance(value, float):
         return float(f"{value:.6g}")
     if isinstance(value, dict):
@@ -183,15 +181,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0
+    if sys.stdout is None:  # started with stdout closed: end before the command runs
+        print("error: cannot write the report: stdout is closed", file=sys.stderr)
+        return EXIT_USAGE
     try:
         code, out = (cmd_verify if args.command == "verify" else cmd_flavor)(args)
     except (AlgebraError, ValueError) as exc:
         # a domain failure the command did not map itself: one line, no traceback
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_DOMAIN
-    if sys.stdout is None:  # started with stdout closed
-        print("error: cannot write the report: stdout is closed", file=sys.stderr)
-        return EXIT_USAGE
     try:
         sys.stdout.write(out)
         sys.stdout.flush()

@@ -16,7 +16,8 @@ import functools
 import numpy as np
 
 from .isotopy import IsoContext, iso_product
-from .multivector import AlgebraError, Multivector, Signature, _term_arrays, reversion
+from .multivector import (AlgebraError, Multivector, Signature, SignatureMismatchError,
+                          _term_arrays, reversion)
 
 SIG13 = Signature(1, 3)
 # Acceptance bound of the rotor-group membership test.
@@ -91,7 +92,7 @@ class DiracRep:
     def rep(self, a: Multivector) -> np.ndarray:
         """Algebra homomorphism Cl(1,3;C) -> M(4,C)."""
         if a.signature != SIG13:
-            raise AlgebraError("Dirac representation only covers Cl(1,3)")
+            raise SignatureMismatchError("Dirac representation only covers Cl(1,3)")
         out = np.zeros((4, 4), dtype=complex)
         for mask, coeff in a.terms.items():
             out += coeff * self.blade_images[mask]

@@ -29,6 +29,7 @@ from .multivector import (
     AlgebraError,
     Multivector,
     Signature,
+    SignatureMismatchError,
     _blade_terms_numpy,
     _kept,
     _term_arrays,
@@ -76,7 +77,7 @@ def _lifted_basis(sig: Signature, ctx: IsoContext | None, family: str):
     if ctx is None:
         ctx = IsoContext.identity(sig)
     elif ctx.signature != sig:
-        raise AlgebraError(f"{family} lives in Cl({sig.p},{sig.q})")
+        raise SignatureMismatchError(f"{family} lives in Cl({sig.p},{sig.q})")
     v = [lift(ctx, sig.e(i)) for i in range(sig.dim)]
 
     def w(*indices):

@@ -17,6 +17,7 @@ from .isotopy import IsoContext
 from .multivector import (
     AlgebraError,
     Multivector,
+    NonInvertibleError,
     Signature,
     geometric_product,
     grade_select,
@@ -108,10 +109,9 @@ def oct_norm(a: Multivector) -> float:
 
 def oct_inverse(a: Multivector) -> Multivector:
     """Composition-algebra inverse ``conj(A) / |A|^2``."""
-    _require_paravector(a)
-    n2 = a.norm() ** 2
+    n2 = oct_norm(a) ** 2
     if n2 == 0.0:
-        raise AlgebraError("zero octonion has no inverse")
+        raise NonInvertibleError("zero octonion has no inverse")
     return oct_conjugate(a) * (1.0 / n2)
 
 

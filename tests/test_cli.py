@@ -17,27 +17,15 @@ from isoclifford import cli, dirac, suites
 from isoclifford.cli import main
 from isoclifford.multivector import NonInvertibleError, SignatureMismatchError
 
-RUN = [sys.executable, "-m", "isoclifford"]
+# every child interpreter turns warnings into errors, as CI runs the command line
+PYTHON = [sys.executable, "-X", "dev", "-W", "error"]
+RUN = [*PYTHON, "-m", "isoclifford"]
 REPO = Path(__file__).resolve().parent.parent
+MASSES = str(REPO / "data" / "quark_masses.json")
 
 
 def run_cli(*args, **kw):
     return subprocess.run(RUN + list(args), capture_output=True, text=True, **kw)
-
-
-@pytest.fixture(scope="module")
-def masses_file(tmp_path_factory):
-    bounds = {
-        "u": {"min": 1.5, "max": 3.0},
-        "d": {"min": 3.0, "max": 7.0},
-        "s": {"min": 70.0, "max": 110.0},
-        "c": {"min": 1160.0, "max": 1340.0},
-        "b": {"min": 4130.0, "max": 4270.0},
-        "t": {"min": 170900.0, "max": 177500.0},
-    }
-    path = tmp_path_factory.mktemp("cli") / "masses.json"
-    path.write_text(json.dumps(bounds))
-    return str(path)
 
 
 def test_verify_single_suite_in_process():
@@ -174,7 +162,7 @@ def test_domain_error_in_a_worker_exits_3_on_one_line(monkeypatch, capsys, pool_
 
 def test_importing_the_cli_does_not_import_multiprocessing():
     code = "import sys, isoclifford.cli; print('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([*PYTHON, "-c", code], capture_output=True, text=True)
     assert proc.stdout == "False\n", proc.stderr
 
 
@@ -198,8 +186,7 @@ def test_verify_loads_numpy_with_one_blas_thread_unless_the_user_chose(user_valu
     env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS}
     if user_value is not None:
         env.update(dict.fromkeys(cli._BLAS_THREAD_VARS, user_value))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
+    proc = subprocess.run([*PYTHON, "-c", code], capture_output=True, text=True, env=env)
     want = user_value or "1"
     assert json.loads(proc.stdout) == [0, [[want, want, want]]], proc.stderr
 
@@ -215,7 +202,7 @@ def test_flavor_imports_only_the_flavor_module():
         "                  'numpy' in sys.modules]))\n"
     )
     pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
-    proc = subprocess.run([sys.executable, "-c", code, *pinned["flavor_argv"],
+    proc = subprocess.run([*PYTHON, "-c", code, *pinned["flavor_argv"],
                            "--group", "su6"], capture_output=True, text=True, cwd=REPO)
     assert json.loads(proc.stdout) == [0, ["isoclifford", "isoclifford.cli",
                                            "isoclifford.flavor"], False], proc.stderr
@@ -246,7 +233,7 @@ def test_flavor_reports_match_the_pins_with_numpy_blocked(tmp_path):
     argvs = [[*pinned["flavor_argv"], "--group", group, "--format", fmt] for group, fmt in cases]
     argvs += [["flavor", "--group", "su6", "--masses", str(path), "--intervals"]
               for path in (bad_json, infinite)]
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+    proc = subprocess.run([*PYTHON, "-c", code, json.dumps(argvs)],
                           capture_output=True, text=True, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(proc.stdout)
@@ -291,8 +278,8 @@ def test_verify_tol_override_can_fail():
     assert proc.returncode == 1
 
 
-def test_flavor_su3(masses_file):
-    proc = run_cli("flavor", "--group", "su3", "--masses", masses_file)
+def test_flavor_su3():
+    proc = run_cli("flavor", "--group", "su3", "--masses", MASSES)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["group"] == "su3"
@@ -305,8 +292,8 @@ def test_flavor_su3(masses_file):
     assert report["checks"][0]["pass"]
 
 
-def test_flavor_su6_intervals_roundtrip(masses_file):
-    proc = run_cli("flavor", "--group", "su6", "--masses", masses_file, "--intervals")
+def test_flavor_su6_intervals_roundtrip():
+    proc = run_cli("flavor", "--group", "su6", "--masses", MASSES, "--intervals")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     block = report["paper_comparisons"]["parameter_intervals"]
@@ -329,7 +316,9 @@ def test_flavor_deterministic_output_matches_pin(monkeypatch, capsys, group, fmt
     if (group, fmt) == ("su6", "json"):
         # one case runs the `python -m isoclifford` entry point; the others
         # call main in process, which prints the same bytes
-        first, second = (run_cli(*argv, cwd=REPO).stdout for _ in range(2))
+        runs = [run_cli(*argv, cwd=REPO) for _ in range(2)]
+        assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+        first, second = (proc.stdout for proc in runs)
     else:
         monkeypatch.chdir(REPO)
         outputs = []
@@ -395,44 +384,38 @@ def test_flavor_bad_entry_error_is_one_short_line(tmp_path, capsys, entry):
     assert len(err.encode()) < 1024
 
 
-def test_flavor_missing_flavor_entry(tmp_path):
-    partial = tmp_path / "partial.json"
-    partial.write_text(json.dumps({"u": {"min": 1, "max": 2}}))
-    proc = run_cli("flavor", "--group", "su3", "--masses", str(partial))
-    assert proc.returncode == 2
-
-
-def test_flavor_nonpositive_mass(tmp_path):
-    bad = tmp_path / "neg.json"
-    entries = {fl: {"min": 1.0, "max": 2.0} for fl in ("u", "d", "s", "c", "b", "t")}
-    entries["u"] = {"min": -1.0, "max": 2.0}
-    bad.write_text(json.dumps(entries))
-    proc = run_cli("flavor", "--group", "su3", "--masses", str(bad))
-    assert proc.returncode == 3
-
-
 def _mass_entries(**override):
     entries = {fl: {"min": 1.0, "max": 2.0} for fl in ("u", "d", "s", "c", "b", "t")}
     entries.update(override)
     return entries
 
 
-@pytest.mark.parametrize("entry,code", [
-    ({"min": 1.0, "max": float("inf")}, 3),
-    ({"min": 1.0, "max": 2.0, "central": float("nan")}, 3),
-    ({"min": 1.0, "max": 10 ** 400}, 3),
-    ({"min": True, "max": 2.0}, 2),
-    ({"min": 1.0, "max": 2.0, "central": False}, 2),
-    ({"min": "1.0", "max": 2.0}, 2),
-    ([1.0, 2.0], 2),
-], ids=["infinity", "nan", "huge_integer", "boolean", "boolean_central", "string", "list"])
-def test_flavor_input_errors_map_to_exit_codes_by_type(tmp_path, capsys, entry, code):
+NOT_FINITE = "error: flavor 'c': min, central and max must be finite"
+BAD_ENTRY = "error: flavor 'c': bad entry "
+
+
+@pytest.mark.parametrize("entry,code,message", [
+    ({"min": 1.0, "max": float("inf")}, 3, NOT_FINITE),
+    ({"min": 1.0, "max": 2.0, "central": float("nan")}, 3, NOT_FINITE),
+    ({"min": 1.0, "max": 10 ** 400}, 3, "error: an integer mass exceeds the float range"),
+    ({"min": -1.0, "max": 2.0}, 3, "error: flavor 'c': need 0 < min <= central <= max"),
+    ({"min": True, "max": 2.0}, 2, BAD_ENTRY),
+    ({"min": 1.0, "max": 2.0, "central": False}, 2, BAD_ENTRY),
+    ({"min": "1.0", "max": 2.0}, 2, BAD_ENTRY),
+    ([1.0, 2.0], 2, BAD_ENTRY),
+    (None, 2, "error: missing flavor 'c'"),
+], ids=["infinity", "nan", "huge_integer", "nonpositive", "boolean", "boolean_central",
+        "string", "list", "missing"])
+def test_flavor_input_errors_map_to_exit_codes_by_type(tmp_path, capsys, entry, code, message):
+    entries = _mass_entries(c=entry)
+    if entry is None:  # no entry for c at all
+        del entries["c"]
     path = tmp_path / "masses.json"
-    path.write_text(json.dumps(_mass_entries(c=entry)))
+    path.write_text(json.dumps(entries))
     assert main(["flavor", "--group", "su6", "--masses", str(path), "--intervals"]) == code
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: flavor 'c'") or "float range" in err
+    assert err.startswith(message) and err.count("\n") == 1, err
 
 
 def test_flavor_infinite_bound_exits_3_without_traceback(tmp_path):
@@ -450,7 +433,6 @@ def test_flavor_boolean_mass_exits_2(tmp_path):
     proc = run_cli("flavor", "--group", "su3", "--masses", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-
 
 
 SPREAD = _mass_entries(u={"min": 1e-300, "max": 1e-299}, t={"min": 1e300, "max": 1.5e300})
@@ -490,14 +472,13 @@ def test_flavor_spread_corners_without_intervals_succeed(tmp_path, capsys):
     ("verify", "isoclifford.suites.run_suite"),
     ("flavor", "isoclifford.flavor.equal_mass_params"),
 ])
-def test_escaping_domain_errors_exit_3_on_one_line(monkeypatch, capsys, masses_file,
-                                                  exc, command, target):
+def test_escaping_domain_errors_exit_3_on_one_line(monkeypatch, capsys, exc, command, target):
     def boom(*args, **kwargs):
         raise exc
 
     monkeypatch.setattr(target, boom)
     argv = (["verify", "--suite", "su3"] if command == "verify"
-            else ["flavor", "--group", "su3", "--masses", masses_file])
+            else ["flavor", "--group", "su3", "--masses", MASSES])
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -520,7 +501,7 @@ def test_verify_into_a_closed_pipe_exits_quietly(fmt):
 
 _REPORTS = {
     "verify": ["verify", "--suite", "octonion"],
-    "flavor": ["flavor", "--group", "su3", "--masses", str(REPO / "data" / "quark_masses.json")],
+    "flavor": ["flavor", "--group", "su3", "--masses", MASSES],
 }
 
 
@@ -541,3 +522,12 @@ def test_a_report_that_cannot_be_written_exits_2_on_one_line(command, stdout):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write the report: "), lines
+
+
+def test_a_closed_stdout_exits_2_before_the_command_runs(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(suites, "run_suite", lambda *args: calls.append(args))
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["verify", "--suite", "all"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == "error: cannot write the report: stdout is closed\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isoclifford import isotopy
-from isoclifford.dirac import iso_spin_plus_check, regular_representation
+from isoclifford.dirac import build_dirac_rep, iso_spin_plus_check, regular_representation
 from isoclifford.isotopy import (
     ConvergenceError,
     IsoComplex,
@@ -20,6 +20,7 @@ from isoclifford.isotopy import (
     lift,
     random_invertible_context,
 )
+from isoclifford.lie_su import su3_case1_generators, su3_case2_generators, su_n_generators
 from isoclifford.multivector import (
     AlgebraError,
     NonInvertibleError,
@@ -128,11 +129,12 @@ def test_iso_wedge_identity_unit(rng):
     assert iso_wedge(ctx, v, v).max_abs() < 1e-12
 
 
-# Each ⋄ operation of a Cl(1,3) context fed a Cl(3,0) operand, and each
-# octonion isotope fed a Cl(0,7) bivector: the product kernel's signature
-# check or the paravector check refuses every one.  The Spin⁺ check is fed
-# an even and an odd Cl(3,0) operand: it refuses both before its odd-grade
-# shortcut.
+# Each ⋄ operation of a Cl(1,3) context fed a Cl(3,0) operand, the Dirac
+# representation fed a Cl(3,0) operand, and each generator family built on
+# a context of another algebra: each raises SignatureMismatchError.  The
+# Spin⁺ check is fed an even and an odd Cl(3,0) operand: it refuses both
+# before its odd-grade shortcut.  Each octonion isotope fed a Cl(0,7)
+# bivector: the paravector check refuses it with an AlgebraError.
 _CTX = IsoContext.create(S13.scalar(1.0) + 0.5 * S13.e(0, 1))
 _FOREIGN = S30.scalar(1.0) + S30.e(0, 1)
 _BIVECTOR = SIG07.e(0, 1)
@@ -146,6 +148,10 @@ FOREIGN_OPERANDS = {
     "iso_involution": lambda: iso_involution(_CTX, _FOREIGN),
     "iso_spin_plus_check": lambda: iso_spin_plus_check(_CTX, _FOREIGN),
     "iso_spin_plus_check_odd": lambda: iso_spin_plus_check(_CTX, S30.e(0)),
+    "dirac_rep": lambda: build_dirac_rep().rep(_FOREIGN),
+    "su_n_generators": lambda: su_n_generators(2, _CTX),
+    "su3_case1_generators": lambda: su3_case1_generators(IsoContext.identity(S30)),
+    "su3_case2_generators": lambda: su3_case2_generators(IsoContext.identity(S30)),
     "oct_isotope_right_a": lambda: oct_isotope_right(_ONE, _BIVECTOR, _E1),
     "oct_isotope_right_b": lambda: oct_isotope_right(_ONE, _E1, _BIVECTOR),
     "oct_isotope_left_a": lambda: oct_isotope_left(_ONE, _BIVECTOR, _E1),
@@ -155,7 +161,7 @@ FOREIGN_OPERANDS = {
 
 @pytest.mark.parametrize("operation", FOREIGN_OPERANDS)
 def test_an_operand_of_another_algebra_is_refused(operation):
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError if operation.startswith("oct_") else SignatureMismatchError):
         FOREIGN_OPERANDS[operation]()
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isoclifford.multivector import AlgebraError, Multivector, grade_select
+from isoclifford.multivector import AlgebraError, Multivector, NonInvertibleError, grade_select
 from isoclifford.octonion import (
     CYCLES,
     SIG07,
@@ -73,7 +73,7 @@ def test_conjugate_and_inverse():
     inv = oct_inverse(x)
     assert (oct_product(x, inv) - oct_unit(0)).max_abs() < 1e-9
     assert (oct_inverse(oct_unit(1)) + oct_unit(1)).max_abs() == 0.0
-    with pytest.raises(AlgebraError):
+    with pytest.raises(NonInvertibleError):
         oct_inverse(SIG07.scalar(0.0))
 
 
