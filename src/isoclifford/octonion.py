@@ -84,10 +84,11 @@ def epsilon_table() -> dict[tuple[int, int], int]:
 
 def table_product(a: int, b: int) -> Multivector:
     """``e_a ∘ e_b`` read off the cycle table (independent of the projection)."""
+    ea, eb = oct_unit(a), oct_unit(b)  # checks both indices
     if a == 0:
-        return oct_unit(b)
+        return eb
     if b == 0:
-        return oct_unit(a)
+        return ea
     if a == b:
         return SIG07.scalar(-1.0)
     signed = epsilon_table()[(a, b)]

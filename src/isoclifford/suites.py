@@ -72,10 +72,12 @@ class _Recorder:
     """Checks and comparisons of one suite's run, each named
     ``<suite>.<name>``.
 
-    A suite calls :meth:`add` once per sample; the recorder is the one
-    place where samples fold into a check, whose residual is the largest
-    ``|r|`` recorded under its name.  ``checks`` maps each check name to
-    ``(residual, tolerance)``.
+    A suite calls :meth:`add` once per sample with the two sides of its
+    identity; the recorder is the one place where a residual is measured
+    and where samples fold into a check, whose residual is the largest
+    ``|got - want|`` recorded under its name.  A check that scales or signs
+    its own residual passes that value with ``want = 0``.  ``checks`` maps
+    each check name to ``(residual, tolerance)``.
     """
 
     def __init__(self, suite: str):
@@ -83,11 +85,22 @@ class _Recorder:
         self.comparisons: dict = {}
         self.suite = suite
 
-    def add(self, name: str, residual: float, tolerance: float) -> None:
-        """Record one sample; a residual that is not finite raises
-        ``ValueError`` naming the check, so no NaN can hide in the fold."""
+    def add(self, name: str, got, want, tolerance: float) -> None:
+        """Record one sample, ``|got - want|``: the largest coefficient of a
+        :class:`Multivector`, the largest entry of an array or the modulus
+        of a number.  A residual that is not finite raises ``ValueError``
+        naming the check, so no NaN can hide in the fold."""
         name = f"{self.suite}.{name}"
-        residual = float(abs(residual))
+        try:
+            diff = got - want
+        except ValueError as err:  # a Multivector refuses non-finite coefficients
+            raise ValueError(f"check {name}: {err}") from None
+        if isinstance(diff, Multivector):
+            residual = float(diff.max_abs())
+        elif isinstance(diff, np.ndarray):
+            residual = float(np.abs(diff).max())
+        else:
+            residual = float(abs(diff))
         if not math.isfinite(residual):
             raise ValueError(f"check {name} has a non-finite residual ({residual})")
         worst = self.checks.get(name, (0.0, tolerance))[0]
@@ -95,7 +108,7 @@ class _Recorder:
 
     def add_flag(self, name: str, ok: bool) -> None:
         # boolean checks encoded as residual 0/1
-        self.add(name, 0.0 if ok else 1.0, 0.5)
+        self.add(name, 0.0 if ok else 1.0, 0.0, 0.5)
 
     def compare(self, name: str, block: dict) -> None:
         """Record one comparison block; a float in it that is not finite
@@ -137,32 +150,31 @@ def suite_clifford(rec: _Recorder) -> None:
             a = random_multivector(sig, rng, 8)
             b = random_multivector(sig, rng, 8)
             c = random_multivector(sig, rng, 8)
-            rec.add(f"{tag}.associativity", ((a * b) * c - a * (b * c)).max_abs(), 1e-10)
+            rec.add(f"{tag}.associativity", (a * b) * c, a * (b * c), 1e-10)
 
         for i in range(sig.dim):
             for j in range(sig.dim):
                 ei, ej = sig.e(i), sig.e(j)
                 g = 2.0 * (sig.metric(i) if i == j else 0.0)
-                rec.add(f"{tag}.clifford_relation", (ei * ej + ej * ei - g).max_abs(), 0.0)
+                rec.add(f"{tag}.clifford_relation", ei * ej + ej * ei, g, 0.0)
 
         for _ in range(50):
             v = random_vector(sig, rng)
             psi = random_multivector(sig, rng, 8)
             rec.add(f"{tag}.fundamental_identity",
-                    (v * psi - (wedge(v, psi) + left_contraction(v, psi))).max_abs(), 1e-12)
-            rec.add(f"{tag}.contraction_duality",
-                    (left_contraction(v, psi)
-                     + right_contraction(grade_involution(psi), v)).max_abs(), 1e-12)
+                    v * psi, wedge(v, psi) + left_contraction(v, psi), 1e-12)
+            rec.add(f"{tag}.contraction_duality", left_contraction(v, psi),
+                    -right_contraction(grade_involution(psi), v), 1e-12)
 
         for _ in range(50):
             a = random_multivector(sig, rng, 8)
             b = random_multivector(sig, rng, 8)
             rec.add(f"{tag}.reversion_antiautomorphism",
-                    (reversion(a * b) - reversion(b) * reversion(a)).max_abs(), 1e-10)
+                    reversion(a * b), reversion(b) * reversion(a), 1e-10)
 
         for _ in range(20):
             a = sig.scalar(2.0 + rng.random()) + random_multivector(sig, rng, 6, scale=0.4)
-            rec.add(f"{tag}.inverse_roundtrip", (a * inverse(a) - 1).max_abs(), 1e-9)
+            rec.add(f"{tag}.inverse_roundtrip", a * inverse(a), 1, 1e-9)
 
 
 # -- isotopy -------------------------------------------------------------------------
@@ -178,22 +190,20 @@ def suite_isotopy(rec: _Recorder) -> None:
             a = random_multivector(sig, rng, 6)
             b = random_multivector(sig, rng, 6)
             c = random_multivector(sig, rng, 6)
-            lhs = iso_product(ctx, iso_product(ctx, a, b), c)
-            rhs = iso_product(ctx, a, iso_product(ctx, b, c))
-            rec.add("diamond.associativity", (lhs - rhs).max_abs(), 1e-9)
-            rec.add("diamond.unit_law", (iso_product(ctx, a, ctx.zeta) - a).max_abs(), 1e-10)
-            rec.add("diamond.unit_law", (iso_product(ctx, ctx.zeta, a) - a).max_abs(), 1e-10)
-            rec.add("lift.homomorphism", (iso_product(ctx, lift(ctx, a), lift(ctx, b))
-                                          - lift(ctx, a * b)).max_abs(), 1e-9)
+            rec.add("diamond.associativity", iso_product(ctx, iso_product(ctx, a, b), c),
+                    iso_product(ctx, a, iso_product(ctx, b, c)), 1e-9)
+            rec.add("diamond.unit_law", iso_product(ctx, a, ctx.zeta), a, 1e-10)
+            rec.add("diamond.unit_law", iso_product(ctx, ctx.zeta, a), a, 1e-10)
+            rec.add("lift.homomorphism", iso_product(ctx, lift(ctx, a), lift(ctx, b)),
+                    lift(ctx, a * b), 1e-9)
 
     for s in TEST_SIGNATURES:
         ctx = random_invertible_context(s, rng)
         for _ in range(30):
             a = random_multivector(s, rng, 6)
             b = random_multivector(s, rng, 6)
-            lhs = iso_commutator(ctx, lift(ctx, a), lift(ctx, b))
-            rhs = lift(ctx, a * b - b * a)
-            rec.add("isocommutator.lift_identity", (lhs - rhs).max_abs(), 1e-9)
+            rec.add("isocommutator.lift_identity", iso_commutator(ctx, lift(ctx, a), lift(ctx, b)),
+                    lift(ctx, a * b - b * a), 1e-9)
 
     ctx = random_invertible_context(sig, rng)
     for _ in range(30):
@@ -201,44 +211,42 @@ def suite_isotopy(rec: _Recorder) -> None:
         jac = (iso_commutator(ctx, a, iso_commutator(ctx, b, c))
                + iso_commutator(ctx, b, iso_commutator(ctx, c, a))
                + iso_commutator(ctx, c, iso_commutator(ctx, a, b)))
-        rec.add("isocommutator.jacobi", jac.max_abs(), 1e-9)
+        rec.add("isocommutator.jacobi", jac, 0, 1e-9)
 
     a = random_multivector(sig, rng, 6)
     b = random_multivector(sig, rng, 6)
     rec.add("genocommutator.iso_degeneration",
-            (geno_commutator(ctx, ctx, a, b) - iso_commutator(ctx, a, b)).max_abs(), 1e-12)
+            geno_commutator(ctx, ctx, a, b), iso_commutator(ctx, a, b), 1e-12)
 
     for _ in range(10):
         ctx2 = random_invertible_context(sig, rng)
         for _ in range(5):
             a = random_multivector(sig, rng, 5, scale=0.3)
             rec.add("iso_exp.closed_form_vs_series",
-                    (iso_exp(ctx2, a) - iso_exp_series(ctx2, a)).max_abs(), 1e-9)
+                    iso_exp(ctx2, a), iso_exp_series(ctx2, a), 1e-9)
 
     x = IsoComplex.from_scalar(ctx, 2.0 - 1.0j)
     y = IsoComplex.from_scalar(ctx, 0.5 + 3.0j)
     s = iso_add(x, y)
     p = iso_mul(x, y)
-    rec.add("isofield.sum", abs(s.scalar - (x.scalar + y.scalar)), 1e-10)
-    rec.add("isofield.product", abs(p.scalar - x.scalar * y.scalar), 1e-10)
-    rec.add("isofield.closure",
-            (p.value - ctx.zeta * (x.scalar * y.scalar)).max_abs(), 1e-9)
+    rec.add("isofield.sum", s.scalar, x.scalar + y.scalar, 1e-10)
+    rec.add("isofield.product", p.scalar, x.scalar * y.scalar, 1e-10)
+    rec.add("isofield.closure", p.value, ctx.zeta * (x.scalar * y.scalar), 1e-9)
 
     for mu in range(4):
         for nu in range(4):
             lu = lift(ctx, sig.e(mu))
             lv = lift(ctx, sig.e(nu))
-            want = ctx.zeta * (sig.metric(mu) if mu == nu else 0)
-            got = iso_product(ctx, lu, lv) + iso_product(ctx, lv, lu)
-            rec.add("iso_metric.lifted_anticommutation", (got - 2 * want).max_abs(), 1e-10)
+            g = ctx.zeta * (sig.metric(mu) if mu == nu else 0)
             rec.add("iso_metric.lifted_anticommutation",
-                    (iso_metric(ctx, lu, lv) - want).max_abs(), 1e-10)
+                    iso_product(ctx, lu, lv) + iso_product(ctx, lv, lu), 2 * g, 1e-10)
+            rec.add("iso_metric.lifted_anticommutation", iso_metric(ctx, lu, lv), g, 1e-10)
 
     for _ in range(20):
         u = random_vector(sig, rng)
         v = random_vector(sig, rng)
-        rec.add("iso_wedge.lifted_pair_identity", (iso_wedge(ctx, lift(ctx, u), lift(ctx, v))
-                                                   - lift(ctx, wedge(u, v))).max_abs(), 1e-9)
+        rec.add("iso_wedge.lifted_pair_identity", iso_wedge(ctx, lift(ctx, u), lift(ctx, v)),
+                lift(ctx, wedge(u, v)), 1e-9)
 
 
 # -- octonion ------------------------------------------------------------------------
@@ -248,15 +256,15 @@ def suite_octonion(rec: _Recorder) -> None:
     rng = _rng()
     for a in range(1, 8):
         for b in range(1, 8):
-            got = octonion.oct_product(octonion.oct_unit(a), octonion.oct_unit(b))
-            want = octonion.table_product(a, b)
-            rec.add(f"table.e{a}_e{b}", (got - want).max_abs(), 1e-12)
+            rec.add(f"table.e{a}_e{b}",
+                    octonion.oct_product(octonion.oct_unit(a), octonion.oct_unit(b)),
+                    octonion.table_product(a, b), 1e-12)
 
     one = octonion.oct_unit(0)
     for a in range(8):
         u = octonion.oct_unit(a)
-        rec.add("unit_element", (octonion.oct_product(one, u) - u).max_abs(), 1e-12)
-        rec.add("unit_element", (octonion.oct_product(u, one) - u).max_abs(), 1e-12)
+        rec.add("unit_element", octonion.oct_product(one, u), u, 1e-12)
+        rec.add("unit_element", octonion.oct_product(u, one), u, 1e-12)
 
     def rand_par():
         comps = rng.standard_normal(8)
@@ -266,16 +274,16 @@ def suite_octonion(rec: _Recorder) -> None:
 
     for _ in range(200):
         x, y = rand_par(), rand_par()
-        rec.add("norm_composition", octonion.oct_norm(octonion.oct_product(x, y))
-                - octonion.oct_norm(x) * octonion.oct_norm(y), 1e-9)
+        rec.add("norm_composition", octonion.oct_norm(octonion.oct_product(x, y)),
+                octonion.oct_norm(x) * octonion.oct_norm(y), 1e-9)
 
     for _ in range(100):
         x, y = rand_par(), rand_par()
         xx = octonion.oct_product(x, x)
-        rec.add("alternativity", (octonion.oct_product(x, octonion.oct_product(x, y))
-                                  - octonion.oct_product(xx, y)).max_abs(), 1e-9)
-        rec.add("alternativity", (octonion.oct_product(octonion.oct_product(y, x), x)
-                                  - octonion.oct_product(y, xx)).max_abs(), 1e-9)
+        rec.add("alternativity", octonion.oct_product(x, octonion.oct_product(x, y)),
+                octonion.oct_product(xx, y), 1e-9)
+        rec.add("alternativity", octonion.oct_product(octonion.oct_product(y, x), x),
+                octonion.oct_product(y, xx), 1e-9)
 
     witness = False
     for a in range(1, 8):
@@ -292,9 +300,9 @@ def suite_octonion(rec: _Recorder) -> None:
     z = octonion.oct_unit(1)
     e2, e5 = octonion.oct_unit(2), octonion.oct_unit(5)
     rec.add("isotope_right.e2_e5",
-            (octonion.oct_isotope_right(z, e2, e5) + octonion.oct_unit(7)).max_abs(), 1e-12)
+            octonion.oct_isotope_right(z, e2, e5), -octonion.oct_unit(7), 1e-12)
     rec.add("isotope_left.e2_e5",
-            (octonion.oct_isotope_left(z, e2, e5) - octonion.oct_unit(7)).max_abs(), 1e-12)
+            octonion.oct_isotope_left(z, e2, e5), octonion.oct_unit(7), 1e-12)
 
 
 # -- lie algebra suites -----------------------------------------------------------------
@@ -310,8 +318,7 @@ def _case1_factor(gs):
         num += comm.coeff(m) * np.conj(c)
         den += abs(c) ** 2
     factor = num / den
-    resid = (comm - lam3 * factor).max_abs()
-    return complex(factor), float(resid)
+    return complex(factor), comm, lam3 * factor
 
 
 def suite_su3(rec: _Recorder) -> None:
@@ -319,15 +326,15 @@ def suite_su3(rec: _Recorder) -> None:
     for builder, label in ((lie_su.su3_case2_generators, "case2"),
                            (lie_su.su3_case1_generators, "case1")):
         gs = builder()
-        rec.add(f"{label}.dimension", abs(lie_su.span_rank(gs) - 8), 0.0)
+        rec.add(f"{label}.dimension", lie_su.span_rank(gs), 8, 0.0)
         sc = lie_su.structure_constants(gs)
-        rec.add(f"{label}.closure", sc.max_residual, 1e-8)
-        rec.add(f"{label}.unit_component", abs(sc.unit_component).max(), 1e-9)
+        rec.add(f"{label}.closure", sc.max_residual, 0, 1e-8)
+        rec.add(f"{label}.unit_component", sc.unit_component, 0, 1e-9)
 
     # the loop ends on the rigid case-1 family and its structure constants
-    factor, resid = _case1_factor(gs)
-    rec.add("case1.example_commutator_on_lam3", resid, 1e-9)
-    rec.add("case1.example_factor_is_2i", abs(factor - 2j), 1e-9)
+    factor, comm, fitted = _case1_factor(gs)
+    rec.add("case1.example_commutator_on_lam3", comm, fitted, 1e-9)
+    rec.add("case1.example_factor_is_2i", factor, 2j, 1e-9)
     rec.compare("example_commutator_factor", {
         "computed": [factor.real, factor.imag],
         "reference": [0.0, 1.0],
@@ -338,35 +345,34 @@ def suite_su3(rec: _Recorder) -> None:
 
     sub = lie_su.GeneratorSet("su2xu1", gs.context, gs.generators[:3])
     sc_sub = lie_su.structure_constants(sub)
-    rec.add("case1.su2_subalgebra_closure", sc_sub.max_residual, 1e-9)
+    rec.add("case1.su2_subalgebra_closure", sc_sub.max_residual, 0, 1e-9)
     lam8 = gs.generators[7]
     for k in range(3):
         g = gs.generators[k]
-        rec.add("case1.lam8_commutes_with_su2", (lam8 * g - g * lam8).max_abs(), 1e-9)
+        rec.add("case1.lam8_commutes_with_su2", lam8 * g, g * lam8, 1e-9)
 
     f = structure_constants_f(3)
-    rec.add("case1.constants_match_2i_f", np.abs(sc.c - 2j * f).max(), 1e-6)
+    rec.add("case1.constants_match_2i_f", sc.c, 2j * f, 1e-6)
 
     ctx = random_invertible_context(Signature(1, 3), rng)
     gsi = lie_su.su3_case1_generators(ctx)
     for g, gi in zip(gs.generators, gsi.generators):
-        rec.add("case1.iso_equals_rigid_times_zeta",
-                (geometric_product(g, ctx.zeta) - gi).max_abs(), 1e-9)
+        rec.add("case1.iso_equals_rigid_times_zeta", geometric_product(g, ctx.zeta), gi, 1e-9)
     sci = lie_su.structure_constants(gsi)
-    rec.add("case1.iso_constants_match_rigid", np.abs(sci.c - sc.c).max(), 1e-9)
-    factor_i, resid_i = _case1_factor(gsi)
-    rec.add("case1.iso_example_commutator", resid_i, 1e-9)
-    rec.add("case1.iso_example_commutator", factor_i - 2j, 1e-9)
+    rec.add("case1.iso_constants_match_rigid", sci.c, sc.c, 1e-9)
+    factor_i, comm_i, fitted_i = _case1_factor(gsi)
+    rec.add("case1.iso_example_commutator", comm_i, fitted_i, 1e-9)
+    rec.add("case1.iso_example_commutator", factor_i, 2j, 1e-9)
 
 
 def suite_su6(rec: _Recorder) -> None:
     rng = _rng()
     for n in (2, 3, 6):
         gs = lie_su.su_n_generators(n)
-        rec.add(f"sun{n}.count", abs(len(gs) - (n * n - 1)), 0.0)
-        rec.add(f"sun{n}.rank", abs(lie_su.span_rank(gs) - (n * n - 1)), 0.0)
+        rec.add(f"sun{n}.count", len(gs), n * n - 1, 0.0)
+        rec.add(f"sun{n}.rank", lie_su.span_rank(gs), n * n - 1, 0.0)
         sc = lie_su.structure_constants(gs)
-        rec.add(f"sun{n}.closure", sc.max_residual, 1e-8)
+        rec.add(f"sun{n}.closure", sc.max_residual, 0, 1e-8)
 
         # scalar + single bivector: invertible through the versor fast path,
         # which keeps Cl(12,0) clear of the 4096x4096 regular-rep solve
@@ -375,22 +381,21 @@ def suite_su6(rec: _Recorder) -> None:
         ctx = IsoContext.create(zeta)
         gsi = lie_su.su_n_generators(n, ctx)
         sci = lie_su.structure_constants(gsi)
-        rec.add(f"sun{n}.iso_closure", sci.max_residual, 1e-8)
-        rec.add(f"sun{n}.iso_constants_match_rigid", np.abs(sci.c - sc.c).max(), 1e-9)
+        rec.add(f"sun{n}.iso_closure", sci.max_residual, 0, 1e-8)
+        rec.add(f"sun{n}.iso_constants_match_rigid", sci.c, sc.c, 1e-9)
         for g, gi in zip(gs.generators, gsi.generators):
-            rec.add(f"sun{n}.iso_equals_rigid_times_zeta",
-                    (geometric_product(g, zeta) - gi).max_abs(), 1e-9)
+            rec.add(f"sun{n}.iso_equals_rigid_times_zeta", geometric_product(g, zeta), gi, 1e-9)
 
         rigid, lifted = gs.generators, gsi.generators
         for a in range(len(gs)):
             for b in range(a + 1, len(gs)):
-                lhs = iso_commutator(ctx, lifted[a], lifted[b])
-                rhs = geometric_product(iso_commutator(gs.context, rigid[a], rigid[b]), zeta)
-                rec.add(f"sun{n}.iso_transport", (lhs - rhs).max_abs(), 1e-9)
+                rec.add(f"sun{n}.iso_transport", iso_commutator(ctx, lifted[a], lifted[b]),
+                        geometric_product(iso_commutator(gs.context, rigid[a], rigid[b]), zeta),
+                        1e-9)
 
     # the loop ends on rigid su(6), the 35-generator E, F, H family
-    rec.add("appendix.count", abs(len(gs) - 35), 0.0)
-    rec.add("appendix.antisymmetry", np.abs(sc.c + sc.c.transpose(1, 0, 2)).max(), 1e-10)
+    rec.add("appendix.count", len(gs), 35, 0.0)
+    rec.add("appendix.antisymmetry", sc.c, -sc.c.transpose(1, 0, 2), 1e-10)
 
 
 # -- dirac ----------------------------------------------------------------------------
@@ -404,26 +409,26 @@ def suite_dirac(rec: _Recorder) -> None:
         for nu in range(4):
             ac = d.gamma[mu] @ d.gamma[nu] + d.gamma[nu] @ d.gamma[mu]
             g = 2 * (sig.metric(mu) if mu == nu else 0)
-            rec.add("gamma.anticommutation", np.abs(ac - g * np.eye(4)).max(), 0.0)
+            rec.add("gamma.anticommutation", ac, g * np.eye(4), 0.0)
 
     g5 = d.rep(sig.e(0, 1, 2, 3))
-    rec.add("gamma5.squares_to_minus_one", np.abs(g5 @ g5 + np.eye(4)).max(), 0.0)
+    rec.add("gamma5.squares_to_minus_one", g5 @ g5, -np.eye(4), 0.0)
     for mu in range(4):
-        rec.add("gamma5.anticommutes", np.abs(d.gamma[mu] @ g5 + g5 @ d.gamma[mu]).max(), 0.0)
+        rec.add("gamma5.anticommutes", d.gamma[mu] @ g5, -(g5 @ d.gamma[mu]), 0.0)
 
     for _ in range(200):
         a = random_multivector(sig, rng, 8)
         b = random_multivector(sig, rng, 8)
-        rec.add("rep.homomorphism", np.abs(d.rep(a * b) - d.rep(a) @ d.rep(b)).max(), 1e-9)
-        rec.add("rep.roundtrip", (d.rep_inverse(d.rep(a)) - a).max_abs(), 1e-9)
+        rec.add("rep.homomorphism", d.rep(a * b), d.rep(a) @ d.rep(b), 1e-9)
+        rec.add("rep.roundtrip", d.rep_inverse(d.rep(a)), a, 1e-9)
 
     f = 0.5 * (sig.scalar(1.0) + sig.e(0))
     rf = d.rep(f)
-    rec.add("idempotent.squares", np.abs(rf @ rf - rf).max(), 0.0)
-    rec.add("idempotent.rank_two", abs(np.linalg.matrix_rank(rf) - 2), 0.0)
+    rec.add("idempotent.squares", rf @ rf, rf, 0.0)
+    rec.add("idempotent.rank_two", np.linalg.matrix_rank(rf), 2, 0.0)
 
     basis = np.column_stack([d.blade_images[m].reshape(-1) for m in range(16)])
-    rec.add("blade_images.full_rank", abs(np.linalg.matrix_rank(basis) - 16), 0.0)
+    rec.add("blade_images.full_rank", np.linalg.matrix_rank(basis), 16, 0.0)
 
     e5 = sig.e(0, 1, 2, 3)
     samples = ([sig.e(mu) for mu in range(4)]
@@ -431,16 +436,14 @@ def suite_dirac(rec: _Recorder) -> None:
     for x in samples:
         rhs = (f * x * f) - (f * x * e5 * f) * e5 - e5 * (f * e5 * x * f) \
             + e5 * (f * e5 * x * e5 * f) * e5
-        rec.add("ideal.decomposition_identity", (x - rhs).max_abs(), 1e-12)
+        rec.add("ideal.decomposition_identity", x, rhs, 1e-12)
 
     sig11 = Signature(1, 1)
     for _ in range(30):
         a = random_multivector(sig11, rng, 3)
         b = random_multivector(sig11, rng, 3)
-        rec.add("regular_rep.homomorphism",
-                np.abs(dirac.regular_representation(a * b)
-                       - dirac.regular_representation(a)
-                       @ dirac.regular_representation(b)).max(), 1e-10)
+        rec.add("regular_rep.homomorphism", dirac.regular_representation(a * b),
+                dirac.regular_representation(a) @ dirac.regular_representation(b), 1e-10)
 
     rotor = clifford_exp(0.37 * sig.e(1, 2))
     rigid = IsoContext.identity(sig)
@@ -512,11 +515,10 @@ def suite_flavor(rec: _Recorder) -> None:
     for n in (3, 6):
         lams = gell_mann(n)
         gram = np.array([[np.trace(a @ b) for b in lams] for a in lams])
-        rec.add(f"gellmann{n}.trace_orthonormal",
-                np.abs(gram - 2 * np.eye(len(lams))).max(), 1e-12)
+        rec.add(f"gellmann{n}.trace_orthonormal", gram, 2 * np.eye(len(lams)), 1e-12)
         for l in lams:
-            rec.add(f"gellmann{n}.hermitian", np.abs(l - l.conj().T).max(), 1e-12)
-            rec.add(f"gellmann{n}.traceless", np.trace(l), 1e-12)
+            rec.add(f"gellmann{n}.hermitian", l, l.conj().T, 1e-12)
+            rec.add(f"gellmann{n}.traceless", np.trace(l), 0, 1e-12)
 
     f3 = structure_constants_f(3)
     for delta in (1.0, 2.5):
@@ -527,18 +529,19 @@ def suite_flavor(rec: _Recorder) -> None:
         lifted = [iso_lift_operator(zeta, l) for l in lams]
         for a in range(8):
             for b in range(8):
-                lhs = iso_matrix_commutator(zeta, lifted[a], lifted[b])
-                rhs = sum(2j * f3[a, b, c] * delta ** -0.5 * lifted[c] for c in range(8))
-                rec.add("iso_gellmann.commutator_relation", np.abs(lhs - rhs).max(), 1e-10)
+                rec.add("iso_gellmann.commutator_relation",
+                        iso_matrix_commutator(zeta, lifted[a], lifted[b]),
+                        sum(2j * f3[a, b, c] * delta ** -0.5 * lifted[c] for c in range(8)),
+                        1e-10)
 
     bounds = flavor.QuarkMassBounds.reference()
     m3 = bounds.centrals("su3")
     zeta3 = flavor.equal_mass_params(m3, "su3")
-    rec.add("su3.det_zeta", zeta3.det_residual(), 1e-12)
+    rec.add("su3.det_zeta", zeta3.det_residual(), 0, 1e-12)
     gm3 = flavor.common_iso_mass(m3, "su3")
     rec.add("su3.equal_mass_fixed_point",
-            np.abs(iso_mass_operator(zeta3, m3) - gm3 * np.eye(3)).max() / gm3, 1e-12)
-    rec.add("su3.alpha_value", abs(zeta3.params[0] - 0.22407), 1e-4)
+            np.abs(iso_mass_operator(zeta3, m3) - gm3 * np.eye(3)).max() / gm3, 0, 1e-12)
+    rec.add("su3.alpha_value", zeta3.params[0], 0.22407, 1e-4)
 
     states = iso_states(zeta3)
     mz = iso_mass_operator(zeta3, m3)
@@ -548,46 +551,42 @@ def suite_flavor(rec: _Recorder) -> None:
     zinv = isounit_inverse(zeta3)
     for s, m, yv, i3v, qv in zip(states, m3, (1 / 6, 1 / 6, -1 / 3), (0.5, -0.5, 0.0),
                                  (2 / 3, -1 / 3, -1 / 3)):
-        rec.add("su3.state_normalization", s.norm_residual(), 1e-12)
-        rec.add("su3.mass_expectations", iso_expectation(s, mz) - m, 1e-12)
-        rec.add("su3.hypercharge_expectations", iso_expectation(s, y) - yv, 1e-12)
-        rec.add("su3.isospin_expectations", iso_expectation(s, i3) - i3v, 1e-12)
-        rec.add("su3.charge_expectations", iso_expectation(s, q) - qv, 1e-12)
-        rec.add("su3.eigenvalue_isoequation",
-                np.abs(zinv @ mz @ s.vector - m * s.vector).max(), 1e-12)
+        rec.add("su3.state_normalization", s.norm_residual(), 0, 1e-12)
+        rec.add("su3.mass_expectations", iso_expectation(s, mz), m, 1e-12)
+        rec.add("su3.hypercharge_expectations", iso_expectation(s, y), yv, 1e-12)
+        rec.add("su3.isospin_expectations", iso_expectation(s, i3), i3v, 1e-12)
+        rec.add("su3.charge_expectations", iso_expectation(s, q), qv, 1e-12)
+        rec.add("su3.eigenvalue_isoequation", zinv @ mz @ s.vector, m * s.vector, 1e-12)
 
     ident = flavor.FlavorIsoUnit.identity("su3")
-    rec.add("su3.limit_recovery",
-            np.abs(iso_mass_operator(ident, m3) - mass_operator(m3, "su3")).max(),
-            1e-12)
+    rec.add("su3.limit_recovery", iso_mass_operator(ident, m3), mass_operator(m3, "su3"), 1e-12)
 
     co = decompose_mass(m3, "su3")
-    rec.add("su3.decomposition_matches_closed_form",
-            np.abs(co - su3_closed_form_coefficients(m3)).max(), 1e-9)
+    rec.add("su3.decomposition_matches_closed_form", co, su3_closed_form_coefficients(m3), 1e-9)
     rec.add("su3.decomposition_reconstructs",
-            np.abs(sum(c * b for c, b in zip(co, decomposition_basis("su3")))
-                   - mass_operator(m3, "su3")).max(), 1e-9)
+            sum(c * b for c, b in zip(co, decomposition_basis("su3"))),
+            mass_operator(m3, "su3"), 1e-9)
 
     m6 = bounds.centrals("su6")
     zeta6 = flavor.equal_mass_params(m6, "su6")
-    rec.add("su6.det_zeta", zeta6.det_residual(), 1e-12)
+    rec.add("su6.det_zeta", zeta6.det_residual(), 0, 1e-12)
     gm6 = flavor.common_iso_mass(m6, "su6")
     rec.add("su6.six_fold_equal_mass",
-            np.abs(np.diag(iso_mass_operator(zeta6, m6)) - gm6).max() / gm6, 1e-12)
+            np.abs(np.diag(iso_mass_operator(zeta6, m6)) - gm6).max() / gm6, 0, 1e-12)
     co6 = decompose_mass(m6, "su6")
     rec.add("su6.decomposition_reconstructs",
-            np.abs(sum(c * b for c, b in zip(co6, decomposition_basis("su6")))
-                   - mass_operator(m6, "su6")).max(), 1e-9)
+            sum(c * b for c, b in zip(co6, decomposition_basis("su6"))),
+            mass_operator(m6, "su6"), 1e-9)
     rec.add("su6.decomposition_matches_trace_oracle",
-            np.abs(co6 - su6_trace_form_coefficients(m6)).max() / max(m6), 1e-12)
+            np.abs(co6 - su6_trace_form_coefficients(m6)).max() / max(m6), 0, 1e-12)
     a, b, w, k, t = zeta6.params
     chain = np.array([m6[0] / a, m6[1] / b, m6[2] / w, m6[3] / k, m6[4] / t,
                       a * b * w * k * t * m6[5]])
-    rec.add("su6.equal_mass_chain", (chain.max() - chain.min()) / gm6, 1e-9)
+    rec.add("su6.equal_mass_chain", (chain.max() - chain.min()) / gm6, 0, 1e-9)
 
     iv3 = flavor.param_intervals(bounds, "su3")
-    rec.add("su3.alpha_interval_low", abs(iv3["alpha"]["rigorous"][0] - 0.1430), 1e-3)
-    rec.add("su3.alpha_interval_high", abs(iv3["alpha"]["rigorous"][1] - 0.3499), 1e-3)
+    rec.add("su3.alpha_interval_low", iv3["alpha"]["rigorous"][0], 0.1430, 1e-3)
+    rec.add("su3.alpha_interval_high", iv3["alpha"]["rigorous"][1], 0.3499, 1e-3)
 
     iv6 = flavor.param_intervals(bounds, "su6")
     for _ in range(1000):
@@ -599,7 +598,7 @@ def suite_flavor(rec: _Recorder) -> None:
                 val = flavor.param_value(group, which, masses)
                 lo, hi = iv[name]["rigorous"]
                 # a signed margin: a NaN leads, so max cannot drop it
-                rec.add("intervals.sampled_containment", max(lo - val, val - hi, 0.0), 0.0)
+                rec.add("intervals.sampled_containment", max(lo - val, val - hi, 0.0), 0, 0.0)
 
     ok = True
     base = np.array(bounds.centrals("su6"))
@@ -615,13 +614,12 @@ def suite_flavor(rec: _Recorder) -> None:
     g0 = d.gamma[0]
     t0 = iso_tensor(np.eye(4, dtype=complex), np.eye(4, dtype=complex),
                     np.eye(4, dtype=complex))
-    rec.add("iso_tensor.identity_reduction", np.abs(t0 - np.kron(np.eye(4), g0)).max(), 1e-12)
+    rec.add("iso_tensor.identity_reduction", t0, np.kron(np.eye(4), g0), 1e-12)
     a_mat = d.rep(random_multivector(sig, rng, 6))
     b_mat = d.rep(random_multivector(sig, rng, 6))
     z_mat = d.rep(sig.scalar(1.0) + 0.4 * sig.e(0, 1))
-    rec.add("iso_tensor.bilinearity",
-            np.abs(iso_tensor(z_mat, 2 * a_mat, b_mat)
-                   - 2 * iso_tensor(z_mat, a_mat, b_mat)).max(), 1e-12)
+    rec.add("iso_tensor.bilinearity", iso_tensor(z_mat, 2 * a_mat, b_mat),
+            2 * iso_tensor(z_mat, a_mat, b_mat), 1e-12)
 
     rec.compare("parameter_intervals", {
         "su3": iv3,

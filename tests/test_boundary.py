@@ -16,13 +16,8 @@ import numpy as np
 import pytest
 
 from bit_identity import bits
-from isoclifford.isotopy import IsoContext, iso_commutator, random_invertible_context
-from isoclifford.lie_su import (
-    structure_constants,
-    su3_case1_generators,
-    su3_case2_generators,
-    su_n_generators,
-)
+from isoclifford.isotopy import iso_commutator, random_invertible_context
+from isoclifford.lie_su import su3_case1_generators
 from isoclifford.multivector import (
     Multivector,
     Signature,
@@ -33,7 +28,6 @@ from isoclifford.multivector import (
     reversion,
 )
 from isoclifford.octonion import SIG07, oct_conjugate
-from test_lie_su import reference_structure_constants
 
 SIGNATURES = [Signature(3, 0), Signature(1, 3), Signature(0, 7), Signature(12, 0)]
 
@@ -167,27 +161,6 @@ def test_numpy_integer_masks_become_int():
                                                  Multivector(sig, {3: 2.0, 1: 1.0})))
     with pytest.raises(ValueError):
         Multivector(sig, {np.int64(8): 1.0})
-
-
-# -- the structure-constant oracle --------------------------------------------------------
-
-
-def _lifted_families():
-    for n in (2, 3, 6):
-        sig = Signature(2 * n, 0)
-        ctx = IsoContext.create(sig.scalar(1.7) + 0.4 * sig.e(0, 1))
-        yield su_n_generators(n, ctx)
-    rng = np.random.default_rng(29)
-    for builder in (su3_case1_generators, su3_case2_generators):
-        yield builder(random_invertible_context(Signature(1, 3), rng))
-
-
-@pytest.mark.parametrize("gs", list(_lifted_families()), ids=lambda gs: gs.label)
-def test_lifted_oracle_equals_the_pairwise_iso_commutator_reference(gs):
-    got, want = structure_constants(gs), reference_structure_constants(gs)
-    assert got.c.tobytes() == want.c.tobytes()
-    assert got.unit_component.tobytes() == want.unit_component.tobytes()
-    assert repr(got.max_residual) == repr(want.max_residual)
 
 
 # -- pickling -----------------------------------------------------------------------------

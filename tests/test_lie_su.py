@@ -89,10 +89,21 @@ def _two_term_contexts(sig):
                                       [(1.3, 0.4), (0.9, -0.7), (2.0, 0.25), (1.1, 0.6)])]
 
 
+def _seeded_context(family):
+    """``1.7 + 0.4 e01`` for su(n); for case 1 and case 2, the first and the
+    second draw from a generator seeded with 29."""
+    sig = SIGNATURES[family]
+    if family in ("case1", "case2"):
+        rng = np.random.default_rng(29)
+        first = random_invertible_context(sig, rng)
+        return first if family == "case1" else random_invertible_context(sig, rng)
+    return IsoContext.create(sig.scalar(1.7) + 0.4 * sig.e(0, 1))
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_oracle_equals_the_per_pair_reference_byte_for_byte(family):
     sig = SIGNATURES[family]
-    contexts = [None, *_two_term_contexts(sig),
+    contexts = [None, *_two_term_contexts(sig), _seeded_context(family),
                 random_invertible_context(sig, np.random.default_rng(31))]
     for ctx in contexts:
         gs = FAMILIES[family]() if ctx is None else FAMILIES[family](ctx)

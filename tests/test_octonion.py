@@ -17,6 +17,7 @@ from isoclifford.octonion import (
     oct_product,
     oct_unit,
     structure_trivector,
+    table_product,
 )
 
 
@@ -58,6 +59,12 @@ def test_shift_rule():
         b = a % 7 + 1
         c = (a + 2) % 7 + 1
         assert (oct_product(oct_unit(a), oct_unit(b)) - oct_unit(c)).max_abs() < 1e-12
+
+
+@pytest.mark.parametrize("a,b", [(9, 9), (-1, -1), (8, 1), (1, 8)])
+def test_table_product_rejects_indices_outside_0_to_7(a, b):
+    with pytest.raises(ValueError, match=r"octonion basis index must be in 0\.\.7"):
+        table_product(a, b)
 
 
 def test_non_associativity_witness():

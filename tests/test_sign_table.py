@@ -167,9 +167,7 @@ def test_products_equal_the_reference_loops_exactly(sig, product, reference):
     pool = _operands(sig, 41 + sig.dim)
     for a in pool:
         for b in pool:
-            got, want = product(a, b), reference(a, b)
-            assert got == want
-            assert list(got.terms.items()) == list(want.terms.items())
+            assert bits(product(a, b)) == bits(reference(a, b))
 
 
 # Cl(12,0) is left out: its 4096 x 4096 complex matrix takes 268 MB.
@@ -245,7 +243,7 @@ def test_small_coefficients_reach_the_prune_on_the_array_path():
     rng = np.random.default_rng(9)
     a, b = (random_multivector(sig, rng, 128, scale=3e-8) for _ in range(2))
     got = geometric_product(a, b)
-    assert got == geometric_product_ref(a, b)
+    assert bits(got) == bits(geometric_product_ref(a, b))
     # some sums are pruned, some kept just above the threshold
     assert len(got) < len({ma ^ mb for ma in a.terms for mb in b.terms})
     assert min(abs(c) for _, c in got) < 10 * multivector.PRUNE_EPS
@@ -291,7 +289,7 @@ def test_numpy_complex_multiply_would_not_be_bit_identical():
     sig = Signature(0, 7)
     a, b = (random_multivector(sig, rng, 128) for _ in range(2))
     assert mutant(a, b) != geometric_product_ref(a, b)
-    assert geometric_product(a, b) == geometric_product_ref(a, b)
+    assert bits(geometric_product(a, b)) == bits(geometric_product_ref(a, b))
 
 
 @pytest.mark.parametrize("product", [p for p, _ in PRODUCTS], ids=lambda f: f.__name__)

@@ -5,17 +5,24 @@ they check.  This module runs ``python -m isoclifford verify --suite all
 --format json`` once, at collection, and that run serves four checks: each
 record of its report as a test case under its check name, so a failing
 invariant fails by name; the exit code; the 60 s bound; and the SHA-256
-pin in ``perfbench/reference.json``.
+pin in ``perfbench/reference.json``.  The recorder's own rule, how one
+sample becomes a residual and how samples fold into a check, is tested
+here directly.
 """
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from isoclifford.multivector import Multivector, Signature
+from isoclifford.suites import _Recorder
 
 REFERENCE = json.loads((Path(__file__).resolve().parent.parent
                         / "perfbench" / "reference.json").read_text())
@@ -46,3 +53,24 @@ def test_verify_all_runs_within_60_s():
 def test_verify_all_report_matches_reference_digest():
     digest = hashlib.sha256(RUN.stdout.encode()).hexdigest()
     assert digest == REFERENCE["verify_stdout_sha256"]
+
+
+SIG = Signature(1, 3)
+A = Multivector(SIG, {0: 1.0, 3: -2.5})
+
+
+@pytest.mark.parametrize("got,small,large", [
+    (A, A - 0.5 * SIG.e(1), A + 2.0 * SIG.e(2)),
+    (np.array([1.0, -2.5]), np.array([1.5, -2.5]), np.array([1.0, -0.5])),
+    (1 - 2.5j, 1.5 - 2.5j, 1 - 0.5j),
+], ids=["multivector", "array", "number"])
+def test_the_recorder_keeps_the_largest_got_minus_want(got, small, large):
+    rec = _Recorder("demo")
+    rec.add("check", got, got, 1e-9)
+    assert rec.checks == {"demo.check": (0.0, 1e-9)}
+    rec.add("check", got, large, 1e-9)
+    rec.add("check", got, small, 1e-9)
+    assert rec.checks == {"demo.check": (2.0, 1e-9)}
+    # a Multivector refuses the NaN itself; an array or a number measures it
+    with pytest.raises(ValueError, match=r"^check demo\.check[ :]"):
+        rec.add("check", got, math.nan, 1e-9)
