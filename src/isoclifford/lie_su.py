@@ -30,8 +30,8 @@ from .multivector import (
     Multivector,
     Signature,
     SignatureMismatchError,
-    _blade_terms_numpy,
     _kept,
+    _kept_terms,
     _term_arrays,
 )
 
@@ -181,21 +181,23 @@ def _commutators(gs: GeneratorSet, first: np.ndarray,
 
     Each ``g ζ⁻¹`` is formed once per call, and one batched kernel call gives
     the products ``x = (g_i ζ⁻¹) g_j`` and ``y = (g_j ζ⁻¹) g_i`` of every
-    pair; the prunes and the subtraction of ``Multivector`` are then done on
-    arrays.  ``np.unique`` gives each ``(pair, blade)`` that occurs a slot,
-    in ascending order; the x terms are set in their slots and ``-y`` is
-    added onto them, so the difference is ``x + (-y)`` on a blade in both
-    products, ``0.0 + (-y)`` on a blade only in ``y`` and ``x`` on a blade
-    only in ``x``, as ``Multivector.__sub__`` forms it.
+    pair, under the product prune of
+    :func:`~isoclifford.multivector._kept_terms`; the subtraction of
+    ``Multivector`` and its prune are then done on arrays.  ``np.unique``
+    gives each ``(pair, blade)`` that occurs a slot, in ascending order;
+    the x terms are set in their slots and ``-y`` is added onto them, so
+    the difference is ``x + (-y)`` on a blade in both products,
+    ``0.0 + (-y)`` on a blade only in ``y`` and ``x`` on a blade only in
+    ``x``, as ``Multivector.__sub__`` forms it.  The blades come out in
+    ascending order, not in ``__sub__``'s, so a further product of these
+    commutators would sum its terms in another order.
     """
     m, sig = len(gs), gs.signature
     # products 2k and 2k + 1 are the x and y of pair k
     left = map(gs.context.zeta_inv_right, gs.generators)
     operands = [x.terms for x in (*left, *gs.generators)]
     pairs = np.stack([first, m + second, second, m + first], axis=1).reshape(-1, 2)
-    product, blades, coeffs = _blade_terms_numpy(operands, pairs, sig)
-    kept = _kept(coeffs)
-    product, blades, coeffs = product[kept], blades[kept], coeffs[kept]
+    product, blades, coeffs = _kept_terms(operands, pairs, sig)
     key, slot = np.unique((product >> 1) << sig.dim | blades, return_inverse=True)
     in_y = product & 1 == 1
     diff = np.zeros(key.size, dtype=complex)

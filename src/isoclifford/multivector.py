@@ -30,18 +30,28 @@ product either way) and between 576 and 768 in Cl(12,0), whose products
 collide on fewer blades; at 128 x 128 terms the array path is 3 to 6
 times faster.  The wedge and the contractions always take the loop.
 The array path is one kernel, :func:`_blade_terms_numpy`, and it takes a
-batch of products: a single large product is a batch of one, and the
-structure-constant oracle of :mod:`isoclifford.lie_su` forms all of a
-family's commutator products in one call.  It gives the loop's bits: it
-writes Python's complex product out in real and imaginary components,
-adds the terms of each (product, blade) in the loop's a-major pair order
-with ``np.bincount`` (a sequential sum onto 0.0), and emits each
-product's blades in order of first occurrence.  Its bins are never more
-than its term pairs: where the (product, blade) keys outnumber the
-pairs, as in a batch of sparse products in Cl(12,0), ``np.unique``
-numbers only the keys that occur.  :func:`_term_arrays` is the one
-flatten of sparse terms into arrays, here, in the oracle and in the
-regular representation.
+batch of products.  It gives the loop's bits: it writes Python's complex
+product out in real and imaginary components, adds the terms of each
+(product, blade) in the loop's a-major pair order with ``np.bincount``
+(a sequential sum onto 0.0), and emits each product's blades in order of
+first occurrence.  Its bins are never more than its term pairs: where the
+(product, blade) keys outnumber the pairs, as in a batch of sparse
+products in Cl(12,0), ``np.unique`` numbers only the keys that occur.
+:func:`_term_arrays` is the one flatten of sparse terms into arrays, here,
+in the structure-constant oracle and in the regular representation.
+The kernel's terms are pruned on arrays by :func:`_kept`, the rule of
+:func:`_pruned`, and split into one :class:`Multivector` per product.
+
+Three callers give the kernel batches.  A single large product is a
+batch of one.  The structure-constant oracle of :mod:`isoclifford.lie_su`
+forms all of a family's commutator products in one call.  Independent
+products, such as the samples of a ``verify`` check, go through
+:func:`_batch_products`: a list of operand pairs in, their products out,
+bit for bit and term order for term order, since no product's sums
+depend on the others in its batch.  It cuts the list into calls of at
+most ``_BATCH_PAIRS`` (8192) term pairs, so the arrays of one call stay
+near 2 MB however long the list is; a product larger than the cap is a
+call of its own, and a call below ``_NUMPY_MIN_PAIRS`` takes the loop.
 
 A right factor that recurs can be prepared once as a
 :class:`RightFactor`.  It keeps, for each left blade it has met, the row
@@ -76,6 +86,12 @@ PRUNE_EPS = 1e-14
 # Operand pairs with at least this many term pairs take the array path of
 # _blade_products; see the module docstring for the measured crossover.
 _NUMPY_MIN_PAIRS = 364
+# Term pairs in one array-kernel call of _batch_products.  On a 2-core
+# x86-64, 200 Cl(0,7) products of 64 x 8 terms (84,184 pairs) took 24.5 ms
+# in calls of 2**10 pairs, 11.6 ms at 2**13, 10.9 ms at 2**14 and 15.9 ms
+# in one call, against 33 ms one product at a time; the tracemalloc peak
+# was 1.8 MB at 2**13 and 8.9 MB in one call.
+_BATCH_PAIRS = 1 << 13
 # Term pairs a RightFactor keeps in its rows, at about 100 bytes a pair:
 # a row for each of Cl(12,0)'s 4096 blades with a 16-term factor.
 _ROW_CACHE_PAIRS = 1 << 16
@@ -178,14 +194,20 @@ def _as_int(value, what: str) -> int:
 
 
 def _pruned(terms: Mapping[int, complex]) -> MappingProxyType:
-    """The terms with ``|c| > PRUNE_EPS``; a non-finite ``c`` raises ``ValueError``.
+    """The terms with ``|c| > PRUNE_EPS``; a ``c`` whose modulus is not
+    finite raises ``ValueError``.
 
-    ``abs(c)`` is inf or NaN exactly when a component of ``c`` is, and it
-    raises ``OverflowError`` for a finite ``c`` too large to measure.
+    ``abs(c)`` is inf or NaN when a component of ``c`` is, and it raises
+    ``OverflowError`` when the components are finite but the modulus
+    exceeds the largest float; both raise the ``ValueError`` that
+    :func:`_kept` raises, where ``np.abs`` gives inf.
     """
     kept: dict[int, complex] = {}
     for mask, c in terms.items():
-        a = abs(c)
+        try:
+            a = abs(c)
+        except OverflowError:
+            a = math.inf
         if not a <= PRUNE_EPS:
             if not a < math.inf:
                 raise ValueError("multivector coefficients must be finite")
@@ -236,6 +258,17 @@ class Multivector:
         out = object.__new__(cls)
         object.__setattr__(out, "signature", signature)
         object.__setattr__(out, "_terms", _pruned(terms))
+        return out
+
+    @classmethod
+    def _from_kept(cls, signature: Signature, terms: dict[int, complex]) -> "Multivector":
+        """Element built from terms that have passed the prune already, as
+        the array kernel's have.  :meth:`_from_terms`, on the path of every
+        loop product, keeps its own copy of these lines: calling this from
+        it made a 16-term result 10% slower to build."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "signature", signature)
+        object.__setattr__(out, "_terms", MappingProxyType(terms))
         return out
 
     def __setattr__(self, name, value):
@@ -388,8 +421,7 @@ def _blade_products(a: Multivector, b: Multivector, keep=None) -> Multivector:
     sig = a.signature
     a_terms, b_terms = a._terms, b._terms
     if keep is None and len(a_terms) * len(b_terms) >= _NUMPY_MIN_PAIRS:
-        _, blades, coeffs = _blade_terms_numpy((a_terms, b_terms), [(0, 1)], sig)
-        return Multivector._from_terms(sig, dict(zip(blades.tolist(), coeffs.tolist())))
+        return _split(sig, 1, *_kept_terms((a_terms, b_terms), [(0, 1)], sig))[0]
     table = sig.sign_table
     rows = [(mb, cb, table[mb]) for mb, cb in b_terms.items()]
     out: dict[int, complex] = {}
@@ -486,7 +518,7 @@ def _blade_terms_numpy(operands: Sequence[Mapping[int, complex]], pairs,
     key = ka ^ mb
     # the prefix lies above the bits of F, so this is ``ma & F[mb]``
     odd = np.bitwise_count(ka & sig.sign_array[mb]) & 1
-    with np.errstate(all="ignore"):  # inf and NaN reach the check in _pruned
+    with np.errstate(all="ignore"):  # inf and NaN reach the check in _kept
         sa = (coeffs[:, None] * _SIGNS).reshape(-1)[ta + odd]
         cb = coeffs[tb]
         re = sa.real * cb.real
@@ -498,6 +530,75 @@ def _blade_terms_numpy(operands: Sequence[Mapping[int, complex]], pairs,
     sums.real = np.bincount(bins, weights=re.reshape(-1))[slots]
     sums.imag = np.bincount(bins, weights=im.reshape(-1))[slots]
     return keys >> sig.dim, keys & (sig.blade_count - 1), sums
+
+
+def _kept_terms(operands: Sequence[Mapping[int, complex]], pairs,
+                sig: Signature) -> tuple[np.ndarray, ...]:
+    """:func:`_blade_terms_numpy`'s terms of a batch, ``(product, blade,
+    coefficient)``, under :func:`_kept`'s prune."""
+    product, blades, coeffs = _blade_terms_numpy(operands, pairs, sig)
+    kept = _kept(coeffs)
+    return product[kept], blades[kept], coeffs[kept]
+
+
+def _split(sig: Signature, count: int, product: np.ndarray, blades: np.ndarray,
+           coeffs: np.ndarray) -> list[Multivector]:
+    """The pruned terms of a batch of ``count`` products, products in
+    ascending order, as one :class:`Multivector` per product."""
+    ends = np.cumsum(np.bincount(product, minlength=count)).tolist()
+    blades, coeffs = blades.tolist(), coeffs.tolist()
+    out, start = [], 0
+    for end in ends:
+        out.append(Multivector._from_kept(sig, dict(zip(blades[start:end], coeffs[start:end]))))
+        start = end
+    return out
+
+
+def _batch_products(pairs: Sequence[tuple[Multivector, Multivector]]) -> list[Multivector]:
+    """``[a * b for a, b in pairs]``, bit for bit and term order for term
+    order, in as few calls of the array kernel as the cap allows.
+
+    Greedy chunks of the pairs hold at most ``_BATCH_PAIRS`` term pairs
+    each (a product larger than that is a chunk of its own), and each chunk
+    is one call of :func:`_blade_terms_numpy`, whose products do not
+    interact: a product's bits do not depend on the batch it is in.  A
+    chunk below ``_NUMPY_MIN_PAIRS`` term pairs takes the loop, as a single
+    product that small does.  Every operand must share one signature, or
+    :class:`SignatureMismatchError` is raised.
+    """
+    if not pairs:
+        return []
+    first = pairs[0][0]
+    for x in itertools.chain.from_iterable(pairs):
+        if x.signature is not first.signature:
+            first._check_signature(x)
+    out: list[Multivector] = []
+    chunk, total = [], 0
+    for a, b in pairs:
+        size = len(a._terms) * len(b._terms)
+        if chunk and total + size > _BATCH_PAIRS:
+            out += _chunk_products(chunk, total)
+            chunk, total = [], 0
+        chunk.append((a, b))
+        total += size
+    return out + _chunk_products(chunk, total)
+
+
+def _chunk_products(pairs: list[tuple[Multivector, Multivector]],
+                    total: int) -> list[Multivector]:
+    """One chunk of :func:`_batch_products`, ``total`` term pairs in all;
+    an operand that recurs in it is flattened once."""
+    if total < _NUMPY_MIN_PAIRS:
+        return [_blade_products(a, b) for a, b in pairs]
+    index: dict[int, int] = {}
+    operands = []
+    for x in itertools.chain.from_iterable(pairs):
+        if id(x) not in index:
+            index[id(x)] = len(operands)
+            operands.append(x._terms)
+    at = [(index[id(a)], index[id(b)]) for a, b in pairs]
+    sig = pairs[0][0].signature
+    return _split(sig, len(pairs), *_kept_terms(operands, at, sig))
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:

@@ -13,13 +13,15 @@ with ζ as its right unit and ``(A ∘ ζ⁻¹) ∘ B`` with ζ as its left unit
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .isotopy import IsoContext
 from .multivector import (
     AlgebraError,
     Multivector,
     NonInvertibleError,
     Signature,
-    geometric_product,
+    _batch_products,
     grade_select,
 )
 
@@ -65,10 +67,18 @@ def _require_paravector(a: Multivector) -> None:
 
 def oct_product(a: Multivector, b: Multivector) -> Multivector:
     """Octonion product ``<A B (1 - psi)>_{0+1}`` of two paravectors."""
-    _require_paravector(a)
-    _require_paravector(b)
-    full = geometric_product(geometric_product(a, b), _ONE_MINUS_PSI)
-    return grade_select(full, (0, 1))
+    return oct_products([(a, b)])[0]
+
+
+def oct_products(pairs: Sequence[tuple[Multivector, Multivector]]) -> list[Multivector]:
+    """``[oct_product(a, b) for a, b in pairs]``, through two calls of
+    :func:`~isoclifford.multivector._batch_products`, which give each
+    product the bits it has when formed alone."""
+    for a, b in pairs:
+        _require_paravector(a)
+        _require_paravector(b)
+    full = _batch_products([(ab, _ONE_MINUS_PSI) for ab in _batch_products(pairs)])
+    return [grade_select(x, (0, 1)) for x in full]
 
 
 def epsilon_table() -> dict[tuple[int, int], int]:

@@ -5,6 +5,15 @@ returns one record per check plus, where relevant, a comparison block
 holding previously published values next to the computed ones (those
 comparisons are reported, never asserted: several printed values are
 not reproducible and the flags say so).
+
+A check whose samples are independent draws all of them first, in the
+order the random generator gave them when each sample was formed on its
+own (products draw nothing), and then forms its products in stages of
+``_STAGE`` samples: each stage of the identity, ``a b`` then ``(a b) c``
+say, is one call of :func:`~isoclifford.multivector._batch_products` over
+the stage's samples.  Every product keeps its bits, so every residual and
+every report does too; the stages bound how many samples' products are
+held at once.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .isotopy import (
 from .multivector import (
     Multivector,
     Signature,
+    _batch_products,
     geometric_product,
     grade_involution,
     inverse,
@@ -66,6 +76,13 @@ from .multivector import (
 )
 
 DEFAULT_SEED = 0xC1F0
+# Samples whose products one stage of a check forms together.  _BATCH_PAIRS
+# bounds each kernel call's arrays; the stages bound the products a check
+# holds between calls.  Child peak RSS of a cold `verify --suite all`,
+# medians of 12 alternating launches on a 2-core x86-64: 41.3 MB with each
+# product formed on its own, 42.4 MB with stages of 50, and 43.5 MB (at
+# most 44.8) with each check's samples in one stage under the cap alone.
+_STAGE = 50
 
 
 class _Recorder:
@@ -136,6 +153,19 @@ def _rng():
     return np.random.default_rng(DEFAULT_SEED)
 
 
+def _staged(samples: list) -> list:
+    """``samples`` in consecutive stages of at most ``_STAGE``."""
+    return [samples[k:k + _STAGE] for k in range(0, len(samples), _STAGE)]
+
+
+def _products(rows: list, batch=_batch_products) -> list:
+    """For each row of ``(a, b)`` pairs, the tuple of its products: one
+    call of ``batch``, ``a * b`` by default, over every row."""
+    width = len(rows[0]) if rows else 0
+    flat = batch([pair for row in rows for pair in row])
+    return [tuple(flat[k:k + width]) for k in range(0, len(flat), width)]
+
+
 TEST_SIGNATURES = (Signature(3, 0), Signature(1, 3), Signature(0, 7))
 
 
@@ -146,11 +176,13 @@ def suite_clifford(rec: _Recorder) -> None:
     rng = _rng()
     for sig in TEST_SIGNATURES:
         tag = f"cl{sig.p}{sig.q}"
-        for _ in range(200):
-            a = random_multivector(sig, rng, 8)
-            b = random_multivector(sig, rng, 8)
-            c = random_multivector(sig, rng, 8)
-            rec.add(f"{tag}.associativity", (a * b) * c, a * (b * c), 1e-10)
+        samples = [tuple(random_multivector(sig, rng, 8) for _ in range(3))
+                   for _ in range(200)]
+        for stage in _staged(samples):
+            firsts = _products([((a, b), (b, c)) for a, b, c in stage])
+            for left, right in _products([((ab, c), (a, bc))
+                                          for (a, b, c), (ab, bc) in zip(stage, firsts)]):
+                rec.add(f"{tag}.associativity", left, right, 1e-10)
 
         for i in range(sig.dim):
             for j in range(sig.dim):
@@ -166,11 +198,12 @@ def suite_clifford(rec: _Recorder) -> None:
             rec.add(f"{tag}.contraction_duality", left_contraction(v, psi),
                     -right_contraction(grade_involution(psi), v), 1e-12)
 
-        for _ in range(50):
-            a = random_multivector(sig, rng, 8)
-            b = random_multivector(sig, rng, 8)
-            rec.add(f"{tag}.reversion_antiautomorphism",
-                    reversion(a * b), reversion(b) * reversion(a), 1e-10)
+        samples = [(random_multivector(sig, rng, 8), random_multivector(sig, rng, 8))
+                   for _ in range(50)]
+        for stage in _staged(samples):
+            for ab, rev_ba in _products([((a, b), (reversion(b), reversion(a)))
+                                         for a, b in stage]):
+                rec.add(f"{tag}.reversion_antiautomorphism", reversion(ab), rev_ba, 1e-10)
 
         for _ in range(20):
             a = sig.scalar(2.0 + rng.random()) + random_multivector(sig, rng, 6, scale=0.4)
@@ -184,34 +217,25 @@ def suite_isotopy(rec: _Recorder) -> None:
     rng = _rng()
     sig = Signature(1, 3)
 
+    samples = []
     for _ in range(10):
         ctx = random_invertible_context(sig, rng)
-        for _ in range(10):
-            a = random_multivector(sig, rng, 6)
-            b = random_multivector(sig, rng, 6)
-            c = random_multivector(sig, rng, 6)
-            rec.add("diamond.associativity", iso_product(ctx, iso_product(ctx, a, b), c),
-                    iso_product(ctx, a, iso_product(ctx, b, c)), 1e-9)
-            rec.add("diamond.unit_law", iso_product(ctx, a, ctx.zeta), a, 1e-10)
-            rec.add("diamond.unit_law", iso_product(ctx, ctx.zeta, a), a, 1e-10)
-            rec.add("lift.homomorphism", iso_product(ctx, lift(ctx, a), lift(ctx, b)),
-                    lift(ctx, a * b), 1e-9)
+        samples += [(ctx, *(random_multivector(sig, rng, 6) for _ in range(3)))
+                    for _ in range(10)]
+    for stage in _staged(samples):
+        _diamond_checks(rec, stage)
 
     for s in TEST_SIGNATURES:
         ctx = random_invertible_context(s, rng)
-        for _ in range(30):
-            a = random_multivector(s, rng, 6)
-            b = random_multivector(s, rng, 6)
-            rec.add("isocommutator.lift_identity", iso_commutator(ctx, lift(ctx, a), lift(ctx, b)),
-                    lift(ctx, a * b - b * a), 1e-9)
+        samples = [(random_multivector(s, rng, 6), random_multivector(s, rng, 6))
+                   for _ in range(30)]
+        for stage in _staged(samples):
+            _lift_identity_checks(rec, ctx, stage)
 
     ctx = random_invertible_context(sig, rng)
-    for _ in range(30):
-        a, b, c = (random_multivector(sig, rng, 6) for _ in range(3))
-        jac = (iso_commutator(ctx, a, iso_commutator(ctx, b, c))
-               + iso_commutator(ctx, b, iso_commutator(ctx, c, a))
-               + iso_commutator(ctx, c, iso_commutator(ctx, a, b)))
-        rec.add("isocommutator.jacobi", jac, 0, 1e-9)
+    samples = [tuple(random_multivector(sig, rng, 6) for _ in range(3)) for _ in range(30)]
+    for stage in _staged(samples):
+        _jacobi_checks(rec, ctx, stage)
 
     a = random_multivector(sig, rng, 6)
     b = random_multivector(sig, rng, 6)
@@ -249,6 +273,57 @@ def suite_isotopy(rec: _Recorder) -> None:
                 lift(ctx, wedge(u, v)), 1e-9)
 
 
+# Each ⋄ product ``x ⋄ y = (x ζ⁻¹) y`` and lift ``x ζ`` below is formed as
+# isotopy forms it; its right factors give geometric_product's bits.
+
+
+def _diamond_checks(rec: _Recorder, stage: list) -> None:
+    """⋄ associativity, the unit laws and the lift homomorphism of
+    ``(ctx, a, b, c)`` samples."""
+    firsts = _products([((a, ctx.zeta_inv), (b, ctx.zeta_inv), (a, ctx.zeta), (b, ctx.zeta),
+                         (a, b), (ctx.zeta, ctx.zeta_inv)) for ctx, a, b, c in stage])
+    seconds = _products([((a_zi, b), (b_zi, c), (a_zi, ctx.zeta), (z_zi, a),
+                          (a_z, ctx.zeta_inv), (ab, ctx.zeta))
+                         for (ctx, a, b, c), (a_zi, b_zi, a_z, _, ab, z_zi)
+                         in zip(stage, firsts)])
+    thirds = _products([((a_b, ctx.zeta_inv), (a_zi, b_c), (a_z_zi, b_z))
+                        for (ctx, *_), (a_zi, _, _, b_z, _, _), (a_b, b_c, _, _, a_z_zi, _)
+                        in zip(stage, firsts, seconds)])
+    fourths = _products([((a_b_zi, c),) for (_, _, _, c), (a_b_zi, _, _) in zip(stage, thirds)])
+    for (_, a, _, _), (_, _, a_unit, unit_a, _, lift_ab), (_, a_bc, lifts), (ab_c,) in zip(
+            stage, seconds, thirds, fourths):
+        rec.add("diamond.associativity", ab_c, a_bc, 1e-9)
+        rec.add("diamond.unit_law", a_unit, a, 1e-10)
+        rec.add("diamond.unit_law", unit_a, a, 1e-10)
+        rec.add("lift.homomorphism", lifts, lift_ab, 1e-9)
+
+
+def _lift_identity_checks(rec: _Recorder, ctx: IsoContext, stage: list) -> None:
+    """``[a ζ, b ζ]_ζ = (a b - b a) ζ`` for ``(a, b)`` samples."""
+    firsts = _products([((a, ctx.zeta), (b, ctx.zeta), (a, b), (b, a)) for a, b in stage])
+    seconds = _products([((a_z, ctx.zeta_inv), (b_z, ctx.zeta_inv), (ab - ba, ctx.zeta))
+                         for a_z, b_z, ab, ba in firsts])
+    thirds = _products([((a_z_zi, b_z), (b_z_zi, a_z))
+                        for (a_z, b_z, _, _), (a_z_zi, b_z_zi, _) in zip(firsts, seconds)])
+    for (x, y), (_, _, lifted) in zip(thirds, seconds):
+        rec.add("isocommutator.lift_identity", x - y, lifted, 1e-9)
+
+
+def _jacobi_checks(rec: _Recorder, ctx: IsoContext, stage: list) -> None:
+    """The Jacobi identity of the iso-commutator for ``(a, b, c)`` samples."""
+    zi = ctx.zeta_inv
+    firsts = _products([((a, zi), (b, zi), (c, zi)) for a, b, c in stage])
+    seconds = _products([((b_zi, c), (c_zi, b), (c_zi, a), (a_zi, c), (a_zi, b), (b_zi, a))
+                         for (a, b, c), (a_zi, b_zi, c_zi) in zip(stage, firsts)])
+    inner = [(x0 - y0, x1 - y1, x2 - y2) for x0, y0, x1, y1, x2, y2 in seconds]
+    thirds = _products([((bc, zi), (ca, zi), (ab, zi)) for bc, ca, ab in inner])
+    fourths = _products([((a_zi, bc), (bc_zi, a), (b_zi, ca), (ca_zi, b), (c_zi, ab), (ab_zi, c))
+                         for (a, b, c), (a_zi, b_zi, c_zi), (bc, ca, ab), (bc_zi, ca_zi, ab_zi)
+                         in zip(stage, firsts, inner, thirds)])
+    for x0, y0, x1, y1, x2, y2 in fourths:
+        rec.add("isocommutator.jacobi", (x0 - y0) + (x1 - y1) + (x2 - y2), 0, 1e-9)
+
+
 # -- octonion ------------------------------------------------------------------------
 
 
@@ -272,18 +347,20 @@ def suite_octonion(rec: _Recorder) -> None:
                            {0: complex(comps[0]),
                             **{1 << i: complex(comps[i + 1]) for i in range(7)}})
 
-    for _ in range(200):
-        x, y = rand_par(), rand_par()
-        rec.add("norm_composition", octonion.oct_norm(octonion.oct_product(x, y)),
-                octonion.oct_norm(x) * octonion.oct_norm(y), 1e-9)
+    samples = [(rand_par(), rand_par()) for _ in range(200)]
+    for stage in _staged(samples):
+        for (x, y), xy in zip(stage, octonion.oct_products(stage)):
+            rec.add("norm_composition", octonion.oct_norm(xy),
+                    octonion.oct_norm(x) * octonion.oct_norm(y), 1e-9)
 
-    for _ in range(100):
-        x, y = rand_par(), rand_par()
-        xx = octonion.oct_product(x, x)
-        rec.add("alternativity", octonion.oct_product(x, octonion.oct_product(x, y)),
-                octonion.oct_product(xx, y), 1e-9)
-        rec.add("alternativity", octonion.oct_product(octonion.oct_product(y, x), x),
-                octonion.oct_product(y, xx), 1e-9)
+    samples = [(rand_par(), rand_par()) for _ in range(100)]
+    for stage in _staged(samples):
+        firsts = _products([((x, x), (x, y), (y, x)) for x, y in stage], octonion.oct_products)
+        for x_xy, xx_y, yx_x, y_xx in _products(
+                [((x, xy), (xx, y), (yx, x), (y, xx))
+                 for (x, y), (xx, xy, yx) in zip(stage, firsts)], octonion.oct_products):
+            rec.add("alternativity", x_xy, xx_y, 1e-9)
+            rec.add("alternativity", yx_x, y_xx, 1e-9)
 
     witness = False
     for a in range(1, 8):
@@ -386,16 +463,33 @@ def suite_su6(rec: _Recorder) -> None:
         for g, gi in zip(gs.generators, gsi.generators):
             rec.add(f"sun{n}.iso_equals_rigid_times_zeta", geometric_product(g, zeta), gi, 1e-9)
 
-        rigid, lifted = gs.generators, gsi.generators
-        for a in range(len(gs)):
-            for b in range(a + 1, len(gs)):
-                rec.add(f"sun{n}.iso_transport", iso_commutator(ctx, lifted[a], lifted[b]),
-                        geometric_product(iso_commutator(gs.context, rigid[a], rigid[b]), zeta),
-                        1e-9)
+        _transport_checks(rec, f"sun{n}", gs, gsi)
 
     # the loop ends on rigid su(6), the 35-generator E, F, H family
     rec.add("appendix.count", len(gs), 35, 0.0)
     rec.add("appendix.antisymmetry", sc.c, -sc.c.transpose(1, 0, 2), 1e-10)
+
+
+def _transport_checks(rec: _Recorder, tag: str, gs, gsi) -> None:
+    """``[g_a ζ, g_b ζ]_ζ = [g_a, g_b] ζ`` for every pair ``a < b`` of the
+    rigid family ``gs`` and its lift ``gsi``: each ``g ζ⁻¹`` (and ``g 1``
+    on the rigid side) is formed once, and each commutator is the
+    ``Multivector`` difference of its two ⋄ products, as
+    :func:`~isoclifford.isotopy.iso_commutator` forms it."""
+    rigid, lifted = gs.generators, gsi.generators
+    zeta = gsi.context.zeta
+    m = len(rigid)
+    lefts = _batch_products([(g, gsi.context.zeta_inv) for g in lifted]
+                            + [(g, gs.context.zeta_inv) for g in rigid])
+    lifted_left, rigid_left = lefts[:m], lefts[m:]
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    for stage in _staged(pairs):
+        sides = _products([((lifted_left[a], lifted[b]), (lifted_left[b], lifted[a]),
+                            (rigid_left[a], rigid[b]), (rigid_left[b], rigid[a]))
+                           for a, b in stage])
+        transported = _products([((rx - ry, zeta),) for _, _, rx, ry in sides])
+        for (lx, ly, _, _), (want,) in zip(sides, transported):
+            rec.add(f"{tag}.iso_transport", lx - ly, want, 1e-9)
 
 
 # -- dirac ----------------------------------------------------------------------------
@@ -416,11 +510,12 @@ def suite_dirac(rec: _Recorder) -> None:
     for mu in range(4):
         rec.add("gamma5.anticommutes", d.gamma[mu] @ g5, -(g5 @ d.gamma[mu]), 0.0)
 
-    for _ in range(200):
-        a = random_multivector(sig, rng, 8)
-        b = random_multivector(sig, rng, 8)
-        rec.add("rep.homomorphism", d.rep(a * b), d.rep(a) @ d.rep(b), 1e-9)
-        rec.add("rep.roundtrip", d.rep_inverse(d.rep(a)), a, 1e-9)
+    samples = [(random_multivector(sig, rng, 8), random_multivector(sig, rng, 8))
+               for _ in range(200)]
+    for stage in _staged(samples):
+        for (a, b), ab in zip(stage, _batch_products(stage)):
+            rec.add("rep.homomorphism", d.rep(ab), d.rep(a) @ d.rep(b), 1e-9)
+            rec.add("rep.roundtrip", d.rep_inverse(d.rep(a)), a, 1e-9)
 
     f = 0.5 * (sig.scalar(1.0) + sig.e(0))
     rf = d.rep(f)

@@ -89,6 +89,28 @@ def test_pooled_and_in_process_verify_reports_are_byte_identical(monkeypatch, ca
         assert hashlib.sha256(outputs[1, fmt].encode()).hexdigest() == digests[fmt], fmt
 
 
+def test_verify_report_does_not_depend_on_numpy_simd_dispatch():
+    """The staged checks do most of verify's arithmetic in numpy ufuncs.
+    With every target numpy dispatches to at run time switched off, the
+    json report still matches its pin.  The targets are read from the
+    installed numpy, and only those this CPU has are named: numpy refuses,
+    with a warning that ``-W error`` makes fatal, a name it does not
+    dispatch or the CPU lacks, so a list written here would break when a
+    target is renamed or on a CPU without one."""
+    from numpy._core import _multiarray_umath as m
+
+    present = [t for t in m.__cpu_dispatch__ if m.__cpu_features__.get(t)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(present))
+    probe = ("from numpy._core import _multiarray_umath as m\n"
+             "print([t for t in m.__cpu_dispatch__ if m.__cpu_features__.get(t)])")
+    enabled = subprocess.run([*PYTHON, "-c", probe], capture_output=True, text=True, env=env)
+    assert enabled.stdout == "[]\n", enabled.stderr
+    reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
+    proc = subprocess.run(RUN + reference["verify_argv"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == reference["verify_stdout_sha256"]
+
+
 def test_nan_in_a_later_sample_exits_3_naming_the_check(monkeypatch, capsys):
     """A NaN in the 10th of 200 samples is not folded away as a smaller residual."""
     real = dirac.DiracRep.rep

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from isoclifford.multivector import AlgebraError, Multivector, NonInvertibleError, grade_select
+from bit_identity import bits
+from isoclifford.multivector import (
+    AlgebraError,
+    Multivector,
+    NonInvertibleError,
+    geometric_product,
+    grade_select,
+)
 from isoclifford.octonion import (
     CYCLES,
     SIG07,
@@ -15,6 +22,7 @@ from isoclifford.octonion import (
     oct_isotope_right,
     oct_norm,
     oct_product,
+    oct_products,
     oct_unit,
     structure_trivector,
     table_product,
@@ -105,3 +113,18 @@ def test_paravector_guard():
     assert not is_paravector(bivector)
     with pytest.raises(AlgebraError):
         oct_product(bivector, oct_unit(1))
+
+
+def test_products_keep_the_grade_projection_of_the_full_product_bit_for_bit():
+    """``oct_products`` batches the full product and a single
+    ``oct_product`` is a batch of one; both give the projection of the
+    per-pair product's bits, term order included."""
+    rng = np.random.default_rng(400)
+    one_minus_psi = SIG07.scalar(1.0) - structure_trivector()
+    pairs = [(rand_paravector(rng), rand_paravector(rng)) for _ in range(400)]
+    want = [bits(grade_select(geometric_product(geometric_product(a, b), one_minus_psi), (0, 1)))
+            for a, b in pairs]
+    assert [bits(oct_product(a, b)) for a, b in pairs] == want
+    assert [bits(x) for x in oct_products(pairs)] == want
+    with pytest.raises(AlgebraError):
+        oct_products([(pairs[0][0], SIG07.e(0, 1))])

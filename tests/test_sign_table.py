@@ -9,6 +9,7 @@ kernel takes for large operands, checked bit for bit on both sides of
 its threshold.
 """
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -24,6 +25,8 @@ from isoclifford.lie_su import structure_constants, su_n_generators
 from isoclifford.multivector import (
     Multivector,
     Signature,
+    SignatureMismatchError,
+    _batch_products,
     _blade_products,
     _first_occurrence_bins,
     geometric_product,
@@ -292,16 +295,26 @@ def test_numpy_complex_multiply_would_not_be_bit_identical():
     assert bits(geometric_product(a, b)) == bits(geometric_product_ref(a, b))
 
 
-@pytest.mark.parametrize("product", [p for p, _ in PRODUCTS], ids=lambda f: f.__name__)
+def batch_of_one(a, b):
+    return _batch_products([(a, b)])[0]
+
+
+@pytest.mark.parametrize("product", [p for p, _ in PRODUCTS] + [batch_of_one],
+                         ids=lambda f: f.__name__)
 def test_overflow_raises_the_same_error_on_both_paths(product):
     sig = Signature(0, 7)
     rng = np.random.default_rng(13)
-    a, b = (random_multivector(sig, rng, 64, scale=1e200) for _ in range(2))
+    # infinite components, and finite components whose modulus overflows
+    big = [tuple(random_multivector(sig, rng, 64, scale=1e200) for _ in range(2)),
+           (Multivector(sig, {0: 1.3e308}), Multivector(sig, {0: 1 + 1j}))]
+    with pytest.raises(OverflowError):
+        abs(complex(1.3e308) * (1 + 1j))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for threshold in (0, 1 << 30):
-            with pytest.raises(ValueError, match="coefficients must be finite"):
-                _by_path(product, a, b, threshold)
+        for a, b in big:
+            for threshold in (0, 1 << 30):
+                with pytest.raises(ValueError, match="coefficients must be finite"):
+                    _by_path(product, a, b, threshold)
 
 
 # -- the batched array kernel ------------------------------------------------------------
@@ -350,6 +363,64 @@ def test_batched_kernel_equals_the_loop_bit_for_bit(batch):
 def test_batched_kernel_takes_an_empty_batch():
     product, blades, coeffs = multivector._blade_terms_numpy([], [], Signature(1, 3))
     assert product.size == blades.size == coeffs.size == 0
+
+
+# -- the batch entry point ------------------------------------------------------------------
+
+CAP = multivector._BATCH_PAIRS
+
+
+@contextlib.contextmanager
+def _constants(min_pairs, batch_pairs):
+    """The kernel's ``_NUMPY_MIN_PAIRS`` and ``_BATCH_PAIRS`` set for a block."""
+    saved = multivector._NUMPY_MIN_PAIRS, multivector._BATCH_PAIRS
+    multivector._NUMPY_MIN_PAIRS, multivector._BATCH_PAIRS = min_pairs, batch_pairs
+    try:
+        yield
+    finally:
+        multivector._NUMPY_MIN_PAIRS, multivector._BATCH_PAIRS = saved
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batches())
+def test_batch_products_equal_the_per_pair_products_bit_for_bit(batch):
+    """Each chunk on either path, with the default cap and with one small
+    enough that most batches cross it."""
+    _, operands, index = batch
+    pairs = [(operands[i], operands[j]) for i, j in index]
+    want = [bits(geometric_product(a, b)) for a, b in pairs]
+    for min_pairs in (0, THRESHOLD, 1 << 30):
+        for batch_pairs in (CAP, 64):
+            with _constants(min_pairs, batch_pairs):
+                assert [bits(x) for x in _batch_products(pairs)] == want
+
+
+def test_batch_products_cut_at_the_cap(monkeypatch):
+    """Products on both sides of the array threshold, in a batch that
+    crosses the cap, and an empty batch."""
+    calls = []
+    array_terms = multivector._blade_terms_numpy
+    monkeypatch.setattr(multivector, "_blade_terms_numpy", lambda operands, pairs, sig: (
+        calls.append(sum(len(operands[i]) * len(operands[j]) for i, j in pairs))
+        or array_terms(operands, pairs, sig)))
+    sig = Signature(0, 7)
+    rng = np.random.default_rng(29)
+    shapes = [(na, nb) for na, nb in SHAPES[:3] for _ in range(8)]
+    pairs = [(random_multivector(sig, rng, na), random_multivector(sig, rng, nb))
+             for na, nb in shapes]
+    total = sum(na * nb for na, nb in shapes)
+    assert total > CAP
+    got = _batch_products(pairs)
+    assert sum(calls) == total and len(calls) == 2 and max(calls) <= CAP
+    assert [bits(x) for x in got] == [bits(geometric_product(a, b)) for a, b in pairs]
+    calls.clear()
+    assert _batch_products([]) == [] and calls == []
+
+
+def test_batch_products_refuse_a_mixed_signature():
+    x = Signature(1, 3).e(0)
+    with pytest.raises(SignatureMismatchError):
+        _batch_products([(x, x), (x, Signature(0, 7).e(0))])
 
 
 def _su6_oracle_keys(monkeypatch):

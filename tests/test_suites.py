@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isoclifford import multivector, suites
 from isoclifford.multivector import Multivector, Signature
 from isoclifford.suites import _Recorder
 
@@ -53,6 +54,24 @@ def test_verify_all_runs_within_60_s():
 def test_verify_all_report_matches_reference_digest():
     digest = hashlib.sha256(RUN.stdout.encode()).hexdigest()
     assert digest == REFERENCE["verify_stdout_sha256"]
+
+
+@pytest.mark.parametrize("suite", ["clifford", "isotopy", "octonion"])
+def test_no_kernel_call_of_a_suite_exceeds_the_batch_cap(monkeypatch, suite):
+    """The staged checks hand the array kernel many products a call, and
+    no call more than ``_BATCH_PAIRS`` term pairs: a bound on its arrays'
+    memory that does not depend on how the suites stage their samples."""
+    calls = []
+    array_terms = multivector._blade_terms_numpy
+
+    def counted(operands, pairs, sig):
+        calls.append((len(pairs), sum(len(operands[i]) * len(operands[j]) for i, j in pairs)))
+        return array_terms(operands, pairs, sig)
+
+    monkeypatch.setattr(multivector, "_blade_terms_numpy", counted)
+    suites._SUITE_FUNCS[suite](_Recorder(suite))
+    assert max(products for products, _ in calls) > 1
+    assert max(pairs for _, pairs in calls) <= multivector._BATCH_PAIRS
 
 
 SIG = Signature(1, 3)
