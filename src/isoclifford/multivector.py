@@ -46,12 +46,14 @@ Three callers give the kernel batches.  A single large product is a
 batch of one.  The structure-constant oracle of :mod:`isoclifford.lie_su`
 forms all of a family's commutator products in one call.  Independent
 products, such as the samples of a ``verify`` check, go through
-:func:`_batch_products`: a list of operand pairs in, their products out,
-bit for bit and term order for term order, since no product's sums
-depend on the others in its batch.  It cuts the list into calls of at
-most ``_BATCH_PAIRS`` (8192) term pairs, so the arrays of one call stay
-near 2 MB however long the list is; a product larger than the cap is a
-call of its own, and a call below ``_NUMPY_MIN_PAIRS`` takes the loop.
+:func:`_batch_products`: two lists of operands in, their elementwise
+products out, bit for bit and term order for term order, since no
+product's sums depend on the others in its batch.  A single element in
+place of either list multiplies every element of the other, as a shared
+isounit does.  The products are cut into calls of at most
+``_BATCH_PAIRS`` (8192) term pairs, so the arrays of one call stay near
+2 MB however long the lists are; a product larger than the cap is a call
+of its own, and a call below ``_NUMPY_MIN_PAIRS`` takes the loop.
 
 A right factor that recurs can be prepared once as a
 :class:`RightFactor`.  It keeps, for each left blade it has met, the row
@@ -73,6 +75,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -312,12 +315,21 @@ class Multivector:
 
         The squares are added left to right, one rounding each: the builtin
         ``sum()`` compensates float sums from Python 3.12 on, so its bits
-        would depend on the interpreter.
+        would depend on the interpreter.  Where that fold overflows or
+        falls below the normal range, :func:`math.hypot` of the moduli
+        gives the norm instead: a norm near either end of the float range
+        neither overflows nor loses its digits, and every other norm keeps
+        the plain fold's bits.
         """
         total = 0.0
-        for c in self._terms.values():
-            total += abs(c) ** 2
-        return math.sqrt(total)
+        try:
+            for c in self._terms.values():
+                total += abs(c) ** 2
+        except OverflowError:
+            total = math.inf
+        if sys.float_info.min <= total < math.inf:
+            return math.sqrt(total)
+        return math.hypot(*map(abs, self._terms.values()))
 
     # -- linear structure -------------------------------------------------------
 
@@ -554,9 +566,13 @@ def _split(sig: Signature, count: int, product: np.ndarray, blades: np.ndarray,
     return out
 
 
-def _batch_products(pairs: Sequence[tuple[Multivector, Multivector]]) -> list[Multivector]:
-    """``[a * b for a, b in pairs]``, bit for bit and term order for term
-    order, in as few calls of the array kernel as the cap allows.
+def _batch_products(xs: Multivector | Sequence[Multivector],
+                    ys: Multivector | Sequence[Multivector]) -> list[Multivector]:
+    """``[x * y for x, y in zip(xs, ys, strict=True)]``, bit for bit and
+    term order for term order, in as few calls of the array kernel as the
+    cap allows.  A single :class:`Multivector` in place of either sequence
+    multiplies every element of the other; sequences of unequal length
+    raise ``ValueError``.
 
     Greedy chunks of the pairs hold at most ``_BATCH_PAIRS`` term pairs
     each (a product larger than that is a chunk of its own), and each chunk
@@ -566,6 +582,11 @@ def _batch_products(pairs: Sequence[tuple[Multivector, Multivector]]) -> list[Mu
     product that small does.  Every operand must share one signature, or
     :class:`SignatureMismatchError` is raised.
     """
+    if isinstance(xs, Multivector):
+        xs = [xs] * len(ys)
+    elif isinstance(ys, Multivector):
+        ys = [ys] * len(xs)
+    pairs = list(zip(xs, ys, strict=True))
     if not pairs:
         return []
     first = pairs[0][0]

@@ -67,17 +67,20 @@ def _require_paravector(a: Multivector) -> None:
 
 def oct_product(a: Multivector, b: Multivector) -> Multivector:
     """Octonion product ``<A B (1 - psi)>_{0+1}`` of two paravectors."""
-    return oct_products([(a, b)])[0]
+    return oct_products([a], [b])[0]
 
 
-def oct_products(pairs: Sequence[tuple[Multivector, Multivector]]) -> list[Multivector]:
-    """``[oct_product(a, b) for a, b in pairs]``, through two calls of
+def oct_products(xs: Multivector | Sequence[Multivector],
+                 ys: Multivector | Sequence[Multivector]) -> list[Multivector]:
+    """``[oct_product(x, y) for x, y in zip(xs, ys, strict=True)]``, a
+    single paravector in place of either sequence multiplying every element
+    of the other, through two calls of
     :func:`~isoclifford.multivector._batch_products`, which give each
     product the bits it has when formed alone."""
-    for a, b in pairs:
-        _require_paravector(a)
-        _require_paravector(b)
-    full = _batch_products([(ab, _ONE_MINUS_PSI) for ab in _batch_products(pairs)])
+    for operands in (xs, ys):
+        for x in [operands] if isinstance(operands, Multivector) else operands:
+            _require_paravector(x)
+    full = _batch_products(_batch_products(xs, ys), _ONE_MINUS_PSI)
     return [grade_select(x, (0, 1)) for x in full]
 
 
@@ -119,11 +122,21 @@ def oct_norm(a: Multivector) -> float:
 
 
 def oct_inverse(a: Multivector) -> Multivector:
-    """Composition-algebra inverse ``conj(A) / |A|^2``."""
-    n2 = oct_norm(a) ** 2
-    if n2 == 0.0:
+    """Composition-algebra inverse ``conj(A) / |A|^2``.
+
+    The result is validated as :func:`~isoclifford.multivector.inverse`
+    validates its own: if ``A ∘ A⁻¹`` misses 1 by more than 1e-8, because
+    coefficients of the inverse fell under the prune (all of them do once
+    ``|A|^2`` passes the largest float), ``NonInvertibleError`` is raised.
+    """
+    n = oct_norm(a)
+    if n == 0.0:
         raise NonInvertibleError("zero octonion has no inverse")
-    return oct_conjugate(a) * (1.0 / n2)
+    inv = oct_conjugate(a) * (1.0 / (n * n))
+    residual = (oct_product(a, inv) - 1).max_abs()
+    if residual > 1e-8:
+        raise NonInvertibleError(f"octonion inverse residual {residual:.3e} exceeds 1.0e-08")
+    return inv
 
 
 def oct_context(zeta: Multivector) -> IsoContext:

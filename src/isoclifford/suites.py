@@ -8,12 +8,13 @@ not reproducible and the flags say so).
 
 A check whose samples are independent draws all of them first, in the
 order the random generator gave them when each sample was formed on its
-own (products draw nothing), and then forms its products in stages of
-``_STAGE`` samples: each stage of the identity, ``a b`` then ``(a b) c``
-say, is one call of :func:`~isoclifford.multivector._batch_products` over
-the stage's samples.  Every product keeps its bits, so every residual and
-every report does too; the stages bound how many samples' products are
-held at once.
+own (products draw nothing), and then writes its identity over the whole
+sample lists: each product in it, ``a b`` then ``(a b) c`` say, is one
+call of :func:`~isoclifford.multivector._batch_products` on the lists of
+its factors.  Every product keeps its bits, so every residual and every
+report does too.  The kernel bounds the arrays of each of its calls;
+what a check holds between calls is its lists of products, a few MB at
+most (``tests/test_suites.py`` bounds the clifford suite's peak).
 """
 
 from __future__ import annotations
@@ -76,13 +77,6 @@ from .multivector import (
 )
 
 DEFAULT_SEED = 0xC1F0
-# Samples whose products one stage of a check forms together.  _BATCH_PAIRS
-# bounds each kernel call's arrays; the stages bound the products a check
-# holds between calls.  Child peak RSS of a cold `verify --suite all`,
-# medians of 12 alternating launches on a 2-core x86-64: 41.3 MB with each
-# product formed on its own, 42.4 MB with stages of 50, and 43.5 MB (at
-# most 44.8) with each check's samples in one stage under the cap alone.
-_STAGE = 50
 
 
 class _Recorder:
@@ -153,19 +147,6 @@ def _rng():
     return np.random.default_rng(DEFAULT_SEED)
 
 
-def _staged(samples: list) -> list:
-    """``samples`` in consecutive stages of at most ``_STAGE``."""
-    return [samples[k:k + _STAGE] for k in range(0, len(samples), _STAGE)]
-
-
-def _products(rows: list, batch=_batch_products) -> list:
-    """For each row of ``(a, b)`` pairs, the tuple of its products: one
-    call of ``batch``, ``a * b`` by default, over every row."""
-    width = len(rows[0]) if rows else 0
-    flat = batch([pair for row in rows for pair in row])
-    return [tuple(flat[k:k + width]) for k in range(0, len(flat), width)]
-
-
 TEST_SIGNATURES = (Signature(3, 0), Signature(1, 3), Signature(0, 7))
 
 
@@ -176,13 +157,11 @@ def suite_clifford(rec: _Recorder) -> None:
     rng = _rng()
     for sig in TEST_SIGNATURES:
         tag = f"cl{sig.p}{sig.q}"
-        samples = [tuple(random_multivector(sig, rng, 8) for _ in range(3))
-                   for _ in range(200)]
-        for stage in _staged(samples):
-            firsts = _products([((a, b), (b, c)) for a, b, c in stage])
-            for left, right in _products([((ab, c), (a, bc))
-                                          for (a, b, c), (ab, bc) in zip(stage, firsts)]):
-                rec.add(f"{tag}.associativity", left, right, 1e-10)
+        a, b, c = zip(*(tuple(random_multivector(sig, rng, 8) for _ in range(3))
+                        for _ in range(200)))
+        for left, right in zip(_batch_products(_batch_products(a, b), c),
+                               _batch_products(a, _batch_products(b, c))):
+            rec.add(f"{tag}.associativity", left, right, 1e-10)
 
         for i in range(sig.dim):
             for j in range(sig.dim):
@@ -198,12 +177,12 @@ def suite_clifford(rec: _Recorder) -> None:
             rec.add(f"{tag}.contraction_duality", left_contraction(v, psi),
                     -right_contraction(grade_involution(psi), v), 1e-12)
 
-        samples = [(random_multivector(sig, rng, 8), random_multivector(sig, rng, 8))
-                   for _ in range(50)]
-        for stage in _staged(samples):
-            for ab, rev_ba in _products([((a, b), (reversion(b), reversion(a)))
-                                         for a, b in stage]):
-                rec.add(f"{tag}.reversion_antiautomorphism", reversion(ab), rev_ba, 1e-10)
+        a, b = zip(*((random_multivector(sig, rng, 8), random_multivector(sig, rng, 8))
+                     for _ in range(50)))
+        for ab, rev_ba in zip(_batch_products(a, b),
+                              _batch_products([reversion(x) for x in b],
+                                              [reversion(x) for x in a])):
+            rec.add(f"{tag}.reversion_antiautomorphism", reversion(ab), rev_ba, 1e-10)
 
         for _ in range(20):
             a = sig.scalar(2.0 + rng.random()) + random_multivector(sig, rng, 6, scale=0.4)
@@ -222,20 +201,45 @@ def suite_isotopy(rec: _Recorder) -> None:
         ctx = random_invertible_context(sig, rng)
         samples += [(ctx, *(random_multivector(sig, rng, 6) for _ in range(3)))
                     for _ in range(10)]
-    for stage in _staged(samples):
-        _diamond_checks(rec, stage)
+    # each ⋄ product x ⋄ y = (x ζ⁻¹) y and lift x ζ is formed as isotopy
+    # forms it; its right factors give geometric_product's bits
+    ctxs, a, b, c = zip(*samples)
+    z = [ctx.zeta for ctx in ctxs]
+    zi = [ctx.zeta_inv for ctx in ctxs]
+    a_zi = _batch_products(a, zi)
+    ab_c = _batch_products(_batch_products(_batch_products(a_zi, b), zi), c)   # (a ⋄ b) ⋄ c
+    a_bc = _batch_products(a_zi, _batch_products(_batch_products(b, zi), c))   # a ⋄ (b ⋄ c)
+    a_unit = _batch_products(a_zi, z)                                         # a ⋄ ζ
+    unit_a = _batch_products(_batch_products(z, zi), a)                       # ζ ⋄ a
+    lifts = _batch_products(_batch_products(_batch_products(a, z), zi),
+                            _batch_products(b, z))                            # a ζ ⋄ b ζ
+    lift_ab = _batch_products(_batch_products(a, b), z)                       # (a b) ζ
+    for k, x in enumerate(a):
+        rec.add("diamond.associativity", ab_c[k], a_bc[k], 1e-9)
+        rec.add("diamond.unit_law", a_unit[k], x, 1e-10)
+        rec.add("diamond.unit_law", unit_a[k], x, 1e-10)
+        rec.add("lift.homomorphism", lifts[k], lift_ab[k], 1e-9)
 
     for s in TEST_SIGNATURES:
         ctx = random_invertible_context(s, rng)
-        samples = [(random_multivector(s, rng, 6), random_multivector(s, rng, 6))
-                   for _ in range(30)]
-        for stage in _staged(samples):
-            _lift_identity_checks(rec, ctx, stage)
+        a, b = zip(*((random_multivector(s, rng, 6), random_multivector(s, rng, 6))
+                     for _ in range(30)))
+        # [a ζ, b ζ]_ζ = (a b - b a) ζ
+        lifted = _iso_commutators(ctx.zeta_inv, _batch_products(a, ctx.zeta),
+                                  _batch_products(b, ctx.zeta))
+        want = _batch_products([ab - ba for ab, ba in zip(_batch_products(a, b),
+                                                          _batch_products(b, a))], ctx.zeta)
+        for got, w in zip(lifted, want):
+            rec.add("isocommutator.lift_identity", got, w, 1e-9)
 
     ctx = random_invertible_context(sig, rng)
-    samples = [tuple(random_multivector(sig, rng, 6) for _ in range(3)) for _ in range(30)]
-    for stage in _staged(samples):
-        _jacobi_checks(rec, ctx, stage)
+    a, b, c = zip(*(tuple(random_multivector(sig, rng, 6) for _ in range(3))
+                    for _ in range(30)))
+    zi = ctx.zeta_inv
+    for x, y, z in zip(_iso_commutators(zi, a, _iso_commutators(zi, b, c)),
+                       _iso_commutators(zi, b, _iso_commutators(zi, c, a)),
+                       _iso_commutators(zi, c, _iso_commutators(zi, a, b))):
+        rec.add("isocommutator.jacobi", x + y + z, 0, 1e-9)
 
     a = random_multivector(sig, rng, 6)
     b = random_multivector(sig, rng, 6)
@@ -273,55 +277,12 @@ def suite_isotopy(rec: _Recorder) -> None:
                 lift(ctx, wedge(u, v)), 1e-9)
 
 
-# Each ⋄ product ``x ⋄ y = (x ζ⁻¹) y`` and lift ``x ζ`` below is formed as
-# isotopy forms it; its right factors give geometric_product's bits.
-
-
-def _diamond_checks(rec: _Recorder, stage: list) -> None:
-    """⋄ associativity, the unit laws and the lift homomorphism of
-    ``(ctx, a, b, c)`` samples."""
-    firsts = _products([((a, ctx.zeta_inv), (b, ctx.zeta_inv), (a, ctx.zeta), (b, ctx.zeta),
-                         (a, b), (ctx.zeta, ctx.zeta_inv)) for ctx, a, b, c in stage])
-    seconds = _products([((a_zi, b), (b_zi, c), (a_zi, ctx.zeta), (z_zi, a),
-                          (a_z, ctx.zeta_inv), (ab, ctx.zeta))
-                         for (ctx, a, b, c), (a_zi, b_zi, a_z, _, ab, z_zi)
-                         in zip(stage, firsts)])
-    thirds = _products([((a_b, ctx.zeta_inv), (a_zi, b_c), (a_z_zi, b_z))
-                        for (ctx, *_), (a_zi, _, _, b_z, _, _), (a_b, b_c, _, _, a_z_zi, _)
-                        in zip(stage, firsts, seconds)])
-    fourths = _products([((a_b_zi, c),) for (_, _, _, c), (a_b_zi, _, _) in zip(stage, thirds)])
-    for (_, a, _, _), (_, _, a_unit, unit_a, _, lift_ab), (_, a_bc, lifts), (ab_c,) in zip(
-            stage, seconds, thirds, fourths):
-        rec.add("diamond.associativity", ab_c, a_bc, 1e-9)
-        rec.add("diamond.unit_law", a_unit, a, 1e-10)
-        rec.add("diamond.unit_law", unit_a, a, 1e-10)
-        rec.add("lift.homomorphism", lifts, lift_ab, 1e-9)
-
-
-def _lift_identity_checks(rec: _Recorder, ctx: IsoContext, stage: list) -> None:
-    """``[a ζ, b ζ]_ζ = (a b - b a) ζ`` for ``(a, b)`` samples."""
-    firsts = _products([((a, ctx.zeta), (b, ctx.zeta), (a, b), (b, a)) for a, b in stage])
-    seconds = _products([((a_z, ctx.zeta_inv), (b_z, ctx.zeta_inv), (ab - ba, ctx.zeta))
-                         for a_z, b_z, ab, ba in firsts])
-    thirds = _products([((a_z_zi, b_z), (b_z_zi, a_z))
-                        for (a_z, b_z, _, _), (a_z_zi, b_z_zi, _) in zip(firsts, seconds)])
-    for (x, y), (_, _, lifted) in zip(thirds, seconds):
-        rec.add("isocommutator.lift_identity", x - y, lifted, 1e-9)
-
-
-def _jacobi_checks(rec: _Recorder, ctx: IsoContext, stage: list) -> None:
-    """The Jacobi identity of the iso-commutator for ``(a, b, c)`` samples."""
-    zi = ctx.zeta_inv
-    firsts = _products([((a, zi), (b, zi), (c, zi)) for a, b, c in stage])
-    seconds = _products([((b_zi, c), (c_zi, b), (c_zi, a), (a_zi, c), (a_zi, b), (b_zi, a))
-                         for (a, b, c), (a_zi, b_zi, c_zi) in zip(stage, firsts)])
-    inner = [(x0 - y0, x1 - y1, x2 - y2) for x0, y0, x1, y1, x2, y2 in seconds]
-    thirds = _products([((bc, zi), (ca, zi), (ab, zi)) for bc, ca, ab in inner])
-    fourths = _products([((a_zi, bc), (bc_zi, a), (b_zi, ca), (ca_zi, b), (c_zi, ab), (ab_zi, c))
-                         for (a, b, c), (a_zi, b_zi, c_zi), (bc, ca, ab), (bc_zi, ca_zi, ab_zi)
-                         in zip(stage, firsts, inner, thirds)])
-    for x0, y0, x1, y1, x2, y2 in fourths:
-        rec.add("isocommutator.jacobi", (x0 - y0) + (x1 - y1) + (x2 - y2), 0, 1e-9)
+def _iso_commutators(zeta_inv, xs, ys) -> list:
+    """``[x, y]_ζ = x ⋄ y - y ⋄ x`` for each ``x, y`` of ``xs, ys``, the
+    ``Multivector`` difference of its two ⋄ products, as
+    :func:`~isoclifford.isotopy.iso_commutator` forms it."""
+    return [p - q for p, q in zip(_batch_products(_batch_products(xs, zeta_inv), ys),
+                                  _batch_products(_batch_products(ys, zeta_inv), xs))]
 
 
 # -- octonion ------------------------------------------------------------------------
@@ -347,20 +308,20 @@ def suite_octonion(rec: _Recorder) -> None:
                            {0: complex(comps[0]),
                             **{1 << i: complex(comps[i + 1]) for i in range(7)}})
 
-    samples = [(rand_par(), rand_par()) for _ in range(200)]
-    for stage in _staged(samples):
-        for (x, y), xy in zip(stage, octonion.oct_products(stage)):
-            rec.add("norm_composition", octonion.oct_norm(xy),
-                    octonion.oct_norm(x) * octonion.oct_norm(y), 1e-9)
+    xs, ys = zip(*((rand_par(), rand_par()) for _ in range(200)))
+    for x, y, xy in zip(xs, ys, octonion.oct_products(xs, ys)):
+        rec.add("norm_composition", octonion.oct_norm(xy),
+                octonion.oct_norm(x) * octonion.oct_norm(y), 1e-9)
 
-    samples = [(rand_par(), rand_par()) for _ in range(100)]
-    for stage in _staged(samples):
-        firsts = _products([((x, x), (x, y), (y, x)) for x, y in stage], octonion.oct_products)
-        for x_xy, xx_y, yx_x, y_xx in _products(
-                [((x, xy), (xx, y), (yx, x), (y, xx))
-                 for (x, y), (xx, xy, yx) in zip(stage, firsts)], octonion.oct_products):
-            rec.add("alternativity", x_xy, xx_y, 1e-9)
-            rec.add("alternativity", yx_x, y_xx, 1e-9)
+    xs, ys = zip(*((rand_par(), rand_par()) for _ in range(100)))
+    xx = octonion.oct_products(xs, xs)
+    for x_xy, xx_y, yx_x, y_xx in zip(
+            octonion.oct_products(xs, octonion.oct_products(xs, ys)),
+            octonion.oct_products(xx, ys),
+            octonion.oct_products(octonion.oct_products(ys, xs), xs),
+            octonion.oct_products(ys, xx)):
+        rec.add("alternativity", x_xy, xx_y, 1e-9)
+        rec.add("alternativity", yx_x, y_xx, 1e-9)
 
     witness = False
     for a in range(1, 8):
@@ -472,24 +433,20 @@ def suite_su6(rec: _Recorder) -> None:
 
 def _transport_checks(rec: _Recorder, tag: str, gs, gsi) -> None:
     """``[g_a ζ, g_b ζ]_ζ = [g_a, g_b] ζ`` for every pair ``a < b`` of the
-    rigid family ``gs`` and its lift ``gsi``: each ``g ζ⁻¹`` (and ``g 1``
-    on the rigid side) is formed once, and each commutator is the
-    ``Multivector`` difference of its two ⋄ products, as
-    :func:`~isoclifford.isotopy.iso_commutator` forms it."""
-    rigid, lifted = gs.generators, gsi.generators
-    zeta = gsi.context.zeta
-    m = len(rigid)
-    lefts = _batch_products([(g, gsi.context.zeta_inv) for g in lifted]
-                            + [(g, gs.context.zeta_inv) for g in rigid])
-    lifted_left, rigid_left = lefts[:m], lefts[m:]
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    for stage in _staged(pairs):
-        sides = _products([((lifted_left[a], lifted[b]), (lifted_left[b], lifted[a]),
-                            (rigid_left[a], rigid[b]), (rigid_left[b], rigid[a]))
-                           for a, b in stage])
-        transported = _products([((rx - ry, zeta),) for _, _, rx, ry in sides])
-        for (lx, ly, _, _), (want,) in zip(sides, transported):
-            rec.add(f"{tag}.iso_transport", lx - ly, want, 1e-9)
+    rigid family ``gs`` and its lift ``gsi``: each commutator is formed as
+    :func:`_iso_commutators` forms it, with each ``g ζ⁻¹`` formed once."""
+    m = len(gs.generators)
+    a, b = zip(*((a, b) for a in range(m) for b in range(a + 1, m)))
+
+    def commutators(family):
+        g = family.generators
+        g_zi = _batch_products(g, family.context.zeta_inv)
+        return [p - q for p, q in zip(_batch_products([g_zi[k] for k in a], [g[k] for k in b]),
+                                      _batch_products([g_zi[k] for k in b], [g[k] for k in a]))]
+
+    want = _batch_products(commutators(gs), gsi.context.zeta)
+    for got, w in zip(commutators(gsi), want):
+        rec.add(f"{tag}.iso_transport", got, w, 1e-9)
 
 
 # -- dirac ----------------------------------------------------------------------------
@@ -510,12 +467,11 @@ def suite_dirac(rec: _Recorder) -> None:
     for mu in range(4):
         rec.add("gamma5.anticommutes", d.gamma[mu] @ g5, -(g5 @ d.gamma[mu]), 0.0)
 
-    samples = [(random_multivector(sig, rng, 8), random_multivector(sig, rng, 8))
-               for _ in range(200)]
-    for stage in _staged(samples):
-        for (a, b), ab in zip(stage, _batch_products(stage)):
-            rec.add("rep.homomorphism", d.rep(ab), d.rep(a) @ d.rep(b), 1e-9)
-            rec.add("rep.roundtrip", d.rep_inverse(d.rep(a)), a, 1e-9)
+    xs, ys = zip(*((random_multivector(sig, rng, 8), random_multivector(sig, rng, 8))
+                   for _ in range(200)))
+    for x, y, xy in zip(xs, ys, _batch_products(xs, ys)):
+        rec.add("rep.homomorphism", d.rep(xy), d.rep(x) @ d.rep(y), 1e-9)
+        rec.add("rep.roundtrip", d.rep_inverse(d.rep(x)), x, 1e-9)
 
     f = 0.5 * (sig.scalar(1.0) + sig.e(0))
     rf = d.rep(f)

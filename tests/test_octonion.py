@@ -75,12 +75,6 @@ def test_table_product_rejects_indices_outside_0_to_7(a, b):
         table_product(a, b)
 
 
-def test_non_associativity_witness():
-    lhs = oct_product(oct_product(oct_unit(1), oct_unit(2)), oct_unit(3))
-    rhs = oct_product(oct_unit(1), oct_product(oct_unit(2), oct_unit(3)))
-    assert (lhs - rhs).max_abs() >= 1.0
-
-
 def test_conjugate_and_inverse():
     rng = np.random.default_rng(3)
     x = rand_paravector(rng)
@@ -90,6 +84,24 @@ def test_conjugate_and_inverse():
     assert (oct_inverse(oct_unit(1)) + oct_unit(1)).max_abs() == 0.0
     with pytest.raises(NonInvertibleError):
         oct_inverse(SIG07.scalar(0.0))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e154, 1e-200])
+def test_norm_far_from_one_keeps_its_digits(scale):
+    """The squares of 3s and 4s overflow or underflow the plain fold; the
+    norm is still 5s.  Coefficients below the prune are built through
+    ``_from_kept``, as an element far below 1 cannot be constructed."""
+    x = Multivector._from_kept(SIG07, {0: 3 * scale + 0j, 1: 4 * scale + 0j})
+    assert oct_norm(x) == pytest.approx(5 * scale, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("coeffs", [{0: 1e200}, {0: 7e13, 1: 1e13}],
+                         ids=["past-the-float-range", "partly-under-the-prune"])
+def test_inverse_that_falls_under_the_prune_is_refused(coeffs):
+    """``1e-200`` falls wholly under the prune, and the ``e1`` term of the
+    second inverse (``-4e-16``) does, which would miss 1 by 0.14."""
+    with pytest.raises(NonInvertibleError, match="octonion inverse residual"):
+        oct_inverse(Multivector(SIG07, coeffs))
 
 
 def test_isotope_identity_unit():
@@ -118,13 +130,21 @@ def test_paravector_guard():
 def test_products_keep_the_grade_projection_of_the_full_product_bit_for_bit():
     """``oct_products`` batches the full product and a single
     ``oct_product`` is a batch of one; both give the projection of the
-    per-pair product's bits, term order included."""
+    per-pair product's bits, term order included, and so does a single
+    paravector on either side."""
     rng = np.random.default_rng(400)
     one_minus_psi = SIG07.scalar(1.0) - structure_trivector()
-    pairs = [(rand_paravector(rng), rand_paravector(rng)) for _ in range(400)]
-    want = [bits(grade_select(geometric_product(geometric_product(a, b), one_minus_psi), (0, 1)))
-            for a, b in pairs]
-    assert [bits(oct_product(a, b)) for a, b in pairs] == want
-    assert [bits(x) for x in oct_products(pairs)] == want
+    xs, ys = zip(*((rand_paravector(rng), rand_paravector(rng)) for _ in range(400)))
+
+    def want(xs, ys):
+        return [bits(grade_select(geometric_product(geometric_product(x, y), one_minus_psi),
+                                  (0, 1))) for x, y in zip(xs, ys)]
+
+    assert [bits(oct_product(x, y)) for x, y in zip(xs, ys)] == want(xs, ys)
+    assert [bits(x) for x in oct_products(xs, ys)] == want(xs, ys)
+    assert [bits(x) for x in oct_products(xs[0], ys)] == want([xs[0]] * len(ys), ys)
+    assert [bits(x) for x in oct_products(xs, ys[0])] == want(xs, [ys[0]] * len(xs))
     with pytest.raises(AlgebraError):
-        oct_products([(pairs[0][0], SIG07.e(0, 1))])
+        oct_products(xs[:1], [SIG07.e(0, 1)])
+    with pytest.raises(AlgebraError):
+        oct_products(SIG07.e(0, 1), ys)

@@ -296,7 +296,7 @@ def test_numpy_complex_multiply_would_not_be_bit_identical():
 
 
 def batch_of_one(a, b):
-    return _batch_products([(a, b)])[0]
+    return _batch_products([a], [b])[0]
 
 
 @pytest.mark.parametrize("product", [p for p, _ in PRODUCTS] + [batch_of_one],
@@ -385,14 +385,23 @@ def _constants(min_pairs, batch_pairs):
 @given(_batches())
 def test_batch_products_equal_the_per_pair_products_bit_for_bit(batch):
     """Each chunk on either path, with the default cap and with one small
-    enough that most batches cross it."""
+    enough that most batches cross it; a single element on either side
+    multiplies every element of the other, and lists of unequal length
+    are refused."""
     _, operands, index = batch
-    pairs = [(operands[i], operands[j]) for i, j in index]
-    want = [bits(geometric_product(a, b)) for a, b in pairs]
+    xs = [operands[i] for i, _ in index]
+    ys = [operands[j] for _, j in index]
+    x, y = operands[0], operands[-1]
+    cases = [((xs, ys), zip(xs, ys)), ((x, ys), ((x, b) for b in ys)),
+             ((xs, y), ((a, y) for a in xs))]
+    want = [(args, [bits(geometric_product(a, b)) for a, b in pairs]) for args, pairs in cases]
     for min_pairs in (0, THRESHOLD, 1 << 30):
         for batch_pairs in (CAP, 64):
             with _constants(min_pairs, batch_pairs):
-                assert [bits(x) for x in _batch_products(pairs)] == want
+                for args, products in want:
+                    assert [bits(p) for p in _batch_products(*args)] == products
+    with pytest.raises(ValueError):
+        _batch_products(xs, ys[:-1])
 
 
 def test_batch_products_cut_at_the_cap(monkeypatch):
@@ -406,21 +415,21 @@ def test_batch_products_cut_at_the_cap(monkeypatch):
     sig = Signature(0, 7)
     rng = np.random.default_rng(29)
     shapes = [(na, nb) for na, nb in SHAPES[:3] for _ in range(8)]
-    pairs = [(random_multivector(sig, rng, na), random_multivector(sig, rng, nb))
-             for na, nb in shapes]
+    xs, ys = zip(*((random_multivector(sig, rng, na), random_multivector(sig, rng, nb))
+                   for na, nb in shapes))
     total = sum(na * nb for na, nb in shapes)
     assert total > CAP
-    got = _batch_products(pairs)
+    got = _batch_products(xs, ys)
     assert sum(calls) == total and len(calls) == 2 and max(calls) <= CAP
-    assert [bits(x) for x in got] == [bits(geometric_product(a, b)) for a, b in pairs]
+    assert [bits(x) for x in got] == [bits(geometric_product(a, b)) for a, b in zip(xs, ys)]
     calls.clear()
-    assert _batch_products([]) == [] and calls == []
+    assert _batch_products([], []) == [] and calls == []
 
 
 def test_batch_products_refuse_a_mixed_signature():
     x = Signature(1, 3).e(0)
     with pytest.raises(SignatureMismatchError):
-        _batch_products([(x, x), (x, Signature(0, 7).e(0))])
+        _batch_products([x, x], [x, Signature(0, 7).e(0)])
 
 
 def _su6_oracle_keys(monkeypatch):
