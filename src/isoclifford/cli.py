@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from typing import Any
 
 from . import AlgebraError, flavor
 
@@ -44,7 +43,7 @@ EXIT_DOMAIN = 3
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _round6(value: Any) -> Any:
+def _round6(value: object) -> object:
     """Recursively round floats to 6 significant digits for stable output."""
     if isinstance(value, float):
         return float(f"{value:.6g}")

@@ -16,6 +16,11 @@ operators, iso-states and expectations) live in
 :mod:`isoclifford.flavor_matrices`, on numpy, so importing this module
 (as ``isoclifford flavor`` does) loads no other module of the package
 and no numpy.
+
+Its two classes are ``namedtuple`` subclasses that validate in ``__new__``,
+not frozen dataclasses as on the numpy side: ``dataclasses`` loads
+``inspect``, which would be the command's largest import.  Their ``_make``
+and ``_replace`` skip the validation; nothing calls them.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ import json
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+import sys
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 
 FLAVORS = ("u", "d", "s", "c", "b", "t")
 GROUP_FLAVORS = {"su3": FLAVORS[:3], "su6": FLAVORS}
@@ -85,36 +91,32 @@ class MassDomainError(MassInputError):
 
 
 def _mass_value(value) -> float:
-    """A mass read from input data; strings and booleans are not numbers here."""
+    """A mass read from input data; strings and booleans are not numbers here,
+    and an integer beyond the float range raises ``OverflowError``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"mass {_input_repr.repr(value)} is not a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise MassDomainError("an integer mass exceeds the float range") from None
+    return float(value)
 
 
-@dataclass(frozen=True)
-class QuarkMassBounds:
+class QuarkMassBounds(namedtuple("QuarkMassBounds", "lo hi central")):
     """Per-flavor mass windows in MeV with an optional central value."""
 
-    lo: Mapping[str, float]
-    hi: Mapping[str, float]
-    central: Mapping[str, float]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, lo: Mapping, hi: Mapping, central: Mapping):
         for fl in FLAVORS:
-            if fl not in self.lo or fl not in self.hi or fl not in self.central:
+            if fl not in lo or fl not in hi or fl not in central:
                 raise MassFormatError(f"missing flavor {fl!r}")
-            lo, hi, c = self.lo[fl], self.hi[fl], self.central[fl]
-            if not all(map(math.isfinite, (lo, c, hi))):
+            lo_fl, hi_fl, c = lo[fl], hi[fl], central[fl]
+            if not all(map(math.isfinite, (lo_fl, c, hi_fl))):
                 raise MassDomainError(
                     f"flavor {fl!r}: min, central and max must be finite, got "
-                    f"({lo}, {c}, {hi})")
-            if not (0 < lo <= c <= hi):
+                    f"({lo_fl}, {c}, {hi_fl})")
+            if not (0 < lo_fl <= c <= hi_fl):
                 raise MassDomainError(
                     f"flavor {fl!r}: need 0 < min <= central <= max, got "
-                    f"({lo}, {c}, {hi})")
+                    f"({lo_fl}, {c}, {hi_fl})")
+        return super().__new__(cls, lo, hi, central)
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "QuarkMassBounds":
@@ -126,10 +128,14 @@ class QuarkMassBounds:
             try:
                 lo[fl] = _mass_value(entry["min"])
                 hi[fl] = _mass_value(entry["max"])
-                central[fl] = _mass_value(entry.get("central", 0.5 * (lo[fl] + hi[fl])))
+                # halving is exact, and unlike lo + hi the halves cannot overflow
+                central[fl] = _mass_value(entry.get("central", 0.5 * lo[fl] + 0.5 * hi[fl]))
             except (AttributeError, TypeError, KeyError) as exc:
                 raise MassFormatError(
                     f"flavor {fl!r}: bad entry {_input_repr.repr(entry)} ({exc})") from exc
+            except OverflowError:
+                raise MassDomainError(
+                    f"flavor {fl!r}: an integer mass exceeds the float range") from None
         return cls(lo, hi, central)
 
     @classmethod
@@ -172,31 +178,34 @@ def _log_sum(values) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class FlavorIsoUnit:
+def _positive_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, positive and within the
+    float range (an integer beyond it would overflow ``float``)."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and 0 < value <= sys.float_info.max)
+
+
+class FlavorIsoUnit(namedtuple("FlavorIsoUnit", "group diagonal delta params")):
     """Diagonal isounit of a flavor group, with its normalization scalar.
 
-    ``diagonal`` holds the entries of ζ, each real, finite and positive, so
-    ζ is positive definite; :mod:`isoclifford.flavor_matrices` builds its
-    matrix.
+    ``diagonal`` holds the entries of ζ and ``delta`` the scalar, each a
+    float, finite and positive, so ζ is positive definite;
+    :mod:`isoclifford.flavor_matrices` builds its matrix.
     """
 
-    group: str
-    diagonal: tuple[float, ...]
-    delta: float = 1.0
-    params: tuple[float, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.group not in GROUP_DIM:
-            raise ValueError(f"unknown group {self.group!r}")
-        dim = GROUP_DIM[self.group]
-        if len(self.diagonal) != dim:
+    def __new__(cls, group: str, diagonal: Sequence[float], delta: float = 1.0, params=None):
+        if group not in GROUP_DIM:
+            raise ValueError(f"unknown group {group!r}")
+        dim = GROUP_DIM[group]
+        if len(diagonal) != dim:
             raise ValueError(f"isounit diagonal must have {dim} entries")
-        if not all(isinstance(d, numbers.Real) and 0 < d < math.inf for d in self.diagonal):
+        if not all(map(_positive_real, diagonal)):
             raise ValueError("isounit diagonal entries must be real, finite and positive")
-        if not 0 < self.delta < math.inf:
-            raise ValueError("delta must be finite and positive")
-        object.__setattr__(self, "diagonal", tuple(float(d) for d in self.diagonal))
+        if not _positive_real(delta):
+            raise ValueError("delta must be real, finite and positive")
+        return super().__new__(cls, group, tuple(map(float, diagonal)), float(delta), params)
 
     @classmethod
     def from_params(cls, group: str, params: Sequence[float]) -> "FlavorIsoUnit":

@@ -214,20 +214,28 @@ def test_verify_loads_numpy_with_one_blas_thread_unless_the_user_chose(user_valu
 
 
 def test_flavor_imports_only_the_flavor_module():
+    # under -S no site hook loads a module before the child records them; as
+    # -S also drops site-packages, the child imports the package from where
+    # this process did
     code = (
-        "import contextlib, io, json, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io, json\n"
         "from isoclifford.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules\n"
-        "                              if m.partition('.')[0] == 'isoclifford'),\n"
-        "                  'numpy' in sys.modules]))\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
     )
     pinned = json.loads((REPO / "tests" / "pinned_reports.json").read_text())
-    proc = subprocess.run([*PYTHON, "-c", code, *pinned["flavor_argv"],
-                           "--group", "su6"], capture_output=True, text=True, cwd=REPO)
-    assert json.loads(proc.stdout) == [0, ["isoclifford", "isoclifford.cli",
-                                           "isoclifford.flavor"], False], proc.stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([*PYTHON, "-S", "-c", code, *pinned["flavor_argv"], "--group", "su6"],
+                          capture_output=True, text=True, cwd=REPO, env=env)
+    code, added = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    assert [m for m in added if m.partition(".")[0] == "isoclifford"] == [
+        "isoclifford", "isoclifford.cli", "isoclifford.flavor"]
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+                "numpy"} & set(added), added
 
 
 def test_flavor_reports_match_the_pins_with_numpy_blocked(tmp_path):
@@ -419,15 +427,19 @@ BAD_ENTRY = "error: flavor 'c': bad entry "
 @pytest.mark.parametrize("entry,code,message", [
     ({"min": 1.0, "max": float("inf")}, 3, NOT_FINITE),
     ({"min": 1.0, "max": 2.0, "central": float("nan")}, 3, NOT_FINITE),
-    ({"min": 1.0, "max": 10 ** 400}, 3, "error: an integer mass exceeds the float range"),
+    ({"min": 1.0, "max": 10 ** 400}, 3,
+     "error: flavor 'c': an integer mass exceeds the float range"),
+    # the default central (halfway) is finite; the parameters it feeds overflow
+    ({"min": 1e308, "max": 1.7e308}, 3,
+     "error: su6 parameter alpha is not a finite positive number"),
     ({"min": -1.0, "max": 2.0}, 3, "error: flavor 'c': need 0 < min <= central <= max"),
     ({"min": True, "max": 2.0}, 2, BAD_ENTRY),
     ({"min": 1.0, "max": 2.0, "central": False}, 2, BAD_ENTRY),
     ({"min": "1.0", "max": 2.0}, 2, BAD_ENTRY),
     ([1.0, 2.0], 2, BAD_ENTRY),
     (None, 2, "error: missing flavor 'c'"),
-], ids=["infinity", "nan", "huge_integer", "nonpositive", "boolean", "boolean_central",
-        "string", "list", "missing"])
+], ids=["infinity", "nan", "huge_integer", "huge_default_central", "nonpositive", "boolean",
+        "boolean_central", "string", "list", "missing"])
 def test_flavor_input_errors_map_to_exit_codes_by_type(tmp_path, capsys, entry, code, message):
     entries = _mass_entries(c=entry)
     if entry is None:  # no entry for c at all

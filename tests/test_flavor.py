@@ -117,6 +117,12 @@ def test_isounit_validation():
         lambda: FlavorIsoUnit("su3", (2.0, 1j, -0.5j)),
         lambda: FlavorIsoUnit("su3", np.array([2.0, 0.5, 1.0], dtype=complex)),
         lambda: FlavorIsoUnit.from_params("su3", (1e-200, 1e-200)),
+        # delta is validated as the diagonal is, and a bool is not a number here
+        lambda: FlavorIsoUnit("su3", (1.0, 1.0, 1.0), delta=1j),
+        lambda: FlavorIsoUnit("su3", (1.0, 1.0, 1.0), delta="2"),
+        lambda: FlavorIsoUnit("su3", (1.0, 1.0, 1.0), delta=True),
+        lambda: FlavorIsoUnit("su3", (True, True, True)),
+        lambda: FlavorIsoUnit("su3", (1.0, 1.0, 1.0), delta=10 ** 400),
     ):
         with pytest.raises(ValueError):
             make()
