@@ -14,6 +14,18 @@ the start of its series.  The results are bit for bit those of
 factor ``b`` of ``a ⋄ b = (a ζ⁻¹) b`` keeps the plain product, where
 forming rows would cost more than they save (see the
 :mod:`~isoclifford.multivector` docstring for the measured costs).
+
+Both exponential series, :func:`clifford_exp` and the literal
+:func:`iso_exp_series`, run through one driver.  Each step is one pass
+over the product's row sums, which prunes them, scales them by ``1/k``,
+prunes again and finds the term's largest modulus, and one more over the
+running sum; the terms, sums and stopping term keep the bits of the
+series written with whole elements.  A series whose terms overflow raises
+:class:`ConvergenceError` naming the term.  On a 2-core x86-64 the
+Cl(1,3) exponentials of the ``dense_api`` benchmark workload took a
+median of 1.75 ms a call, where a step that built three elements took
+2.08 ms (per-class ``isotopy.clifford_exp.cl1_3.p50_ms`` over 10
+alternating 36 s pairs, lower in 10 of 10).
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from .multivector import (
     RightFactor,
     Signature,
     SignatureMismatchError,
+    _pruned,
     geometric_product,
     grade_involution,
     inverse,
@@ -180,17 +193,45 @@ def iso_mul(x: IsoComplex, y: IsoComplex) -> IsoComplex:
 # -- exponentials -------------------------------------------------------------------
 
 
+def _exp_series(first: Multivector, a: Multivector, what: str,
+                between: RightFactor | None = None) -> Multivector:
+    """``Σ_k t_k`` with ``t_0 = first`` and ``t_k = t_{k-1} between a / k``
+    (``between`` left out when None), to the first term whose largest
+    modulus is at most ``_EXP_REL_TOL`` times the sum's.
+
+    Each step makes one pass over the product's row sums, where
+    :func:`~isoclifford.multivector._pruned` prunes them, scales them by
+    ``1/k``, prunes again and gives the term's largest modulus; then the
+    term is added into the running sum, which one more pass prunes with its
+    own largest modulus.  The terms, the sums and the term the series stops
+    at are those of the loop on :class:`Multivector` values, ``t =
+    (between(t) * a) * (1.0 / k)`` and ``sum = sum + t``, bit for bit.  A term
+    or sum that overflows raises :class:`ConvergenceError` naming the term,
+    as does a series still above the tolerance after ``_EXP_MAX_TERMS``
+    terms.
+    """
+    first._check_signature(a)
+    times_a = RightFactor(a)
+    sig = first.signature
+    term, total = first, dict(first.terms)
+    for k in range(1, _EXP_MAX_TERMS + 1):
+        try:
+            terms, term_max = _pruned(
+                times_a._sums(term if between is None else between(term)), complex(1.0 / k))
+            for mask, c in terms.items():
+                total[mask] = total.get(mask, 0j) + c
+            total, total_max = _pruned(total)
+        except ValueError as exc:  # a non-finite coefficient: the operands are finite
+            raise ConvergenceError(f"{what} overflowed at term {k}") from exc
+        if term_max <= _EXP_REL_TOL * max(total_max, 1e-300):
+            return Multivector._from_kept(sig, total)
+        term = Multivector._from_kept(sig, terms)
+    raise ConvergenceError(f"{what} did not settle in {_EXP_MAX_TERMS} terms")
+
+
 def clifford_exp(a: Multivector) -> Multivector:
     """Ordinary Clifford exponential by power series."""
-    times_a = RightFactor(a)
-    result = a.signature.scalar(1.0)
-    term = a.signature.scalar(1.0)
-    for k in range(1, _EXP_MAX_TERMS + 1):
-        term = times_a(term) * (1.0 / k)
-        result = result + term
-        if term.max_abs() <= _EXP_REL_TOL * max(result.max_abs(), 1e-300):
-            return result
-    raise ConvergenceError(f"exponential series did not settle in {_EXP_MAX_TERMS} terms")
+    return _exp_series(a.signature.scalar(1.0), a, "exponential series")
 
 
 def iso_exp(ctx: IsoContext, a: Multivector) -> Multivector:
@@ -205,15 +246,7 @@ def iso_exp(ctx: IsoContext, a: Multivector) -> Multivector:
 
 def iso_exp_series(ctx: IsoContext, a: Multivector) -> Multivector:
     """Literal ⋄-power series for the iso exponential (slow path, oracle)."""
-    times_a = RightFactor(a)
-    result = ctx.zeta
-    term = ctx.zeta
-    for k in range(1, _EXP_MAX_TERMS + 1):
-        term = times_a(ctx.zeta_inv_right(term)) * (1.0 / k)
-        result = result + term
-        if term.max_abs() <= _EXP_REL_TOL * max(result.max_abs(), 1e-300):
-            return result
-    raise ConvergenceError(f"iso exponential series did not settle in {_EXP_MAX_TERMS} terms")
+    return _exp_series(ctx.zeta, a, "iso exponential series", ctx.zeta_inv_right)
 
 
 def random_invertible_context(sig: Signature, rng) -> IsoContext:

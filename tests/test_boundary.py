@@ -10,12 +10,14 @@ products are held to such a reference in ``test_sign_table.py``.  A
 pickled element is rebuilt through the public constructor too.
 """
 
+import math
 import pickle
 
 import numpy as np
 import pytest
 
 from bit_identity import bits
+from isoclifford import multivector
 from isoclifford.isotopy import iso_commutator, random_invertible_context
 from isoclifford.lie_su import su3_case1_generators
 from isoclifford.multivector import (
@@ -141,6 +143,44 @@ def test_kernel_results_still_prune():
     assert not a - a
     assert not a * 0
     assert grade_select(a, (1,)) == sig.scalar(0.0)
+
+
+def _prune_outcome(prune, c):
+    """What one prune makes of a coefficient ``c``: its kept terms and their
+    largest modulus as bits, or the ``ValueError`` it raised."""
+    try:
+        kept, top = prune(c)
+    except ValueError:
+        return "ValueError"
+    return bits(kept.items()), top.hex()
+
+
+def _element_then_factor(c, factor):
+    """The prune rule as public arithmetic: the element ``c``, then ``* factor``."""
+    x = Multivector(Signature(3, 0), {1: c})
+    if factor is not None:
+        x = x * factor
+    return dict(x.terms), x.max_abs()
+
+
+_EDGES = [multivector.PRUNE_EPS, math.nextafter(multivector.PRUNE_EPS, math.inf),
+          math.inf, math.nan, complex(1e308, 1e308)]
+
+
+@pytest.mark.parametrize("factor", [None, 1 + 0j, 0.5 + 0j, 2 + 0j], ids=str)
+@pytest.mark.parametrize("c", [complex(v) for v in _EDGES] + [complex(0.0, v) for v in _EDGES[:4]],
+                         ids=repr)
+def test_one_prune_rule_at_its_edges(c, factor):
+    """``_pruned`` with and without a factor, its array twin ``_kept`` and
+    the public constructor keep, drop or refuse each edge alike."""
+    got = _prune_outcome(lambda c: multivector._pruned({1: c}, factor), c)
+    assert got == _prune_outcome(lambda c: _element_then_factor(c, factor), c)
+    try:
+        kept = bool(multivector._kept(np.array([c]))[0])
+    except ValueError:
+        kept = "ValueError"
+    plain = _prune_outcome(lambda c: multivector._pruned({1: c}), c)
+    assert kept == (plain if plain == "ValueError" else bool(plain[0]))
 
 
 # -- masks at the public constructor ------------------------------------------------------

@@ -200,6 +200,15 @@ def test_exp_divergence_raises(monkeypatch):
         clifford_exp(big)
 
 
+@pytest.mark.parametrize("series", [clifford_exp, lambda a: iso_exp_series(IsoContext.identity(S30), a)],
+                         ids=["clifford_exp", "iso_exp_series"])
+def test_an_overflowing_series_raises_convergence_error(series):
+    """Terms of exp(1e6) grow as 1e6**k / k!; the product of term 67 passes
+    the float range, which is the series failing, not a bad operand."""
+    with pytest.raises(ConvergenceError, match="overflowed at term 67"):
+        series(S30.scalar(1e6))
+
+
 def test_rotor_exponential():
     theta = 0.4
     rotor = clifford_exp(theta * S30.e(0, 1))

@@ -199,6 +199,45 @@ def test_iso_exp_series_equals_the_product_loop_series():
     assert outcomes[0] != "ConvergenceError"
 
 
+def test_series_that_reach_the_array_kernel_equal_the_product_loop_series(monkeypatch):
+    """A Cl(0,7) exponent of 8 terms: the first products are 8 term pairs,
+    and the terms fill up to 128 blades, so the products leave the loop for
+    the array kernel part way through each series."""
+    sig = Signature(0, 7)
+    rng = np.random.default_rng(8)
+    a = random_multivector(sig, rng, 8, scale=0.5)
+    ctx = random_invertible_context(sig, rng)
+    kernel_calls = []
+    kernel = multivector._kept_terms
+
+    def counted(*args):
+        kernel_calls.append(args)
+        return kernel(*args)
+
+    for series, reference, args in ((clifford_exp, clifford_exp_ref, (a,)),
+                                    (iso_exp_series, iso_exp_series_ref, (ctx, a))):
+        with monkeypatch.context() as patch:
+            patch.setattr(multivector, "_kept_terms", counted)
+            got = series(*args)
+        assert bits(got) == bits(reference(*args))
+        assert kernel_calls
+        kernel_calls.clear()
+
+
+def test_a_term_that_only_the_scaled_prune_drops():
+    """In ``0.6 + 1.5e-14 e1`` the square's e1 coefficient, 1.8e-14, passes
+    the prune of the product and falls to 0.9e-14 under the 1/2 of term 2,
+    so only the second prune of that step drops it."""
+    sig = Signature(3, 0)
+    a = Multivector(sig, {0: 0.6, 1: 1.5e-14})
+    square = geometric_product(a, a)
+    assert multivector.PRUNE_EPS < abs(square.coeff(1)) <= 2 * multivector.PRUNE_EPS
+    assert 1 not in (square * 0.5).terms
+    assert bits(clifford_exp(a)) == bits(clifford_exp_ref(a))
+    ctx = IsoContext.identity(sig)
+    assert bits(iso_exp_series(ctx, a)) == bits(iso_exp_series_ref(ctx, a))
+
+
 @pytest.mark.parametrize("sig", SIGNATURES[:3], ids=str)
 def test_isotopic_products_equal_the_product_loop(sig):
     rng = np.random.default_rng(31 + sig.dim)
