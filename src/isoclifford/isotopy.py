@@ -15,6 +15,14 @@ factor ``b`` of ``a ⋄ b = (a ζ⁻¹) b`` keeps the plain product, where
 forming rows would cost more than they save (see the
 :mod:`~isoclifford.multivector` docstring for the measured costs).
 
+The iso-commutator ``[x, y]_ζ = x ζ⁻¹ y - y ζ⁻¹ x`` is written once, as a
+batch: :func:`iso_commutators` forms each ``x ζ⁻¹`` once, sends both ⋄
+products of every pair through the array kernel in calls of at most
+``_BATCH_PAIRS`` term pairs, and subtracts them on arrays in the terms,
+order and bits of the ``Multivector`` difference of the two ⋄ products.
+:func:`iso_commutator` is a batch of one, and the structure-constant
+oracle of :mod:`~isoclifford.lie_su` reads the same terms as arrays.
+
 Both exponential series, :func:`clifford_exp` and the literal
 :func:`iso_exp_series`, run through one driver.  Each step is one pass
 over the product's row sums, which prunes them, scales them by ``1/k``,
@@ -32,6 +40,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .multivector import (
     AlgebraError,
@@ -40,7 +51,11 @@ from .multivector import (
     RightFactor,
     Signature,
     SignatureMismatchError,
+    _batch_products,
+    _commutator_terms,
+    _indexed,
     _pruned,
+    _split,
     geometric_product,
     grade_involution,
     inverse,
@@ -113,7 +128,35 @@ def lift(ctx: IsoContext, a: Multivector) -> Multivector:
 
 def iso_commutator(ctx: IsoContext, a: Multivector, b: Multivector) -> Multivector:
     """``[a, b]_ζ = a ⋄ b - b ⋄ a``."""
-    return iso_product(ctx, a, b) - iso_product(ctx, b, a)
+    return iso_commutators(ctx, [a], [b])[0]
+
+
+def iso_commutators(ctx: IsoContext, xs: Sequence[Multivector],
+                    ys: Sequence[Multivector]) -> list[Multivector]:
+    """``[x, y]_ζ`` for each ``x, y`` of ``xs, ys``, bit for bit and term
+    order for term order ``iso_product(ctx, x, y) - iso_product(ctx, y,
+    x)``; an element that recurs in the lists is multiplied by ζ⁻¹ once.
+    Lists of unequal length raise ``ValueError``."""
+    elements, at = _indexed([x for pair in zip(xs, ys, strict=True) for x in pair])
+    return _split(ctx.signature, len(xs), *_iso_commutator_terms(ctx, elements, at[0::2], at[1::2]))
+
+
+def _iso_commutator_terms(ctx: IsoContext, elements: Sequence[Multivector], first: np.ndarray,
+                          second: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``[elements[i], elements[j]]_ζ`` for each ``(i, j) = (first[k],
+    second[k])``, as arrays ``(k, blade, coefficient)`` in the terms, order
+    and bits of :func:`iso_commutators`.
+
+    Each element's ``x ζ⁻¹`` is formed once, all of them in one
+    :func:`~isoclifford.multivector._batch_products`, which gives the bits
+    of the context's prepared factor and, on a list of samples, takes less
+    time than that factor's one product at a time.  Then
+    :func:`~isoclifford.multivector._commutator_terms` forms every ``(x
+    ζ⁻¹) y`` and ``(y ζ⁻¹) x`` in kernel calls of at most ``_BATCH_PAIRS``
+    term pairs and subtracts them as ``Multivector.__sub__`` does.
+    """
+    return _commutator_terms(_batch_products(elements, ctx.zeta_inv), elements, first, second,
+                             ctx.signature)
 
 
 def geno_commutator(ctx_left: IsoContext, ctx_right: IsoContext,

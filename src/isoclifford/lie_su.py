@@ -8,7 +8,8 @@ what a builder called without a context uses.  Printed commutator tables
 are never hard-coded; a brute-force structure-constant oracle
 (least-squares decomposition of every pairwise iso-commutator over the
 generator span) is the single source of truth for closure, dimension and
-normalization factors.
+normalization factors.  It reads the commutators as arrays of terms from
+the one batched iso-commutator of :mod:`~isoclifford.isotopy`.
 
 The Cartan elements use the corrected form
 ``H^r = e^r ∧ e^{r+n} - e^{r+1} ∧ e^{r+n+1}``; the published variant
@@ -24,14 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .isotopy import IsoContext, iso_wedge, lift
+from .isotopy import IsoContext, _iso_commutator_terms, iso_wedge, lift
 from .multivector import (
     AlgebraError,
     Multivector,
     Signature,
     SignatureMismatchError,
-    _kept,
-    _kept_terms,
     _term_arrays,
 )
 
@@ -173,41 +172,6 @@ def _coefficient_matrix(columns: np.ndarray, blades: np.ndarray, coeffs: np.ndar
     return mat
 
 
-def _commutators(gs: GeneratorSet, first: np.ndarray,
-                 second: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``iso_commutator(gs.context, g_i, g_j)`` for every pair
-    ``(i, j) = (first[k], second[k])``, bit for bit, as arrays
-    ``(k, blade, coefficient)``.
-
-    Each ``g ζ⁻¹`` is formed once per call, and one batched kernel call gives
-    the products ``x = (g_i ζ⁻¹) g_j`` and ``y = (g_j ζ⁻¹) g_i`` of every
-    pair, under the product prune of
-    :func:`~isoclifford.multivector._kept_terms`; the subtraction of
-    ``Multivector`` and its prune are then done on arrays.  ``np.unique``
-    gives each ``(pair, blade)`` that occurs a slot, in ascending order;
-    the x terms are set in their slots and ``-y`` is added onto them, so
-    the difference is ``x + (-y)`` on a blade in both products,
-    ``0.0 + (-y)`` on a blade only in ``y`` and ``x`` on a blade only in
-    ``x``, as ``Multivector.__sub__`` forms it.  The blades come out in
-    ascending order, not in ``__sub__``'s, so a further product of these
-    commutators would sum its terms in another order.
-    """
-    m, sig = len(gs), gs.signature
-    # products 2k and 2k + 1 are the x and y of pair k
-    left = map(gs.context.zeta_inv_right, gs.generators)
-    operands = [x.terms for x in (*left, *gs.generators)]
-    pairs = np.stack([first, m + second, second, m + first], axis=1).reshape(-1, 2)
-    product, blades, coeffs = _kept_terms(operands, pairs, sig)
-    key, slot = np.unique((product >> 1) << sig.dim | blades, return_inverse=True)
-    in_y = product & 1 == 1
-    diff = np.zeros(key.size, dtype=complex)
-    diff[slot[~in_y]] = coeffs[~in_y]
-    diff[slot[in_y]] += -coeffs[in_y]
-    kept = _kept(diff)
-    key, diff = key[kept], diff[kept]
-    return key >> sig.dim, key & (sig.blade_count - 1), diff
-
-
 @dataclass(frozen=True)
 class StructureConstants:
     """Oracle output: ``c[i, j, k]`` with ``[g_i, g_j] = Σ_k c[i,j,k] g_k``
@@ -228,13 +192,13 @@ def structure_constants(gs: GeneratorSet) -> StructureConstants:
     :class:`ClosureViolationError` for the first such pair.
 
     The commutators are those of
-    :func:`~isoclifford.isotopy.iso_commutator`, bit for bit, all formed
-    by :func:`_commutators` in one batched kernel call.
+    :func:`~isoclifford.isotopy.iso_commutators`, bit for bit, read as
+    arrays of terms.
     """
     m = len(gs)
     first, second = np.triu_indices(m, 1)
     span_columns, span_blades, span_coeffs = _element_terms((*gs.generators, gs.context.zeta))
-    pair, blades, diffs = _commutators(gs, first, second)
+    pair, blades, diffs = _iso_commutator_terms(gs.context, gs.generators, first, second)
     # columns: the generators, ζ, then one commutator per pair
     coeffs = _coefficient_matrix(np.concatenate([span_columns, m + 1 + pair]),
                                  np.concatenate([span_blades, blades]),

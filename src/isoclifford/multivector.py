@@ -40,20 +40,25 @@ products in Cl(12,0), ``np.unique`` numbers only the keys that occur.
 :func:`_term_arrays` is the one flatten of sparse terms into arrays, here,
 in the structure-constant oracle and in the regular representation.
 The kernel's terms are pruned on arrays by :func:`_kept`, the rule of
-:func:`_pruned`, and split into one :class:`Multivector` per product.
+:func:`_pruned` with the same modulus, and split into one
+:class:`Multivector` per product.
 
-Three callers give the kernel batches.  A single large product is a
-batch of one.  The structure-constant oracle of :mod:`isoclifford.lie_su`
-forms all of a family's commutator products in one call.  Independent
-products, such as the samples of a ``verify`` check, go through
-:func:`_batch_products`: two lists of operands in, their elementwise
-products out, bit for bit and term order for term order, since no
-product's sums depend on the others in its batch.  A single element in
-place of either list multiplies every element of the other, as a shared
-isounit does.  The products are cut into calls of at most
-``_BATCH_PAIRS`` (8192) term pairs, so the arrays of one call stay near
-2 MB however long the lists are; a product larger than the cap is a call
-of its own, and a call below ``_NUMPY_MIN_PAIRS`` takes the loop.
+Two callers give the kernel batches, and a single large product is a
+batch of one.  Independent products, such as the samples of a
+``verify`` check, go through :func:`_batch_products`: two lists of
+operands in, their elementwise products out, bit for bit and term order
+for term order, since no product's sums depend on the others in its
+batch.  A single element in place of the right-hand list is the right
+factor of every product, as a shared isounit is.  The iso-commutators of
+:mod:`isoclifford.isotopy`, which the structure-constant oracle of
+:mod:`isoclifford.lie_su` reads too, go through
+:func:`_commutator_terms`, which forms both products of every pair and
+subtracts them on arrays as ``Multivector.__sub__`` does.  Both hand
+their products to :func:`_batch_calls`, which cuts them into kernel
+calls by one greedy rule: at most ``_BATCH_PAIRS`` (8192) term pairs a
+call, so the arrays of one call stay near 2 MB however long the lists
+are, and a product larger than the cap a call of its own.  A batch of
+:func:`_batch_products` below ``_NUMPY_MIN_PAIRS`` takes the loop.
 
 A right factor that recurs can be prepared once as a
 :class:`RightFactor`.  It keeps, for each left blade it has met, the row
@@ -83,6 +88,7 @@ higher in 10 of 10 pairs.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -248,13 +254,53 @@ def _pruned(terms: Mapping[int, complex],
 
 def _kept(coeffs: np.ndarray) -> np.ndarray:
     """:func:`_pruned`'s rule on an array: the mask of the coefficients with
-    ``|c| > PRUNE_EPS``; a non-finite ``c`` raises ``ValueError``."""
+    ``|c| > PRUNE_EPS``; a non-finite ``c`` raises ``ValueError``.
+
+    The modulus is ``np.hypot`` of the components, libm's ``hypot`` as
+    Python's ``abs(complex)`` computes it.  ``np.abs`` may differ from it in
+    the last bit, and a modulus within an ulp of ``PRUNE_EPS`` would then
+    be kept on one path and dropped on the other.
+    """
     with np.errstate(all="ignore"):
-        a = np.abs(coeffs)
+        a = np.hypot(coeffs.real, coeffs.imag)
         kept = ~(a <= PRUNE_EPS)
         if not (a[kept] < math.inf).all():
             raise ValueError("multivector coefficients must be finite")
     return kept
+
+
+def _commutator_terms(left: Sequence[Multivector], right: Sequence[Multivector], first: np.ndarray,
+                      second: np.ndarray, sig: Signature) -> tuple[np.ndarray, ...]:
+    """``left[i] * right[j] - left[j] * right[i]`` for each ``(i, j) =
+    (first[k], second[k])`` as arrays ``(k, blade, coefficient)``, with the
+    terms, order and bits of the two products' difference by
+    :meth:`Multivector.__sub__`.  With ``left`` the elements times ζ⁻¹ and
+    ``right`` the elements this is the iso-commutator of
+    :mod:`isoclifford.isotopy`.
+
+    :func:`_batch_calls` forms ``x_k = left[i] * right[j]`` as product
+    ``2k`` and ``y_k = left[j] * right[i]`` as product ``2k + 1``.
+    :func:`_first_occurrence_bins` numbers the ``(k, blade)`` keys in order
+    of their first term, so each difference lists ``x_k``'s blades, then
+    those only ``y_k`` has, as ``__sub__``'s dict does.  The ``x_k`` terms
+    are set in their bins and ``-y_k`` is added onto them: ``x + (-y)`` on a
+    blade in both, ``0.0 + (-y)`` on a blade only in ``y_k`` and ``x`` on a
+    blade only in ``x_k``; :func:`_kept` prunes the result.
+    """
+    pairs = np.stack([first, len(left) + second, second, len(left) + first], axis=1).reshape(-1, 2)
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))]
+    parts += [(product + start, blades, coeffs) for start, _, (product, blades, coeffs)
+              in _batch_calls([x._terms for x in (*left, *right)], pairs, sig)]
+    product, blades, coeffs = map(np.concatenate, zip(*parts))
+    bins, keys, slots = _first_occurrence_bins((product >> 1) << sig.dim | blades,
+                                               len(first) << sig.dim)
+    in_y = product & 1 == 1
+    diff = np.zeros(bins.max(initial=-1) + 1, dtype=complex)
+    diff[bins[~in_y]] = coeffs[~in_y]
+    diff[bins[in_y]] += -coeffs[in_y]
+    diff = diff[slots]
+    kept = _kept(diff)
+    return keys[kept] >> sig.dim, keys[kept] & (sig.blade_count - 1), diff[kept]
 
 
 class Multivector:
@@ -594,60 +640,64 @@ def _split(sig: Signature, count: int, product: np.ndarray, blades: np.ndarray,
     return out
 
 
-def _batch_products(xs: Multivector | Sequence[Multivector],
+def _batch_products(xs: Sequence[Multivector],
                     ys: Multivector | Sequence[Multivector]) -> list[Multivector]:
     """``[x * y for x, y in zip(xs, ys, strict=True)]``, bit for bit and
-    term order for term order, in as few calls of the array kernel as the
-    cap allows.  A single :class:`Multivector` in place of either sequence
-    multiplies every element of the other; sequences of unequal length
-    raise ``ValueError``.
+    term order for term order.  A single :class:`Multivector` in place of
+    ``ys`` is the right factor of every product, as a shared isounit is;
+    sequences of unequal length raise ``ValueError``.
 
-    Greedy chunks of the pairs hold at most ``_BATCH_PAIRS`` term pairs
-    each (a product larger than that is a chunk of its own), and each chunk
-    is one call of :func:`_blade_terms_numpy`, whose products do not
-    interact: a product's bits do not depend on the batch it is in.  A
-    chunk below ``_NUMPY_MIN_PAIRS`` term pairs takes the loop, as a single
-    product that small does.  Every operand must share one signature, or
-    :class:`SignatureMismatchError` is raised.
+    A batch below ``_NUMPY_MIN_PAIRS`` term pairs takes the loop, as a
+    single product that small does, and a larger one goes through
+    :func:`_batch_calls`, whose products do not interact: a product's bits
+    do not depend on the batch it is in.  Every operand must share one
+    signature, or :class:`SignatureMismatchError` is raised.
     """
-    if isinstance(xs, Multivector):
-        xs = [xs] * len(ys)
-    elif isinstance(ys, Multivector):
+    if isinstance(ys, Multivector):
         ys = [ys] * len(xs)
     pairs = list(zip(xs, ys, strict=True))
-    if not pairs:
-        return []
-    first = pairs[0][0]
     for x in itertools.chain.from_iterable(pairs):
-        if x.signature is not first.signature:
-            first._check_signature(x)
-    out: list[Multivector] = []
-    chunk, total = [], 0
-    for a, b in pairs:
-        size = len(a._terms) * len(b._terms)
-        if chunk and total + size > _BATCH_PAIRS:
-            out += _chunk_products(chunk, total)
-            chunk, total = [], 0
-        chunk.append((a, b))
-        total += size
-    return out + _chunk_products(chunk, total)
-
-
-def _chunk_products(pairs: list[tuple[Multivector, Multivector]],
-                    total: int) -> list[Multivector]:
-    """One chunk of :func:`_batch_products`, ``total`` term pairs in all;
-    an operand that recurs in it is flattened once."""
-    if total < _NUMPY_MIN_PAIRS:
+        if x.signature is not pairs[0][0].signature:
+            pairs[0][0]._check_signature(x)
+    if sum(len(a._terms) * len(b._terms) for a, b in pairs) < _NUMPY_MIN_PAIRS:
         return [_blade_products(a, b) for a, b in pairs]
-    index: dict[int, int] = {}
-    operands = []
-    for x in itertools.chain.from_iterable(pairs):
-        if id(x) not in index:
-            index[id(x)] = len(operands)
-            operands.append(x._terms)
-    at = [(index[id(a)], index[id(b)]) for a, b in pairs]
-    sig = pairs[0][0].signature
-    return _split(sig, len(pairs), *_kept_terms(operands, at, sig))
+    operands, at = _indexed([x for pair in pairs for x in pair])
+    sig = operands[0].signature
+    calls = _batch_calls([x._terms for x in operands], at.reshape(-1, 2), sig)
+    return [x for start, stop, terms in calls for x in _split(sig, stop - start, *terms)]
+
+
+def _batch_calls(operands: Sequence[Mapping[int, complex]], pairs: np.ndarray,
+                 sig: Signature) -> Iterator[tuple[int, int, tuple[np.ndarray, ...]]]:
+    """The products ``operands[ia] * operands[ib]`` for the rows ``(ia, ib)``
+    of ``pairs``, one kernel call at a time: ``(start, stop, terms)`` with
+    ``terms`` the :func:`_kept_terms` of rows ``start`` to ``stop``.
+
+    One greedy rule cuts the calls: a call takes products in order until
+    the next would bring its term pairs past ``_BATCH_PAIRS``, and a
+    product larger than that is a call of its own.  Each call flattens only
+    the operands its products read.
+    """
+    sizes = np.fromiter(map(len, operands), dtype=np.intp, count=len(operands))
+    ends = list(itertools.accumulate((sizes[pairs[:, 0]] * sizes[pairs[:, 1]]).tolist()))
+    stop = 0
+    while stop < len(ends):
+        start, cap = stop, (ends[stop - 1] if stop else 0) + _BATCH_PAIRS
+        stop = max(bisect.bisect_right(ends, cap), start + 1)
+        used = np.zeros(len(operands), dtype=bool)
+        used[pairs[start:stop]] = True
+        yield start, stop, _kept_terms([operands[i] for i in np.flatnonzero(used).tolist()],
+                                       (np.cumsum(used) - 1)[pairs[start:stop]], sig)
+
+
+def _indexed(xs: Sequence[Multivector]) -> tuple[list[Multivector], np.ndarray]:
+    """The distinct elements of ``xs``, told apart by identity, in order of
+    first occurrence, and the index of each ``x`` among them: an element
+    that recurs in a batch is flattened, or multiplied by ζ⁻¹, once."""
+    index: dict[int, tuple[int, Multivector]] = {}
+    for x in xs:
+        index.setdefault(id(x), (len(index), x))
+    return [x for _, x in index.values()], np.array([index[id(x)][0] for x in xs], dtype=np.intp)
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
@@ -673,10 +723,8 @@ class RightFactor:
     the prune, so the exponential series of :mod:`isoclifford.isotopy` can
     read the sums and prune them together with their ``1/k`` in one pass.
     From the array threshold on, the sums are the kernel's terms, which
-    :func:`_kept` has pruned by ``np.abs``; ``_pruned`` tests them again by
-    ``abs``.  The two moduli can differ in the last bit, so a term whose
-    modulus lies within an ulp of ``PRUNE_EPS`` could be dropped here and
-    kept by :func:`geometric_product`; none has been seen.
+    :func:`_kept` has pruned already; ``_pruned`` tests them again by the
+    same modulus and keeps them all.
 
     Rows are kept until they hold ``_ROW_CACHE_PAIRS`` pairs, some 7 MB;
     later rows are formed on each use and not kept.

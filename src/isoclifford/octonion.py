@@ -70,16 +70,12 @@ def oct_product(a: Multivector, b: Multivector) -> Multivector:
     return oct_products([a], [b])[0]
 
 
-def oct_products(xs: Multivector | Sequence[Multivector],
-                 ys: Multivector | Sequence[Multivector]) -> list[Multivector]:
-    """``[oct_product(x, y) for x, y in zip(xs, ys, strict=True)]``, a
-    single paravector in place of either sequence multiplying every element
-    of the other, through two calls of
-    :func:`~isoclifford.multivector._batch_products`, which give each
-    product the bits it has when formed alone."""
-    for operands in (xs, ys):
-        for x in [operands] if isinstance(operands, Multivector) else operands:
-            _require_paravector(x)
+def oct_products(xs: Sequence[Multivector], ys: Sequence[Multivector]) -> list[Multivector]:
+    """``[oct_product(x, y) for x, y in zip(xs, ys, strict=True)]``, through
+    two calls of :func:`~isoclifford.multivector._batch_products`, which
+    give each product the bits it has when formed alone."""
+    for x in (*xs, *ys):
+        _require_paravector(x)
     full = _batch_products(_batch_products(xs, ys), _ONE_MINUS_PSI)
     return [grade_select(x, (0, 1)) for x in full]
 

@@ -11,14 +11,17 @@ order the random generator gave them when each sample was formed on its
 own (products draw nothing), and then writes its identity over the whole
 sample lists: each product in it, ``a b`` then ``(a b) c`` say, is one
 call of :func:`~isoclifford.multivector._batch_products` on the lists of
-its factors.  Every product keeps its bits, so every residual and every
-report does too.  The kernel bounds the arrays of each of its calls;
-what a check holds between calls is its lists of products, a few MB at
-most (``tests/test_suites.py`` bounds the clifford suite's peak).
+its factors, and each iso-commutator one call of
+:func:`~isoclifford.isotopy.iso_commutators`.  Every product and
+commutator keeps its bits, so every residual and every report does too.
+The kernel bounds the arrays of each of its calls; what a check holds
+between calls is its lists of products, a few MB at most
+(``tests/test_suites.py`` bounds the clifford and su6 suites' peaks).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 
@@ -52,6 +55,7 @@ from .isotopy import (
     geno_commutator,
     iso_add,
     iso_commutator,
+    iso_commutators,
     iso_exp,
     iso_exp_series,
     iso_metric,
@@ -225,8 +229,7 @@ def suite_isotopy(rec: _Recorder) -> None:
         a, b = zip(*((random_multivector(s, rng, 6), random_multivector(s, rng, 6))
                      for _ in range(30)))
         # [a ζ, b ζ]_ζ = (a b - b a) ζ
-        lifted = _iso_commutators(ctx.zeta_inv, _batch_products(a, ctx.zeta),
-                                  _batch_products(b, ctx.zeta))
+        lifted = iso_commutators(ctx, _batch_products(a, ctx.zeta), _batch_products(b, ctx.zeta))
         want = _batch_products([ab - ba for ab, ba in zip(_batch_products(a, b),
                                                           _batch_products(b, a))], ctx.zeta)
         for got, w in zip(lifted, want):
@@ -235,10 +238,9 @@ def suite_isotopy(rec: _Recorder) -> None:
     ctx = random_invertible_context(sig, rng)
     a, b, c = zip(*(tuple(random_multivector(sig, rng, 6) for _ in range(3))
                     for _ in range(30)))
-    zi = ctx.zeta_inv
-    for x, y, z in zip(_iso_commutators(zi, a, _iso_commutators(zi, b, c)),
-                       _iso_commutators(zi, b, _iso_commutators(zi, c, a)),
-                       _iso_commutators(zi, c, _iso_commutators(zi, a, b))):
+    for x, y, z in zip(iso_commutators(ctx, a, iso_commutators(ctx, b, c)),
+                       iso_commutators(ctx, b, iso_commutators(ctx, c, a)),
+                       iso_commutators(ctx, c, iso_commutators(ctx, a, b))):
         rec.add("isocommutator.jacobi", x + y + z, 0, 1e-9)
 
     a = random_multivector(sig, rng, 6)
@@ -275,14 +277,6 @@ def suite_isotopy(rec: _Recorder) -> None:
         v = random_vector(sig, rng)
         rec.add("iso_wedge.lifted_pair_identity", iso_wedge(ctx, lift(ctx, u), lift(ctx, v)),
                 lift(ctx, wedge(u, v)), 1e-9)
-
-
-def _iso_commutators(zeta_inv, xs, ys) -> list:
-    """``[x, y]_ζ = x ⋄ y - y ⋄ x`` for each ``x, y`` of ``xs, ys``, the
-    ``Multivector`` difference of its two ⋄ products, as
-    :func:`~isoclifford.isotopy.iso_commutator` forms it."""
-    return [p - q for p, q in zip(_batch_products(_batch_products(xs, zeta_inv), ys),
-                                  _batch_products(_batch_products(ys, zeta_inv), xs))]
 
 
 # -- octonion ------------------------------------------------------------------------
@@ -433,16 +427,10 @@ def suite_su6(rec: _Recorder) -> None:
 
 def _transport_checks(rec: _Recorder, tag: str, gs, gsi) -> None:
     """``[g_a ζ, g_b ζ]_ζ = [g_a, g_b] ζ`` for every pair ``a < b`` of the
-    rigid family ``gs`` and its lift ``gsi``: each commutator is formed as
-    :func:`_iso_commutators` forms it, with each ``g ζ⁻¹`` formed once."""
-    m = len(gs.generators)
-    a, b = zip(*((a, b) for a in range(m) for b in range(a + 1, m)))
-
+    rigid family ``gs`` and its lift ``gsi``."""
     def commutators(family):
-        g = family.generators
-        g_zi = _batch_products(g, family.context.zeta_inv)
-        return [p - q for p, q in zip(_batch_products([g_zi[k] for k in a], [g[k] for k in b]),
-                                      _batch_products([g_zi[k] for k in b], [g[k] for k in a]))]
+        return iso_commutators(family.context,
+                               *zip(*itertools.combinations(family.generators, 2)))
 
     want = _batch_products(commutators(gs), gsi.context.zeta)
     for got, w in zip(commutators(gsi), want):

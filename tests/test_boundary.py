@@ -165,14 +165,24 @@ def _element_then_factor(c, factor):
 
 _EDGES = [multivector.PRUNE_EPS, math.nextafter(multivector.PRUNE_EPS, math.inf),
           math.inf, math.nan, complex(1e308, 1e308)]
+# moduli within an ulp of PRUNE_EPS on which numpy's complex ``np.abs`` and
+# Python's ``abs`` fall on opposite sides of it on an AVX-512 x86-64 (numpy
+# 2.4): the first ``np.abs`` keeps and ``abs`` drops, the second the reverse.
+# Found among values of modulus PRUNE_EPS and uniform phase drawn with seed 2025.
+_SPLIT_MODULI = [complex(float.fromhex("0x1.778e02fd1484ap-48"),
+                         float.fromhex("-0x1.337c2f04b0d2cp-47")),
+                 complex(float.fromhex("0x1.651f8d6a2c931p-47"),
+                         float.fromhex("0x1.7d30aadcdfac6p-50"))]
 
 
 @pytest.mark.parametrize("factor", [None, 1 + 0j, 0.5 + 0j, 2 + 0j], ids=str)
-@pytest.mark.parametrize("c", [complex(v) for v in _EDGES] + [complex(0.0, v) for v in _EDGES[:4]],
-                         ids=repr)
+@pytest.mark.parametrize("c", [complex(v) for v in _EDGES] + [complex(0.0, v) for v in _EDGES[:4]]
+                         + _SPLIT_MODULI, ids=repr)
 def test_one_prune_rule_at_its_edges(c, factor):
     """``_pruned`` with and without a factor, its array twin ``_kept`` and
-    the public constructor keep, drop or refuse each edge alike."""
+    the public constructor keep, drop or refuse each edge alike, the two
+    moduli that ``np.abs`` and ``abs`` put on opposite sides of
+    ``PRUNE_EPS`` included."""
     got = _prune_outcome(lambda c: multivector._pruned({1: c}, factor), c)
     assert got == _prune_outcome(lambda c: _element_then_factor(c, factor), c)
     try:

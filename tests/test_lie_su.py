@@ -6,11 +6,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bit_identity import bits
-from isoclifford import lie_su
+from isoclifford import lie_su, multivector
 from isoclifford.flavor_matrices import structure_constants_f
-from isoclifford.isotopy import IsoContext, iso_commutator, random_invertible_context
+from isoclifford.isotopy import (
+    IsoContext,
+    _iso_commutator_terms,
+    iso_commutator,
+    iso_commutators,
+    iso_product,
+    random_invertible_context,
+)
 from isoclifford.lie_su import (
     ClosureViolationError,
     GeneratorSet,
@@ -20,7 +29,13 @@ from isoclifford.lie_su import (
     su3_case2_generators,
     su_n_generators,
 )
-from isoclifford.multivector import Multivector, Signature, geometric_product, wedge
+from isoclifford.multivector import (
+    Multivector,
+    Signature,
+    geometric_product,
+    random_multivector,
+    wedge,
+)
 
 SIGNATURES = {"su2": Signature(4, 0), "su3": Signature(6, 0), "su6": Signature(12, 0),
               "case1": Signature(1, 3), "case2": Signature(1, 3)}
@@ -34,8 +49,8 @@ FAMILIES = {
 }
 
 
-# -- the reference oracle: one iso_commutator call per pair, and a loop that
-# fills c --------------------------------------------------------------------------------
+# -- the reference oracle: each commutator as the difference of two ⋄ products,
+# and a loop that fills c ----------------------------------------------------------------
 
 
 def _reference_coefficient_matrix(elements):
@@ -49,11 +64,11 @@ def _reference_coefficient_matrix(elements):
 
 
 def reference_structure_constants(gs):
-    """The per-pair oracle: ``iso_commutator(gs.context, g_i, g_j)`` for
-    each pair, one least-squares solve, and a Python loop that fills ``c``."""
-    m, g = len(gs.generators), gs.generators
+    """The per-pair oracle: ``g_i ⋄ g_j - g_j ⋄ g_i`` for each pair, one
+    least-squares solve, and a Python loop that fills ``c``."""
+    m, g, ctx = len(gs.generators), gs.generators, gs.context
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    comms = [iso_commutator(gs.context, g[i], g[j]) for i, j in pairs]
+    comms = [iso_product(ctx, g[i], g[j]) - iso_product(ctx, g[j], g[i]) for i, j in pairs]
     coeffs = _reference_coefficient_matrix([*g, gs.context.zeta, *comms])
     span, targets = coeffs[:, :m + 1], coeffs[:, m + 1:]
     solution, *_ = np.linalg.lstsq(span, targets, rcond=None)
@@ -110,30 +125,54 @@ def test_oracle_equals_the_per_pair_reference_byte_for_byte(family):
         _assert_same_bytes(structure_constants(gs), reference_structure_constants(gs))
 
 
-def _integer_family(seed):
-    """Small-integer elements of Cl(1,3) under a two-term isounit: exact
-    cancellations leave some blades in one product of a pair and not in
-    the other, where the difference must be ``0.0 + (-y)``."""
-    sig = Signature(1, 3)
-    rng = np.random.default_rng(seed)
-    generators = tuple(
-        Multivector(sig, {int(m): float(rng.integers(-2, 3))
-                          for m in rng.choice(sig.blade_count, 3, replace=False)})
-        for _ in range(6))
-    return GeneratorSet("integer", IsoContext.create(sig.scalar(2.0) + sig.e(0, 1)), generators)
+@st.composite
+def _commutator_batches(draw):
+    """A context and elements of mixed sizes (empty ones among them), with
+    the negation of one and a copy of one whose real parts are -0.0, and
+    index pairs into them: an element may recur, and ``[x, x]`` and the
+    ``b, -b`` pair are drawn together.  Cl(1,3) and Cl(0,7) take a random
+    isounit; Cl(12,0), which would invert by a 4096 x 4096 solve, takes
+    ``1.3 + 0.4 e_i e_j``.  Products fall on both sides of the array
+    threshold."""
+    sig = draw(st.sampled_from([Signature(1, 3), Signature(0, 7), Signature(12, 0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if sig.dim == 12:
+        i, j = sorted(rng.choice(12, 2, replace=False).tolist())
+        ctx = IsoContext.create(sig.scalar(1.3) + 0.4 * sig.e(i, j))
+    else:
+        ctx = random_invertible_context(sig, rng)
+    scale = draw(st.sampled_from([1.0, 3e-8]))
+    sizes = draw(st.lists(st.integers(0, min(sig.blade_count, 40)), min_size=1, max_size=6))
+    elements = [random_multivector(sig, rng, k, scale=scale) for k in sizes]
+    elements.append(Multivector(sig, {m: complex(-0.0, c.imag) for m, c in elements[0]}))
+    elements.append(-elements[-2])
+    index = st.integers(0, len(elements) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=7))
+    if draw(st.booleans()):
+        pairs += [(0, 0), (len(elements) - 3, len(elements) - 1)]
+    return ctx, elements, pairs
 
 
-def test_batched_commutators_equal_the_one_pair_api_bit_for_bit():
-    families = [su_n_generators(3), *(su_n_generators(3, ctx)
-                                      for ctx in _two_term_contexts(SIGNATURES["su3"])),
-                *(_integer_family(seed) for seed in range(5))]
-    for gs in families:
-        first, second = np.triu_indices(len(gs), 1)
-        pair, blades, coeffs = lie_su._commutators(gs, first, second)
-        for k, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
-            got = zip(blades[pair == k].tolist(), coeffs[pair == k].tolist())
-            want = iso_commutator(gs.context, gs.generators[i], gs.generators[j])
-            assert sorted(bits(got)) == sorted(bits(want))
+@settings(max_examples=40, deadline=None)
+@given(_commutator_batches())
+def test_batched_commutators_equal_the_one_pair_api_bit_for_bit(batch):
+    """The list form, the oracle's arrays and a single commutator against
+    ``x ⋄ y - y ⋄ x``, blades in order, with the default cap and with one
+    small enough that most batches are cut."""
+    ctx, elements, pairs = batch
+    xs, ys = [elements[i] for i, _ in pairs], [elements[j] for _, j in pairs]
+    want = [bits(iso_product(ctx, x, y) - iso_product(ctx, y, x)) for x, y in zip(xs, ys)]
+    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    for cap in (multivector._BATCH_PAIRS, 64):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(multivector, "_BATCH_PAIRS", cap)
+            assert [bits(c) for c in iso_commutators(ctx, xs, ys)] == want
+            pair, blades, coeffs = _iso_commutator_terms(ctx, elements, first, second)
+            assert [bits(zip(blades[pair == k].tolist(), coeffs[pair == k].tolist()))
+                    for k in range(len(pairs))] == want
+    assert [bits(iso_commutator(ctx, x, y)) for x, y in zip(xs, ys)] == want
+    with pytest.raises(ValueError):
+        iso_commutators(ctx, xs, [*ys, elements[0]])
 
 
 def test_a_nan_residual_is_a_closure_violation(monkeypatch):
@@ -178,7 +217,7 @@ def _plain_wedge_chain(vectors, ctx):
 class _RigidReference:
     """A family on the rigid path: the scalar unit 1 of the ambient algebra,
     and a context whose ``a ζ⁻¹`` is ``a`` itself, so that
-    :func:`iso_commutator` on it is the plain ``ab - ba``."""
+    :func:`iso_product` on it is the plain product ``ab``."""
 
     def __init__(self, label, generators):
         self.label = label
@@ -200,9 +239,9 @@ def test_family_without_context_is_the_rigid_reference(family, monkeypatch):
         assert bits(got) == bits(want)
     for i in range(len(gs)):
         for j in range(len(gs)):
+            a, b = ref.generators[i], ref.generators[j]
             got = iso_commutator(gs.context, gs.generators[i], gs.generators[j])
-            want = iso_commutator(ref.context, ref.generators[i], ref.generators[j])
-            assert bits(got) == bits(want)
+            assert bits(got) == bits(a * b - b * a)
     _assert_same_bytes(structure_constants(gs), reference_structure_constants(ref))
     assert span_rank(gs) == span_rank(ref)
 

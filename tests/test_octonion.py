@@ -130,8 +130,7 @@ def test_paravector_guard():
 def test_products_keep_the_grade_projection_of_the_full_product_bit_for_bit():
     """``oct_products`` batches the full product and a single
     ``oct_product`` is a batch of one; both give the projection of the
-    per-pair product's bits, term order included, and so does a single
-    paravector on either side."""
+    per-pair product's bits, term order included."""
     rng = np.random.default_rng(400)
     one_minus_psi = SIG07.scalar(1.0) - structure_trivector()
     xs, ys = zip(*((rand_paravector(rng), rand_paravector(rng)) for _ in range(400)))
@@ -142,9 +141,7 @@ def test_products_keep_the_grade_projection_of_the_full_product_bit_for_bit():
 
     assert [bits(oct_product(x, y)) for x, y in zip(xs, ys)] == want(xs, ys)
     assert [bits(x) for x in oct_products(xs, ys)] == want(xs, ys)
-    assert [bits(x) for x in oct_products(xs[0], ys)] == want([xs[0]] * len(ys), ys)
-    assert [bits(x) for x in oct_products(xs, ys[0])] == want(xs, [ys[0]] * len(xs))
     with pytest.raises(AlgebraError):
         oct_products(xs[:1], [SIG07.e(0, 1)])
     with pytest.raises(AlgebraError):
-        oct_products(SIG07.e(0, 1), ys)
+        oct_products([SIG07.e(0, 1)], ys[:1])

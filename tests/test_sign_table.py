@@ -384,16 +384,15 @@ def _constants(min_pairs, batch_pairs):
 @settings(max_examples=60, deadline=None)
 @given(_batches())
 def test_batch_products_equal_the_per_pair_products_bit_for_bit(batch):
-    """Each chunk on either path, with the default cap and with one small
-    enough that most batches cross it; a single element on either side
-    multiplies every element of the other, and lists of unequal length
-    are refused."""
+    """Each call on either path, with the default cap and with one small
+    enough that most batches cross it; a single element as ``ys`` is the
+    right factor of every product, and lists of unequal length are
+    refused."""
     _, operands, index = batch
     xs = [operands[i] for i, _ in index]
     ys = [operands[j] for _, j in index]
-    x, y = operands[0], operands[-1]
-    cases = [((xs, ys), zip(xs, ys)), ((x, ys), ((x, b) for b in ys)),
-             ((xs, y), ((a, y) for a in xs))]
+    y = operands[-1]
+    cases = [((xs, ys), zip(xs, ys)), ((xs, y), ((a, y) for a in xs))]
     want = [(args, [bits(geometric_product(a, b)) for a, b in pairs]) for args, pairs in cases]
     for min_pairs in (0, THRESHOLD, 1 << 30):
         for batch_pairs in (CAP, 64):
@@ -433,8 +432,9 @@ def test_batch_products_refuse_a_mixed_signature():
 
 
 def _su6_oracle_keys(monkeypatch):
-    """The ``(key, n_keys)`` of the last kernel call of the lifted su(6)
-    oracle, the batch of all its commutator products."""
+    """The ``(key, n_keys)`` of the lifted su(6) oracle's last call of
+    :func:`_first_occurrence_bins`, which numbers the ``(pair, blade)``
+    keys of all its commutators."""
     sig = Signature(12, 0)
     gs = su_n_generators(6, IsoContext.create(sig.scalar(1.7) + 0.4 * sig.e(0, 1)))
     calls = []

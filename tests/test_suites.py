@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoclifford import lie_su, multivector, suites
+from isoclifford import multivector, suites
 from isoclifford.multivector import Multivector, Signature
 from isoclifford.suites import _Recorder
 
@@ -57,32 +57,20 @@ def test_verify_all_report_matches_reference_digest():
     assert digest == REFERENCE["verify_stdout_sha256"]
 
 
-@pytest.mark.parametrize("suite", ["clifford", "isotopy", "octonion", "su6", "dirac"])
+@pytest.mark.parametrize("suite", ["clifford", "isotopy", "octonion", "su3", "su6", "dirac"])
 def test_no_kernel_call_of_a_suite_exceeds_the_batch_cap(monkeypatch, suite):
-    """The batched checks hand the array kernel many products a call, and
-    no call more than ``_BATCH_PAIRS`` term pairs: a bound on its arrays'
-    memory that does not depend on how many samples a check has.  Every
-    kernel call is counted but the structure-constant oracle's, which
-    forms a family's commutators in one call by design (9520 term pairs
-    for rigid su(6))."""
-    calls, in_oracle = [], []
+    """The batched checks and the structure-constant oracle hand the array
+    kernel many products a call, and no call more than ``_BATCH_PAIRS``
+    term pairs: a bound on its arrays' memory that does not depend on how
+    many samples a check or generators a family has."""
+    calls = []
     array_terms = multivector._blade_terms_numpy
-    kept_terms = lie_su._kept_terms
 
     def counted(operands, pairs, sig):
-        if not in_oracle:
-            calls.append((len(pairs), sum(len(operands[i]) * len(operands[j]) for i, j in pairs)))
+        calls.append((len(pairs), sum(len(operands[i]) * len(operands[j]) for i, j in pairs)))
         return array_terms(operands, pairs, sig)
 
-    def oracle_terms(operands, pairs, sig):
-        in_oracle.append(True)
-        try:
-            return kept_terms(operands, pairs, sig)
-        finally:
-            in_oracle.pop()
-
     monkeypatch.setattr(multivector, "_blade_terms_numpy", counted)
-    monkeypatch.setattr(lie_su, "_kept_terms", oracle_terms)
     suites._SUITE_FUNCS[suite](_Recorder(suite))
     assert max(products for products, _ in calls) > 1
     assert max(pairs for _, pairs in calls) <= multivector._BATCH_PAIRS
