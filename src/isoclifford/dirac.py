@@ -35,7 +35,9 @@ def regular_representation(a: Multivector) -> np.ndarray:
     ``reg(ab) = reg(a) @ reg(b)``.  Entry ``(ma ^ j, j)`` is
     ``sign(ma, j) * ca``, gathered from the signature's sign table; for a
     fixed column the rows ``ma ^ j`` of distinct terms are distinct, so
-    each entry receives one term.
+    each entry receives one term, set at its flat index as ``0.0 +`` the
+    term, the bits of adding it onto the zero matrix (a ``-0.0``
+    component reads ``0.0``).
     """
     sig = a.signature
     n = sig.blade_count
@@ -44,7 +46,7 @@ def regular_representation(a: Multivector) -> np.ndarray:
     masks, coeffs = masks[:, None], coeffs[:, None]
     signs = np.where(np.bitwise_count(masks & sig.sign_array) & 1, -1, 1)
     mat = np.zeros((n, n), dtype=complex)
-    mat[masks ^ cols, cols] += signs * coeffs
+    mat.reshape(-1)[(masks ^ cols) * n + cols] = 0.0 + signs * coeffs
     return mat
 
 

@@ -20,6 +20,8 @@ batch: :func:`iso_commutators` forms each ``x ζ⁻¹`` once, sends both ⋄
 products of every pair through the array kernel in calls of at most
 ``_BATCH_PAIRS`` term pairs, and subtracts them on arrays in the terms,
 order and bits of the ``Multivector`` difference of the two ⋄ products.
+A batch bound to hold fewer than ``_NUMPY_MIN_PAIRS`` term pairs takes
+that difference of two loop products instead, and skips the array calls.
 :func:`iso_commutator` is a batch of one, and the structure-constant
 oracle of :mod:`~isoclifford.lie_su` reads the same terms as arrays.
 
@@ -51,6 +53,7 @@ from .multivector import (
     RightFactor,
     Signature,
     SignatureMismatchError,
+    _NUMPY_MIN_PAIRS,
     _batch_products,
     _commutator_terms,
     _indexed,
@@ -135,9 +138,19 @@ def iso_commutators(ctx: IsoContext, xs: Sequence[Multivector],
                     ys: Sequence[Multivector]) -> list[Multivector]:
     """``[x, y]_ζ`` for each ``x, y`` of ``xs, ys``, bit for bit and term
     order for term order ``iso_product(ctx, x, y) - iso_product(ctx, y,
-    x)``; an element that recurs in the lists is multiplied by ζ⁻¹ once.
-    Lists of unequal length raise ``ValueError``."""
-    elements, at = _indexed([x for pair in zip(xs, ys, strict=True) for x in pair])
+    x)``.  Lists of unequal length raise ``ValueError``.
+
+    A batch whose products ``(x ζ⁻¹) y`` and ``(y ζ⁻¹) x`` hold fewer than
+    ``_NUMPY_MIN_PAIRS`` term pairs in all, by the bound ``|x ζ⁻¹| <= |x|
+    |ζ⁻¹|``, forms each commutator as that difference, as a product that
+    small takes the loop.  A larger one goes through
+    :func:`_iso_commutator_terms`, which multiplies an element that recurs
+    in the lists by ζ⁻¹ once.
+    """
+    pairs = list(zip(xs, ys, strict=True))
+    if 2 * len(ctx.zeta_inv) * sum(len(x) * len(y) for x, y in pairs) < _NUMPY_MIN_PAIRS:
+        return [iso_product(ctx, x, y) - iso_product(ctx, y, x) for x, y in pairs]
+    elements, at = _indexed([x for pair in pairs for x in pair])
     return _split(ctx.signature, len(xs), *_iso_commutator_terms(ctx, elements, at[0::2], at[1::2]))
 
 

@@ -63,15 +63,21 @@ are, and a product larger than the cap a call of its own.  A batch of
 A right factor that recurs can be prepared once as a
 :class:`RightFactor`.  It keeps, for each left blade it has met, the row
 of signed terms that blade forms with the factor, so a later product
-skips the sign look-ups and only sums ``ca * cb``; below the array
-threshold it gives :func:`geometric_product`'s bits, and from there on it
-calls the array kernel.  :mod:`isoclifford.isotopy` prepares the exponent
-of each exponential series and, once per context, the isounit ζ and its
-inverse.  A row pays for itself only when it is read again: on a 2-core
-x86-64, a 16 x 16-term Cl(1,3) product took 66 us in the loop, 106 us
-through rows formed for it alone and 38 us through rows already kept
-(best of 50 timings of 200 products), so a product made once keeps the
-loop.
+skips the sign look-ups and only sums ``ca * cb``, by blade index into a
+scratch list rather than into a dict; below the array threshold it gives
+:func:`geometric_product`'s bits, and from there on it calls the array
+kernel.  :mod:`isoclifford.isotopy` prepares the exponent of each
+exponential series and, once per context, the isounit ζ and its inverse.
+A row pays for itself only when it is read again: on a 2-core x86-64, on
+one CPU, a 16 x 16-term Cl(1,3) product took 56 us in the loop, 76 us
+through rows formed for it alone and 31 us through rows already kept,
+where summing them into a dict took 33 us (medians of three runs, each the
+best of 50 timings of 200 products), so a product made once keeps the
+loop.  The list pays where many terms land on one blade, as all 256 do
+on 16 blades there; where few do, it costs more than the dict: a 7 x
+8-term Cl(12,0) product through kept rows took 23 us against 20 us.
+The loop keeps its dict: most products it makes are of ``verify``'s
+sparse samples of 5 to 8 terms.
 
 A step of an exponential series takes the row sums before any prune:
 one pass of :func:`_pruned` with the factor ``1/k`` prunes them, scales
@@ -83,7 +89,10 @@ its bits.  On a 2-core x86-64, over 10 alternating 36 s pairs of the
 per-class ``isotopy.clifford_exp.cl1_3.p50_ms`` went from 2.08 ms, with
 a product, a scaled copy and a sum built as elements each step, to
 1.75 ms, and the workload's ``throughput_ops_s`` from 373 to 418 ops/s,
-higher in 10 of 10 pairs.
+higher in 10 of 10 pairs.  Summing the rows into the scratch list rather
+than a dict then took its ``latency_p50_ms`` from 1.087 to 0.993 ms
+(medians of 10 alternating pairs, seeds 26201-26210, lower in 10 of 10)
+and its ``throughput_ops_s`` from 418 to 447 ops/s.
 """
 
 from __future__ import annotations
@@ -116,6 +125,9 @@ _BATCH_PAIRS = 1 << 13
 # Term pairs a RightFactor keeps in its rows, at about 100 bytes a pair:
 # a row for each of Cl(12,0)'s 4096 blades with a 16-term factor.
 _ROW_CACHE_PAIRS = 1 << 16
+# Free lists of the scratch lists RightFactor._sums adds into, one free
+# list per dimension; see RightFactor.
+_SCRATCH: list[list[list]] = [[] for _ in range(MAX_DIMENSION + 1)]
 
 
 class SignatureMismatchError(AlgebraError):
@@ -728,6 +740,13 @@ class RightFactor:
 
     Rows are kept until they hold ``_ROW_CACHE_PAIRS`` pairs, some 7 MB;
     later rows are formed on each use and not kept.
+
+    The row sums are added into a list with a slot per blade.  A call pops
+    one from the module's free list for its dimension, or makes one when
+    that is empty, and appends it back with every slot it set cleared to
+    None: no two calls, in threads or not, share a list, and a product
+    pays for the slots it touches, not for the 4096 of Cl(12,0).  A list
+    that an exception leaves behind half-filled is not given back.
     """
 
     __slots__ = ("element", "_signed", "_rows", "_max_rows")
@@ -751,12 +770,13 @@ class RightFactor:
         """The terms of ``x b`` before :func:`_pruned`, blades in the loop's
         order, with no check of the signature.
 
-        Below ``_NUMPY_MIN_PAIRS`` term pairs they are the row sums: the
-        first left term's row fills the dict in one comprehension, ``0j +
-        ca * cb`` as the loop adds onto ``0j`` (a row's blades are
-        distinct, and only an empty factor leaves the dict empty), and the
-        later rows add into it.  From there on they are the array kernel's
-        terms, which :func:`_kept` has pruned already.
+        Below ``_NUMPY_MIN_PAIRS`` term pairs they are the row sums, added
+        by blade mask into the scratch list: a blade's first term is stored
+        as ``0j + ca * cb``, as the loop adds onto ``0j``, and its mask
+        noted, and each later one is added onto its slot.  Every blade thus
+        takes the loop's additions in the loop's order, and the dict lists
+        the blades in order of their first term.  From there on they are
+        the array kernel's terms, which :func:`_kept` has pruned already.
         """
         b_terms = self.element._terms
         x_terms = x._terms
@@ -764,16 +784,23 @@ class RightFactor:
             _, blades, coeffs = _kept_terms((x_terms, b_terms), [(0, 1)], x.signature)
             return dict(zip(blades.tolist(), coeffs.tolist()))
         rows = self._rows
-        out: dict[int, complex] = {}
+        free = _SCRATCH[x.signature.dim]
+        try:
+            acc = free.pop()
+        except IndexError:
+            acc = [None] * x.signature.blade_count
+        order = []
         for ma, ca in x_terms.items():
-            row = rows.get(ma)
-            if row is None:
-                row = self._row(ma)
-            if not out:
-                out = {mask: 0j + ca * cb for mask, cb in row}
-                continue
-            for mask, cb in row:
-                out[mask] = out.get(mask, 0j) + ca * cb
+            for mask, cb in rows.get(ma) or self._row(ma):
+                s = acc[mask]
+                if s is None:
+                    order.append(mask)
+                    s = 0j
+                acc[mask] = s + ca * cb
+        out = {mask: acc[mask] for mask in order}
+        for mask in order:
+            acc[mask] = None
+        free.append(acc)
         return out
 
     def __call__(self, x: Multivector) -> Multivector:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bit_identity import bits
-from isoclifford import lie_su, multivector
+from isoclifford import isotopy, lie_su, multivector
 from isoclifford.flavor_matrices import structure_constants_f
 from isoclifford.isotopy import (
     IsoContext,
@@ -173,6 +173,55 @@ def test_batched_commutators_equal_the_one_pair_api_bit_for_bit(batch):
     assert [bits(iso_commutator(ctx, x, y)) for x, y in zip(xs, ys)] == want
     with pytest.raises(ValueError):
         iso_commutators(ctx, xs, [*ys, elements[0]])
+
+
+def test_a_small_commutator_batch_makes_no_array_kernel_call(monkeypatch):
+    """Two rigid case-1 generators, and small elements under a random
+    isounit: each batch's products are bound below ``_NUMPY_MIN_PAIRS`` term
+    pairs, so the commutators are loop products and their difference."""
+    rng = np.random.default_rng(5)
+    rigid = su3_case1_generators()
+    ctx = random_invertible_context(Signature(1, 3), rng)
+    small = [random_multivector(ctx.signature, rng, 2) for _ in range(4)]
+    batches = [(rigid.context, rigid.generators[:1], rigid.generators[1:2]),
+               (ctx, small[:2], small[2:]), (ctx, [], [])]
+
+    def no_arrays(*args):
+        raise AssertionError("array kernel called")
+
+    monkeypatch.setattr(multivector, "_blade_terms_numpy", no_arrays)
+    for ctx, xs, ys in batches:
+        want = [bits(iso_product(ctx, x, y) - iso_product(ctx, y, x)) for x, y in zip(xs, ys)]
+        assert [bits(c) for c in iso_commutators(ctx, xs, ys)] == want
+        assert [bits(iso_commutator(ctx, x, y)) for x, y in zip(xs, ys)] == want
+
+
+@pytest.mark.parametrize("shapes", [[(13, 13)], [(13, 14)], [(13, 13), (4, 4)], [(3, 4)] * 4],
+                         ids=str)
+def test_commutator_batches_equal_in_bits_on_both_sides_of_the_threshold(shapes, monkeypatch):
+    """Batches of Cl(0,7) elements under ζ = 1 and under the versor ``1.3 +
+    0.4 e14``: a batch takes the array kernel exactly when the bound
+    ``2 |ζ⁻¹| Σ |x| |y|`` on its products' term pairs reaches
+    ``_NUMPY_MIN_PAIRS`` (under ζ = 1, 13 x 13 terms twice is 338 pairs,
+    13 x 14 twice is 364, and 4 x 4 twice more takes 338 to 370), and
+    gives the same bits with the threshold moved so that it takes the
+    other path."""
+    sig = Signature(0, 7)
+    rng = np.random.default_rng(len(shapes) + sum(map(sum, shapes)))
+    kernel, calls = multivector._blade_terms_numpy, []
+    monkeypatch.setattr(multivector, "_blade_terms_numpy",
+                        lambda *args: calls.append(args) or kernel(*args))
+    for ctx in (IsoContext.identity(sig), IsoContext.create(sig.scalar(1.3) + 0.4 * sig.e(1, 4))):
+        xs, ys = zip(*[(random_multivector(sig, rng, na), random_multivector(sig, rng, nb))
+                       for na, nb in shapes])
+        pairs = 2 * len(ctx.zeta_inv) * sum(len(x) * len(y) for x, y in zip(xs, ys))
+        calls.clear()
+        got = [bits(c) for c in iso_commutators(ctx, xs, ys)]
+        assert bool(calls) == (pairs >= multivector._NUMPY_MIN_PAIRS)
+        for threshold in (0, 1 << 62):  # every batch on arrays, every batch in the loop
+            with monkeypatch.context() as patch:
+                patch.setattr(isotopy, "_NUMPY_MIN_PAIRS", threshold)
+                assert [bits(c) for c in iso_commutators(ctx, xs, ys)] == got
 
 
 def test_a_nan_residual_is_a_closure_violation(monkeypatch):

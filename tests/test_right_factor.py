@@ -9,11 +9,13 @@ references below are the series and isotopic products as they were
 written with :func:`geometric_product` alone.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bit_identity import bits
@@ -107,8 +109,17 @@ def _cases(draw):
     return b, lefts + [b, -b]
 
 
+def _dense_cl13_case():
+    """A dense Cl(1,3) factor and operand: all 16 rows of a product land on
+    the same 16 blades, so every blade sums 16 terms."""
+    rng = np.random.default_rng(16)
+    b, x = (_element(S13, rng, 16, 1.0, "mixed") for _ in range(2))
+    return b, [x, b, -b]
+
+
 @settings(max_examples=80, deadline=None)
 @given(_cases())
+@example(_dense_cl13_case())
 def test_prepared_product_equals_the_loop_bit_for_bit(case):
     b, lefts = case
     times_b = RightFactor(b)
@@ -128,6 +139,37 @@ def test_prepared_product_on_both_sides_of_the_threshold(sig, shape):
         times_b = RightFactor(b)
         for left in (x, x, b, -b):
             assert bits(times_b(left)) == bits(geometric_product(left, b))
+
+
+def test_threads_sharing_a_prepared_factor_get_the_loop_bits():
+    """Four threads multiply by one context's ζ⁻¹ at once, switching every
+    microsecond so that their row sums interleave; no call may see another
+    call's partial sums."""
+    rng = np.random.default_rng(4)
+    ctx = random_invertible_context(S13, rng)
+    xs = [random_multivector(S13, rng, 16) for _ in range(20)]
+    want = [bits(geometric_product(x, ctx.zeta_inv)) for x in xs]
+    times_zeta_inv = ctx.zeta_inv_right
+    same = []  # one entry per product, so a thread that died shows too
+
+    def work():
+        for _ in range(10):
+            same.extend(bits(times_zeta_inv(x)) == w for x, w in zip(xs, want))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert len(ctx.zeta_inv) * 16 < THRESHOLD  # the row sums, not the array kernel
+    assert len(same) == 4 * 10 * len(xs)
+    assert all(same), f"{same.count(False)} of {len(same)} products differ"
 
 
 def test_prepared_product_checks_the_signature():
