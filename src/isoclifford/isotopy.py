@@ -12,7 +12,7 @@ prepared once as a :class:`~isoclifford.multivector.RightFactor`: ζ and
 the start of its series.  The results are bit for bit those of
 :func:`~isoclifford.multivector.geometric_product`.  The one-off right
 factor ``b`` of ``a ⋄ b = (a ζ⁻¹) b`` keeps the plain product, where
-forming rows would cost more than they save (see the
+forming plans would cost more than they save (see the
 :mod:`~isoclifford.multivector` docstring for the measured costs).
 
 The iso-commutator ``[x, y]_ζ = x ζ⁻¹ y - y ζ⁻¹ x`` is written once, as a
@@ -27,15 +27,20 @@ oracle of :mod:`~isoclifford.lie_su` reads the same terms as arrays.
 
 Both exponential series, :func:`clifford_exp` and the literal
 :func:`iso_exp_series`, run through one driver.  Each step is one pass
-over the product's row sums, which prunes them, scales them by ``1/k``,
-prunes again and finds the term's largest modulus, and one more over the
-running sum; the terms, sums and stopping term keep the bits of the
-series written with whole elements.  A series whose terms overflow raises
-:class:`ConvergenceError` naming the term.  On a 2-core x86-64 the
-Cl(1,3) exponentials of the ``dense_api`` benchmark workload took a
-median of 1.75 ms a call, where a step that built three elements took
-2.08 ms (per-class ``isotopy.clifford_exp.cl1_3.p50_ms`` over 10
-alternating 36 s pairs, lower in 10 of 10).
+over the prepared product's sums, which prunes them, scales them by
+``1/k``, prunes again and finds the term's largest modulus, and one more
+over the running sum; the terms, sums and stopping term keep the bits of
+the series written with whole elements.  A series whose terms overflow
+raises :class:`ConvergenceError` naming the term.  A dense 16-term
+Cl(1,3) exponent makes one loop product of 16 term pairs and then
+products of 256 through plans, one for each left blade order the series
+meets: one a series for every exponent of the ``dense_api`` benchmark
+workload.  On a 2-core x86-64, over 10 alternating 36 s pairs of that
+workload (seeds 27401-27410), plans in place of the factor's kept rows
+took the median call from 8.02 to 5.30 ms for ``exp.oscillatory``, 6.02
+to 4.10 ms for ``exp.negative_scalar`` and 1.05 to 0.95 ms for
+``exp.moderate``, whose short series leave more of each call to fixed
+costs (0.88 to 0.70 ms a call in process).
 """
 
 from __future__ import annotations
@@ -255,7 +260,7 @@ def _exp_series(first: Multivector, a: Multivector, what: str,
     (``between`` left out when None), to the first term whose largest
     modulus is at most ``_EXP_REL_TOL`` times the sum's.
 
-    Each step makes one pass over the product's row sums, where
+    Each step makes one pass over the prepared product's sums, where
     :func:`~isoclifford.multivector._pruned` prunes them, scales them by
     ``1/k``, prunes again and gives the term's largest modulus; then the
     term is added into the running sum, which one more pass prunes with its

@@ -61,38 +61,38 @@ are, and a product larger than the cap a call of its own.  A batch of
 :func:`_batch_products` below ``_NUMPY_MIN_PAIRS`` takes the loop.
 
 A right factor that recurs can be prepared once as a
-:class:`RightFactor`.  It keeps, for each left blade it has met, the row
-of signed terms that blade forms with the factor, so a later product
-skips the sign look-ups and only sums ``ca * cb``, by blade index into a
-scratch list rather than into a dict; below the array threshold it gives
-:func:`geometric_product`'s bits, and from there on it calls the array
-kernel.  :mod:`isoclifford.isotopy` prepares the exponent of each
-exponential series and, once per context, the isounit ζ and its inverse.
-A row pays for itself only when it is read again: on a 2-core x86-64, on
-one CPU, a 16 x 16-term Cl(1,3) product took 56 us in the loop, 76 us
-through rows formed for it alone and 31 us through rows already kept,
-where summing them into a dict took 33 us (medians of three runs, each the
-best of 50 timings of 200 products), so a product made once keeps the
-loop.  The list pays where many terms land on one blade, as all 256 do
-on 16 blades there; where few do, it costs more than the dict: a 7 x
-8-term Cl(12,0) product through kept rows took 23 us against 20 us.
-The loop keeps its dict: most products it makes are of ``verify``'s
-sparse samples of 5 to 8 terms.
+:class:`RightFactor`; :mod:`isoclifford.isotopy` prepares the exponent of
+each exponential series and, once per context, the isounit ζ and its
+inverse.  Below ``_PLAN_MIN_PAIRS`` (64) term pairs its product is the
+loop.  From there on it is summed on arrays through a plan, formed the
+first time the factor meets a left operand's blades in that order and
+kept: the signed factor components of every term pair and each pair's
+bin.  A product through a kept plan is one ``np.fromiter``, one
+multiply, one add and one ``np.bincount``, where the array kernel makes
+some thirty numpy calls, so this crossover lies far below
+``_NUMPY_MIN_PAIRS``.  On one CPU of a 2-core x86-64 (the least of 30
+timings of 200 products), a 4 x 16-term Cl(1,3) product, 64 pairs, took
+18 us in the loop, 10 us through a kept plan and 55 us through a plan
+formed for it alone, with the factor's arrays; a 16 x 16-term one took
+53, 12 and 70 us, and an 8 x 8-term Cl(12,0) one 27, 14 and 68 us.  So
+from 64 pairs on a kept plan is at least 1.7 times faster than the
+loop, and a plan repays its forming after one to five products.  It
+gives the loop's bits, as the array kernel does.
 
-A step of an exponential series takes the row sums before any prune:
-one pass of :func:`_pruned` with the factor ``1/k`` prunes them, scales
-them, prunes them again and returns the term's largest modulus, and one
-more adds the term into the running sum and prunes that.  No
+A step of an exponential series takes the factor's sums before any
+prune: one pass of :func:`_pruned` with the factor ``1/k`` prunes them,
+scales them, prunes them again and returns the term's largest modulus,
+and one more adds the term into the running sum and prunes that.  No
 intermediate :class:`Multivector` is built, and every term and sum keeps
 its bits.  On a 2-core x86-64, over 10 alternating 36 s pairs of the
 ``dense_api`` benchmark workload (seeds 24101-24110), the median of the
 per-class ``isotopy.clifford_exp.cl1_3.p50_ms`` went from 2.08 ms, with
 a product, a scaled copy and a sum built as elements each step, to
 1.75 ms, and the workload's ``throughput_ops_s`` from 373 to 418 ops/s,
-higher in 10 of 10 pairs.  Summing the rows into the scratch list rather
-than a dict then took its ``latency_p50_ms`` from 1.087 to 0.993 ms
-(medians of 10 alternating pairs, seeds 26201-26210, lower in 10 of 10)
-and its ``throughput_ops_s`` from 418 to 447 ops/s.
+higher in 10 of 10 pairs.  Plans in place of the kept rows of signed
+terms that the factor summed in Python before then took its
+``throughput_ops_s`` from 430 to 487 ops/s (medians of 10 alternating
+pairs, seeds 27401-27410, higher in 10 of 10).
 """
 
 from __future__ import annotations
@@ -122,12 +122,13 @@ _NUMPY_MIN_PAIRS = 364
 # in one call, against 33 ms one product at a time; the tracemalloc peak
 # was 1.8 MB at 2**13 and 8.9 MB in one call.
 _BATCH_PAIRS = 1 << 13
-# Term pairs a RightFactor keeps in its rows, at about 100 bytes a pair:
-# a row for each of Cl(12,0)'s 4096 blades with a 16-term factor.
-_ROW_CACHE_PAIRS = 1 << 16
-# Free lists of the scratch lists RightFactor._sums adds into, one free
-# list per dimension; see RightFactor.
-_SCRATCH: list[list[list]] = [[] for _ in range(MAX_DIMENSION + 1)]
+# Term pairs from which a RightFactor product is summed through a plan
+# rather than the loop; see the module docstring for the measured crossover.
+_PLAN_MIN_PAIRS = 64
+# Term pairs a RightFactor keeps in its plans, at 50 to 95 bytes a pair
+# (the most where the blade ints are not cached, as in Cl(12,0)): a
+# 16-term factor's plans for 512 left operands of 8 terms.
+_PLAN_CACHE_PAIRS = 1 << 16
 
 
 class SignatureMismatchError(AlgebraError):
@@ -721,90 +722,104 @@ class RightFactor:
     """An element ``b`` prepared as the right factor of many products ``x b``.
 
     Calling it on ``x`` gives ``geometric_product(x, b)``: the same blades
-    in the same order, and the same bits.  The first time a left blade
-    ``ma`` meets ``b`` its row, the pairs ``(ma ^ mb, sign(ma, mb) * cb)``
-    over ``b``'s terms, is formed and kept, and every later product sums
-    ``ca * cb`` over that row in the loop's a-major pair order.  The loop
-    forms ``(sign * ca) * cb`` instead; with the sign moved onto ``cb`` a
-    term can differ only in the sign of an exact zero, and a sum that
-    starts at ``0j`` keeps no ``-0.0``.  Products of at least
-    ``_NUMPY_MIN_PAIRS`` term pairs take the array kernel, as
-    :func:`geometric_product` does.
+    in the same order, and the same bits.  A product of fewer than
+    ``_PLAN_MIN_PAIRS`` term pairs is the loop of :func:`_blade_products`.
+    From there on it is summed on arrays through a *plan*, formed the first
+    time ``b`` meets a left operand with those blades in that order and
+    kept: the signed components of ``cb`` for every term pair, and the bin
+    of each pair's blade, numbered in order of first occurrence.  A product
+    then costs one ``np.fromiter`` of ``x``'s coefficients, one broadcast
+    multiply of ``(ar, ai)`` against the plan's rows ``[R, I]`` and ``[-I,
+    R]``, one add of the two and one ``np.bincount`` over interleaved real
+    and imaginary bins.
+
+    The loop forms ``(sign * ca) * cb``; a plan forms ``ca * (sign * cb)``,
+    with ``-1 * cb`` as Python computes it, ``(-cr - 0.0*ci, -ci +
+    0.0*cr)``, and the complex product written out in components as
+    :func:`_blade_terms_numpy` writes it.  With the sign moved onto ``cb`` a
+    term can differ only in the sign of an exact zero, and a sum that starts
+    at 0.0 keeps no ``-0.0``; ``np.bincount`` adds each blade's terms in the
+    loop's a-major pair order onto 0.0, so every sum keeps the loop's bits.
+
+    A plan formed for a single product costs up to three times the loop,
+    and from ``_PLAN_MIN_PAIRS`` on a kept plan is at least 1.7 times
+    faster than the loop, so a plan repays its forming after one to five
+    products; see the module docstring for the measured crossover.
+    Products at and above ``_NUMPY_MIN_PAIRS`` take a plan too, not the
+    array kernel.
 
     A call is :func:`_pruned` of :meth:`_sums`, the product's terms before
     the prune, so the exponential series of :mod:`isoclifford.isotopy` can
     read the sums and prune them together with their ``1/k`` in one pass.
-    From the array threshold on, the sums are the kernel's terms, which
-    :func:`_kept` has pruned already; ``_pruned`` tests them again by the
-    same modulus and keeps them all.
+    Below the crossover the sums are the loop's terms, pruned already;
+    ``_pruned(_pruned(s), f)`` equals ``_pruned(s, f)``, so the series keeps
+    its bits.
 
-    Rows are kept until they hold ``_ROW_CACHE_PAIRS`` pairs, some 7 MB;
-    later rows are formed on each use and not kept.
-
-    The row sums are added into a list with a slot per blade.  A call pops
-    one from the module's free list for its dimension, or makes one when
-    that is empty, and appends it back with every slot it set cleared to
-    None: no two calls, in threads or not, share a list, and a product
-    pays for the slots it touches, not for the 4096 of Cl(12,0).  A list
-    that an exception leaves behind half-filled is not given back.
+    Plans are kept until they hold ``_PLAN_CACHE_PAIRS`` term pairs, at
+    most about 6 MB; later plans are formed on each use and not kept.  A
+    plan's arrays are read-only, so threads share them without a lock; two
+    threads may both form a plan, and the one kept last is read.
     """
 
-    __slots__ = ("element", "_signed", "_rows", "_max_rows")
+    __slots__ = ("element", "_factor", "_plans", "_room")
 
     def __init__(self, b: Multivector):
-        table = b.signature.sign_table
         self.element = b
-        # per term of b: its blade, F[mb], and cb for sign +1 and -1
-        self._signed = [(mb, table[mb], (cb, -1 * cb)) for mb, cb in b._terms.items()]
-        self._rows: dict[int, tuple[tuple[int, complex], ...]] = {}
-        self._max_rows = _ROW_CACHE_PAIRS // max(len(b), 1)
+        self._factor: tuple[np.ndarray, ...] | None = None
+        self._plans: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, list[int]]] = {}
+        self._room = _PLAN_CACHE_PAIRS
 
-    def _row(self, ma: int) -> tuple[tuple[int, complex], ...]:
-        row = tuple([(ma ^ mb, signed[(ma & fb).bit_count() & 1])
-                     for mb, fb, signed in self._signed])
-        if len(self._rows) < self._max_rows:
-            self._rows[ma] = row
-        return row
+    def _plan(self, order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The plan of left operands with blades ``order``: the ``(n, 2, m,
+        2)`` stack whose rows ``[R, I]`` and ``[-I, R]`` are the signed
+        factor components of each term pair, the pairs' interleaved bins
+        ``(2 bin, 2 bin + 1)``, and the blades of the bins in order.
 
-    def _sums(self, x: Multivector) -> dict[int, complex]:
-        """The terms of ``x b`` before :func:`_pruned`, blades in the loop's
-        order, with no check of the signature.
+        The first plan also forms the factor's blades, their ``F[mb]`` and
+        both rows of ``cb`` and of ``-1 * cb``, which later plans share."""
+        sig = self.element.signature
+        if self._factor is None:
+            _, mb, cb = _term_arrays([self.element._terms])
+            cr, ci = cb.real, cb.imag
+            nr, ni = -cr - 0.0 * ci, -ci + 0.0 * cr
+            signed = np.array([[[cr, ci], [-ci, cr]], [[nr, ni], [-ni, nr]]]).transpose(0, 1, 3, 2)
+            self._factor = mb, sig.sign_array[mb], np.ascontiguousarray(signed)
+        mb, fb, signed = self._factor
+        ma = np.array(order, dtype=np.int64)[:, None]
+        odd = np.bitwise_count(ma & fb) & 1
+        stack = np.where(odd[:, None, :, None], signed[1], signed[0])
+        bins, keys, slots = _first_occurrence_bins((ma ^ mb).reshape(-1), sig.blade_count)
+        real_slot = np.empty(bins.max() + 1, dtype=np.intp)
+        real_slot[slots] = np.arange(0, 2 * slots.size, 2)
+        bins = (real_slot[bins][:, None] + np.arange(2)).reshape(-1)
+        plan = stack, bins, keys.tolist()
+        stack.flags.writeable = bins.flags.writeable = False
+        if odd.size <= self._room:
+            self._plans[order] = plan
+            self._room -= odd.size
+        return plan
 
-        Below ``_NUMPY_MIN_PAIRS`` term pairs they are the row sums, added
-        by blade mask into the scratch list: a blade's first term is stored
-        as ``0j + ca * cb``, as the loop adds onto ``0j``, and its mask
-        noted, and each later one is added onto its slot.  Every blade thus
-        takes the loop's additions in the loop's order, and the dict lists
-        the blades in order of their first term.  From there on they are
-        the array kernel's terms, which :func:`_kept` has pruned already.
-        """
-        b_terms = self.element._terms
+    def _sums(self, x: Multivector) -> Mapping[int, complex]:
+        """The terms of ``x b``, blades in the loop's order, with no check
+        of the signature: below ``_PLAN_MIN_PAIRS`` term pairs the loop's
+        pruned terms, and from there on a plan's sums before the prune."""
         x_terms = x._terms
-        if len(x_terms) * len(b_terms) >= _NUMPY_MIN_PAIRS:
-            _, blades, coeffs = _kept_terms((x_terms, b_terms), [(0, 1)], x.signature)
-            return dict(zip(blades.tolist(), coeffs.tolist()))
-        rows = self._rows
-        free = _SCRATCH[x.signature.dim]
-        try:
-            acc = free.pop()
-        except IndexError:
-            acc = [None] * x.signature.blade_count
-        order = []
-        for ma, ca in x_terms.items():
-            for mask, cb in rows.get(ma) or self._row(ma):
-                s = acc[mask]
-                if s is None:
-                    order.append(mask)
-                    s = 0j
-                acc[mask] = s + ca * cb
-        out = {mask: acc[mask] for mask in order}
-        for mask in order:
-            acc[mask] = None
-        free.append(acc)
-        return out
+        n = len(x_terms)
+        if n * len(self.element._terms) < _PLAN_MIN_PAIRS:
+            return _blade_products(x, self.element)._terms
+        order = tuple(x_terms)
+        stack, bins, blades = self._plans.get(order) or self._plan(order)
+        coeffs = np.fromiter(x_terms.values(), dtype=complex, count=n)
+        with np.errstate(all="ignore"):  # inf and NaN reach the check in _pruned
+            parts = coeffs.view(float).reshape(n, 2, 1, 1) * stack
+            terms = parts[:, 0] + parts[:, 1]
+        sums = np.bincount(bins, weights=terms.reshape(-1)).view(complex)
+        return dict(zip(blades, sums.tolist()))
 
     def __call__(self, x: Multivector) -> Multivector:
         """``x b``, bit for bit as :func:`geometric_product` forms it."""
+        if len(x._terms) * len(self.element._terms) < _PLAN_MIN_PAIRS:
+            return _blade_products(x, self.element)
         x._check_signature(self.element)
         return Multivector._from_terms(x.signature, self._sums(x))
 

@@ -231,10 +231,11 @@ def test_a_context_with_prepared_factors_pickles_bit_for_bit():
     sig = Signature(1, 3)
     rng = np.random.default_rng(17)
     ctx = random_invertible_context(sig, rng)
-    x = random_multivector(sig, rng, 6)
-    # use both prepared factors, so the pickle carries their kept rows
+    x = random_multivector(sig, rng, 16)
+    # use both prepared factors, so the pickle carries their kept plans
     ctx.zeta_right(x)
     ctx.zeta_inv_right(x)
+    assert ctx.zeta_right._plans and ctx.zeta_inv_right._plans
     copy = _round_trip(ctx)
     assert [bits(copy.zeta), bits(copy.zeta_inv)] == [bits(ctx.zeta), bits(ctx.zeta_inv)]
     assert bits(copy.zeta_right(x)) == bits(ctx.zeta_right(x))
@@ -244,7 +245,7 @@ def test_a_context_with_prepared_factors_pickles_bit_for_bit():
 def test_a_lifted_family_pickles_bit_for_bit():
     gs = su3_case1_generators(random_invertible_context(Signature(1, 3),
                                                         np.random.default_rng(19)))
-    iso_commutator(gs.context, gs.generators[0], gs.generators[1])  # prepares ζ⁻¹'s rows
+    iso_commutator(gs.context, gs.generators[0], gs.generators[1])  # prepares ζ⁻¹ and its plans
     copy = _round_trip(gs)
     assert copy.label == gs.label
     assert [bits(g) for g in copy.generators] == [bits(g) for g in gs.generators]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isoclifford import isotopy
+from isoclifford import isotopy, multivector
 from isoclifford.dirac import build_dirac_rep, iso_spin_plus_check, regular_representation
 from isoclifford.isotopy import (
     ConvergenceError,
@@ -207,6 +207,24 @@ def test_an_overflowing_series_raises_convergence_error(series):
     the float range, which is the series failing, not a bad operand."""
     with pytest.raises(ConvergenceError, match="overflowed at term 67"):
         series(S30.scalar(1e6))
+
+
+@pytest.mark.parametrize("series", [clifford_exp, lambda a: iso_exp_series(IsoContext.identity(S13), a)],
+                         ids=["clifford_exp", "iso_exp_series"])
+def test_a_dense_series_that_overflows_on_arrays_raises_convergence_error(series, monkeypatch):
+    """A dense Cl(1,3) exponent of ℓ1 norm 1e6: from the second step on its
+    products are 256 term pairs, summed through the exponent's plans, and a
+    term passes the float range there; numpy's overflow stays silent, so
+    under ``-W error`` too the series raises ConvergenceError."""
+    a = random_multivector(S13, np.random.default_rng(6), 16)
+    a = a * (1e6 / sum(abs(c) for c in a.terms.values()))
+    plans = []
+    plan = multivector.RightFactor._plan
+    monkeypatch.setattr(multivector.RightFactor, "_plan",
+                        lambda self, order: plans.append(order) or plan(self, order))
+    with pytest.raises(ConvergenceError, match="overflowed at term"):
+        series(a)
+    assert plans
 
 
 def test_rotor_exponential():

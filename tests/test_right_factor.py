@@ -1,12 +1,13 @@
 """The prepared right factor against the product loop and the functions it
 replaced.
 
-A :class:`~isoclifford.multivector.RightFactor` keeps the loop's visiting
-order and moves each blade-pair sign from ``ca`` onto ``cb``, which can
-change a term only in the sign of an exact zero.  So every comparison here
-is exact: blades in order, and the bits of every coefficient.  The
-references below are the series and isotopic products as they were
-written with :func:`geometric_product` alone.
+A :class:`~isoclifford.multivector.RightFactor` takes the product loop
+below its crossover and sums through a plan from there on, in the loop's
+visiting order and with each blade-pair sign moved from ``ca`` onto ``cb``,
+which can change a term only in the sign of an exact zero.  So every
+comparison here is exact: blades in order, and the bits of every
+coefficient.  The references below are the series and isotopic products
+as they were written with :func:`geometric_product` alone.
 """
 
 import sys
@@ -41,6 +42,7 @@ from isoclifford.multivector import (
 )
 
 THRESHOLD = multivector._NUMPY_MIN_PAIRS
+CROSSOVER = multivector._PLAN_MIN_PAIRS
 SIGNATURES = [Signature(3, 0), Signature(1, 3), Signature(0, 7), Signature(12, 0)]
 S13 = Signature(1, 3)
 
@@ -117,13 +119,24 @@ def _dense_cl13_case():
     return b, [x, b, -b]
 
 
+def _crossover_case(pairs):
+    """A Cl(0,7) factor and left operands that make ``pairs`` term pairs
+    with it, the factor of at most 16 terms."""
+    nb = next(n for n in range(16, 0, -1) if pairs % n == 0)
+    rng = np.random.default_rng(pairs)
+    b = _element(Signature(0, 7), rng, nb, 1.0, "mixed")
+    return b, [_element(Signature(0, 7), rng, pairs // nb, 1.0, "mixed") for _ in range(2)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(_cases())
 @example(_dense_cl13_case())
+@example(_crossover_case(CROSSOVER - 1))
+@example(_crossover_case(CROSSOVER))
 def test_prepared_product_equals_the_loop_bit_for_bit(case):
     b, lefts = case
     times_b = RightFactor(b)
-    # twice over: rows are formed on the first pass and read on the second
+    # twice over: plans are formed on the first pass and read on the second
     for x in lefts + lefts:
         assert bits(times_b(x)) == bits(geometric_product(x, b))
 
@@ -141,13 +154,17 @@ def test_prepared_product_on_both_sides_of_the_threshold(sig, shape):
             assert bits(times_b(left)) == bits(geometric_product(left, b))
 
 
-def test_threads_sharing_a_prepared_factor_get_the_loop_bits():
+@pytest.mark.parametrize("plan", [False, True], ids=["loop", "plan"])
+def test_threads_sharing_a_prepared_factor_get_the_loop_bits(plan):
     """Four threads multiply by one context's ζ⁻¹ at once, switching every
-    microsecond so that their row sums interleave; no call may see another
-    call's partial sums."""
+    microsecond, below the crossover and from it on, where they form and
+    read the factor's plans together; no call may see another call's
+    partial sums."""
     rng = np.random.default_rng(4)
     ctx = random_invertible_context(S13, rng)
-    xs = [random_multivector(S13, rng, 16) for _ in range(20)]
+    n_terms = 16 if plan else (CROSSOVER - 1) // len(ctx.zeta_inv)
+    assert (n_terms * len(ctx.zeta_inv) >= CROSSOVER) == plan
+    xs = [random_multivector(S13, rng, n_terms) for _ in range(20)]
     want = [bits(geometric_product(x, ctx.zeta_inv)) for x in xs]
     times_zeta_inv = ctx.zeta_inv_right
     same = []  # one entry per product, so a thread that died shows too
@@ -167,7 +184,6 @@ def test_threads_sharing_a_prepared_factor_get_the_loop_bits():
     finally:
         sys.setswitchinterval(saved)
     assert not any(t.is_alive() for t in threads)
-    assert len(ctx.zeta_inv) * 16 < THRESHOLD  # the row sums, not the array kernel
     assert len(same) == 4 * 10 * len(xs)
     assert all(same), f"{same.count(False)} of {len(same)} products differ"
 
@@ -177,34 +193,73 @@ def test_prepared_product_checks_the_signature():
         RightFactor(S13.e(1))(Signature(3, 0).e(1))
 
 
-def test_row_cache_of_a_cl12_factor_stays_small():
+def test_plans_of_a_cl12_factor_stay_within_their_budget():
+    """A 16-term Cl(12,0) factor fed twice as many 8-term left orders as its
+    plan budget holds keeps plans for the first half and no more."""
     sig = Signature(12, 0)
     rng = np.random.default_rng(12)
-    blades = [Multivector(sig, {m: 1.0}) for m in range(sig.blade_count)]
     b = random_multivector(sig, rng, 16)
+    kept = multivector._PLAN_CACHE_PAIRS // (8 * 16)
+    xs = [random_multivector(sig, rng, 8) for _ in range(2 * kept)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         times_b = RightFactor(b)
-        for x in blades:
+        for x in xs:
             times_b(x)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(times_b._rows) == sig.blade_count
-    # 65536 pairs: a tuple, a blade int and a slot each, about 100 bytes
-    assert held <= 128 * multivector._ROW_CACHE_PAIRS, held
+    assert len(times_b._plans) == kept
+    # 65536 pairs: 48 bytes of arrays and a blade int each, and each plan's key
+    assert held <= 128 * multivector._PLAN_CACHE_PAIRS, held
 
 
-def test_rows_beyond_the_cache_bound_are_formed_and_not_kept():
+def test_plans_beyond_the_budget_are_formed_and_not_kept():
     sig = Signature(12, 0)
     rng = np.random.default_rng(17)
     b = random_multivector(sig, rng, 17)
+    kept = multivector._PLAN_CACHE_PAIRS // (6 * 17)
+    xs = [random_multivector(sig, rng, 6) for _ in range(kept + 20)]
     times_b = RightFactor(b)
-    for m in range(sig.blade_count):
-        x = Multivector(sig, {m: 1.0 + 0.5j})
+    for x in xs + xs[-30:]:
         assert bits(times_b(x)) == bits(geometric_product(x, b))
-    assert len(times_b._rows) == multivector._ROW_CACHE_PAIRS // 17
+    assert len(times_b._plans) == kept
+    assert tuple(xs[kept - 1].terms) in times_b._plans
+    assert tuple(xs[kept].terms) not in times_b._plans
+
+
+def test_a_dense_cl13_series_leaves_the_loop_after_its_first_step(monkeypatch):
+    """A 16-term Cl(1,3) exponent: the first step multiplies the scalar 1
+    by it in the loop, 16 term pairs, and every later step, 256 pairs, goes
+    through a plan formed once for each left blade order the series meets."""
+    rng = np.random.default_rng(13)
+    a = random_multivector(S13, rng, 16, scale=0.4)
+    want = bits(clifford_exp_ref(a))
+    loop, plan, sums = multivector._blade_products, RightFactor._plan, RightFactor._sums
+    loop_pairs, planned, lefts = [], [], []
+
+    def counted_loop(x, y, keep=None):
+        loop_pairs.append(len(x) * len(y))
+        return loop(x, y, keep)
+
+    def counted_plan(self, order):
+        planned.append(order)
+        return plan(self, order)
+
+    def counted_sums(self, x):
+        lefts.append(tuple(x.terms))
+        return sums(self, x)
+
+    monkeypatch.setattr(multivector, "_blade_products", counted_loop)
+    monkeypatch.setattr(RightFactor, "_plan", counted_plan)
+    monkeypatch.setattr(RightFactor, "_sums", counted_sums)
+    got = bits(clifford_exp(a))
+    monkeypatch.undo()
+    assert got == want
+    assert len(lefts) > 10 and lefts[0] == (0,)
+    assert loop_pairs == [16]
+    assert planned == list(dict.fromkeys(lefts[1:]))
 
 
 # -- the series and the isotopic products against the functions they replaced -----------
@@ -242,28 +297,29 @@ def test_iso_exp_series_equals_the_product_loop_series():
 
 
 def test_series_that_reach_the_array_kernel_equal_the_product_loop_series(monkeypatch):
-    """A Cl(0,7) exponent of 8 terms: the first products are 8 term pairs,
-    and the terms fill up to 128 blades, so the products leave the loop for
-    the array kernel part way through each series."""
+    """A Cl(0,7) exponent of 8 terms: the first products of clifford_exp
+    are 8 term pairs, and the terms fill up to 128 blades, so both series
+    multiply through the factors' plans, which a series that never left the
+    loop would not form."""
     sig = Signature(0, 7)
     rng = np.random.default_rng(8)
     a = random_multivector(sig, rng, 8, scale=0.5)
     ctx = random_invertible_context(sig, rng)
-    kernel_calls = []
-    kernel = multivector._kept_terms
+    plans = []
+    plan = RightFactor._plan
 
-    def counted(*args):
-        kernel_calls.append(args)
-        return kernel(*args)
+    def counted(self, order):
+        plans.append(order)
+        return plan(self, order)
 
     for series, reference, args in ((clifford_exp, clifford_exp_ref, (a,)),
                                     (iso_exp_series, iso_exp_series_ref, (ctx, a))):
         with monkeypatch.context() as patch:
-            patch.setattr(multivector, "_kept_terms", counted)
+            patch.setattr(RightFactor, "_plan", counted)
             got = series(*args)
         assert bits(got) == bits(reference(*args))
-        assert kernel_calls
-        kernel_calls.clear()
+        assert plans
+        plans.clear()
 
 
 def test_a_term_that_only_the_scaled_prune_drops():
