@@ -210,9 +210,9 @@ class FlavorIsoUnit(namedtuple("FlavorIsoUnit", "group diagonal delta params")):
     @classmethod
     def from_params(cls, group: str, params: Sequence[float]) -> "FlavorIsoUnit":
         """diag(a⁻¹, ..., t⁻¹, ab...t), the product taken left to right."""
-        params = tuple(float(p) for p in params)
-        if not all(0 < p < math.inf for p in params):
-            raise ValueError("isounit parameters must be finite and positive")
+        if not all(map(_positive_real, params)):
+            raise ValueError("isounit parameters must be real, finite and positive")
+        params = tuple(map(float, params))
         return cls(group, tuple(1 / p for p in params) + (math.prod(params),), params=params)
 
     @classmethod

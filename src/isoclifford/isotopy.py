@@ -5,23 +5,24 @@ for a fixed invertible element ζ, which becomes the new two-sided unit.
 Lifted elements ``Aζ`` multiply like the originals (``Aζ ⋄ Bζ = ABζ``),
 which is what transports algebra identities into isospace unchanged.
 
-ζ and ζ⁻¹ recur as right factors of every ⋄ product, lift and iso
-involution, and the exponent recurs in every step of a series.  Each is
-prepared once as a :class:`~isoclifford.multivector.RightFactor`: ζ and
-ζ⁻¹ on first use by their context, which keeps them, and the exponent at
-the start of its series.  The results are bit for bit those of
-:func:`~isoclifford.multivector.geometric_product`.  The one-off right
-factor ``b`` of ``a ⋄ b = (a ζ⁻¹) b`` keeps the plain product, where
-forming plans would cost more than they save (see the
-:mod:`~isoclifford.multivector` docstring for the measured costs).
+A context is ζ and ζ⁻¹ and nothing else: every ⋄ product, lift and iso
+involution is a :func:`~isoclifford.multivector.geometric_product`.  A
+right factor that recurs is prepared as a
+:class:`~isoclifford.multivector.RightFactor` by the series it recurs in
+and belongs to it: each exponential series prepares its exponent, and the
+literal ⋄ series ζ⁻¹ too, at its start, so a prepared factor lives
+exactly as long as the series that reads its plans again.  Its products
+keep the bits of ``geometric_product``.  Outside a series the products
+by ζ and ζ⁻¹ seldom repeat a left operand's blade order: in the isotopy,
+su3 and su6 suites of ``verify``, ζ and ζ⁻¹ prepared once per context
+would read their plans again for 123 products and form 94 plans, and a
+plan repays its forming only after one to five products.
 
 The iso-commutator ``[x, y]_ζ = x ζ⁻¹ y - y ζ⁻¹ x`` is written once, as a
 batch: :func:`iso_commutators` forms each ``x ζ⁻¹`` once, sends both ⋄
 products of every pair through the array kernel in calls of at most
 ``_BATCH_PAIRS`` term pairs, and subtracts them on arrays in the terms,
 order and bits of the ``Multivector`` difference of the two ⋄ products.
-A batch bound to hold fewer than ``_NUMPY_MIN_PAIRS`` term pairs takes
-that difference of two loop products instead, and skips the array calls.
 :func:`iso_commutator` is a batch of one, and the structure-constant
 oracle of :mod:`~isoclifford.lie_su` reads the same terms as arrays.
 
@@ -34,18 +35,11 @@ the series written with whole elements.  A series whose terms overflow
 raises :class:`ConvergenceError` naming the term.  A dense 16-term
 Cl(1,3) exponent makes one loop product of 16 term pairs and then
 products of 256 through plans, one for each left blade order the series
-meets: one a series for every exponent of the ``dense_api`` benchmark
-workload.  On a 2-core x86-64, over 10 alternating 36 s pairs of that
-workload (seeds 27401-27410), plans in place of the factor's kept rows
-took the median call from 8.02 to 5.30 ms for ``exp.oscillatory``, 6.02
-to 4.10 ms for ``exp.negative_scalar`` and 1.05 to 0.95 ms for
-``exp.moderate``, whose short series leave more of each call to fixed
-costs (0.88 to 0.70 ms a call in process).
+meets.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,7 +52,6 @@ from .multivector import (
     RightFactor,
     Signature,
     SignatureMismatchError,
-    _NUMPY_MIN_PAIRS,
     _batch_products,
     _commutator_terms,
     _indexed,
@@ -110,28 +103,18 @@ class IsoContext:
     def signature(self) -> Signature:
         return self.zeta.signature
 
-    @functools.cached_property
-    def zeta_right(self) -> RightFactor:
-        """ζ prepared as a right factor: ``ctx.zeta_right(a)`` is ``a ζ``."""
-        return RightFactor(self.zeta)
-
-    @functools.cached_property
-    def zeta_inv_right(self) -> RightFactor:
-        """ζ⁻¹ prepared as a right factor: ``ctx.zeta_inv_right(a)`` is ``a ζ⁻¹``."""
-        return RightFactor(self.zeta_inv)
-
 
 # -- associative isotope ---------------------------------------------------------
 
 
 def iso_product(ctx: IsoContext, a: Multivector, b: Multivector) -> Multivector:
     """``a ⋄ b = a ζ⁻¹ b``; ζ is the two-sided unit of this product."""
-    return geometric_product(ctx.zeta_inv_right(a), b)
+    return geometric_product(geometric_product(a, ctx.zeta_inv), b)
 
 
 def lift(ctx: IsoContext, a: Multivector) -> Multivector:
     """Send ``a`` to its isospace avatar ``aζ``."""
-    return ctx.zeta_right(a)
+    return geometric_product(a, ctx.zeta)
 
 
 def iso_commutator(ctx: IsoContext, a: Multivector, b: Multivector) -> Multivector:
@@ -143,18 +126,11 @@ def iso_commutators(ctx: IsoContext, xs: Sequence[Multivector],
                     ys: Sequence[Multivector]) -> list[Multivector]:
     """``[x, y]_ζ`` for each ``x, y`` of ``xs, ys``, bit for bit and term
     order for term order ``iso_product(ctx, x, y) - iso_product(ctx, y,
-    x)``.  Lists of unequal length raise ``ValueError``.
-
-    A batch whose products ``(x ζ⁻¹) y`` and ``(y ζ⁻¹) x`` hold fewer than
-    ``_NUMPY_MIN_PAIRS`` term pairs in all, by the bound ``|x ζ⁻¹| <= |x|
-    |ζ⁻¹|``, forms each commutator as that difference, as a product that
-    small takes the loop.  A larger one goes through
-    :func:`_iso_commutator_terms`, which multiplies an element that recurs
-    in the lists by ζ⁻¹ once.
+    x)``.  Lists of unequal length raise ``ValueError``.  Every batch goes
+    through :func:`_iso_commutator_terms`, which multiplies an element that
+    recurs in the lists by ζ⁻¹ once.
     """
     pairs = list(zip(xs, ys, strict=True))
-    if 2 * len(ctx.zeta_inv) * sum(len(x) * len(y) for x, y in pairs) < _NUMPY_MIN_PAIRS:
-        return [iso_product(ctx, x, y) - iso_product(ctx, y, x) for x, y in pairs]
     elements, at = _indexed([x for pair in pairs for x in pair])
     return _split(ctx.signature, len(xs), *_iso_commutator_terms(ctx, elements, at[0::2], at[1::2]))
 
@@ -167,8 +143,7 @@ def _iso_commutator_terms(ctx: IsoContext, elements: Sequence[Multivector], firs
 
     Each element's ``x ζ⁻¹`` is formed once, all of them in one
     :func:`~isoclifford.multivector._batch_products`, which gives the bits
-    of the context's prepared factor and, on a list of samples, takes less
-    time than that factor's one product at a time.  Then
+    of :func:`~isoclifford.multivector.geometric_product`.  Then
     :func:`~isoclifford.multivector._commutator_terms` forms every ``(x
     ζ⁻¹) y`` and ``(y ζ⁻¹) x`` in kernel calls of at most ``_BATCH_PAIRS``
     term pairs and subtracts them as ``Multivector.__sub__`` does.
@@ -194,7 +169,7 @@ def iso_involution(ctx: IsoContext, a: Multivector) -> Multivector:
     ``ψζ`` would drag a spurious ``ζ̂ ζ⁻¹`` factor in whenever ζ has odd
     grades.
     """
-    return ctx.zeta_right(grade_involution(ctx.zeta_inv_right(a)))
+    return lift(ctx, grade_involution(geometric_product(a, ctx.zeta_inv)))
 
 
 def iso_wedge(ctx: IsoContext, v: Multivector, psi: Multivector) -> Multivector:
@@ -275,18 +250,19 @@ def _exp_series(first: Multivector, a: Multivector, what: str,
     times_a = RightFactor(a)
     sig = first.signature
     term, total = first, dict(first.terms)
-    for k in range(1, _EXP_MAX_TERMS + 1):
-        try:
-            terms, term_max = _pruned(
-                times_a._sums(term if between is None else between(term)), complex(1.0 / k))
-            for mask, c in terms.items():
-                total[mask] = total.get(mask, 0j) + c
-            total, total_max = _pruned(total)
-        except ValueError as exc:  # a non-finite coefficient: the operands are finite
-            raise ConvergenceError(f"{what} overflowed at term {k}") from exc
-        if term_max <= _EXP_REL_TOL * max(total_max, 1e-300):
-            return Multivector._from_kept(sig, total)
-        term = Multivector._from_kept(sig, terms)
+    with np.errstate(all="ignore"):  # inf and NaN reach the checks in _pruned
+        for k in range(1, _EXP_MAX_TERMS + 1):
+            try:
+                terms, term_max = _pruned(
+                    times_a._sums(term if between is None else between(term)), complex(1.0 / k))
+                for mask, c in terms.items():
+                    total[mask] = total.get(mask, 0j) + c
+                total, total_max = _pruned(total)
+            except ValueError as exc:  # a non-finite coefficient: the operands are finite
+                raise ConvergenceError(f"{what} overflowed at term {k}") from exc
+            if term_max <= _EXP_REL_TOL * max(total_max, 1e-300):
+                return Multivector._from_kept(sig, total)
+            term = Multivector._from_kept(sig, terms)
     raise ConvergenceError(f"{what} did not settle in {_EXP_MAX_TERMS} terms")
 
 
@@ -302,12 +278,12 @@ def iso_exp(ctx: IsoContext, a: Multivector) -> Multivector:
     ``exp(a ζ⁻¹) ζ`` with one ordinary series; :func:`iso_exp_series`
     keeps the literal ⋄-power sum around as a cross-check.
     """
-    return ctx.zeta_right(clifford_exp(ctx.zeta_inv_right(a)))
+    return lift(ctx, clifford_exp(geometric_product(a, ctx.zeta_inv)))
 
 
 def iso_exp_series(ctx: IsoContext, a: Multivector) -> Multivector:
     """Literal ⋄-power series for the iso exponential (slow path, oracle)."""
-    return _exp_series(ctx.zeta, a, "iso exponential series", ctx.zeta_inv_right)
+    return _exp_series(ctx.zeta, a, "iso exponential series", RightFactor(ctx.zeta_inv))
 
 
 def random_invertible_context(sig: Signature, rng) -> IsoContext:

@@ -61,38 +61,32 @@ are, and a product larger than the cap a call of its own.  A batch of
 :func:`_batch_products` below ``_NUMPY_MIN_PAIRS`` takes the loop.
 
 A right factor that recurs can be prepared once as a
-:class:`RightFactor`; :mod:`isoclifford.isotopy` prepares the exponent of
-each exponential series and, once per context, the isounit ζ and its
-inverse.  Below ``_PLAN_MIN_PAIRS`` (64) term pairs its product is the
-loop.  From there on it is summed on arrays through a plan, formed the
-first time the factor meets a left operand's blades in that order and
-kept: the signed factor components of every term pair and each pair's
-bin.  A product through a kept plan is one ``np.fromiter``, one
-multiply, one add and one ``np.bincount``, where the array kernel makes
-some thirty numpy calls, so this crossover lies far below
-``_NUMPY_MIN_PAIRS``.  On one CPU of a 2-core x86-64 (the least of 30
-timings of 200 products), a 4 x 16-term Cl(1,3) product, 64 pairs, took
-18 us in the loop, 10 us through a kept plan and 55 us through a plan
-formed for it alone, with the factor's arrays; a 16 x 16-term one took
-53, 12 and 70 us, and an 8 x 8-term Cl(12,0) one 27, 14 and 68 us.  So
-from 64 pairs on a kept plan is at least 1.7 times faster than the
-loop, and a plan repays its forming after one to five products.  It
-gives the loop's bits, as the array kernel does.
+:class:`RightFactor`, which belongs to the computation that prepares it:
+:mod:`isoclifford.isotopy` prepares the exponent of each exponential
+series, and the literal ⋄ series ζ⁻¹ too, and drops them with its sum.
+Below ``_PLAN_MIN_PAIRS`` (64) term pairs its product is the loop.  From
+there on it is summed on arrays through a plan, formed the first time
+the factor meets a left operand's blades in that order and kept: the
+signed factor components of every term pair and each pair's bin.  A
+product through a kept plan is one ``np.fromiter``, one multiply, one
+add and one ``np.bincount``, where the array kernel makes some thirty
+numpy calls, so this crossover lies far below ``_NUMPY_MIN_PAIRS``.  On
+one CPU of a 2-core x86-64 (the least of 30 timings of 200 products), a
+4 x 16-term Cl(1,3) product, 64 pairs, took 18 us in the loop, 10 us
+through a kept plan and 55 us through a plan formed for it alone, with
+the factor's arrays; a 16 x 16-term one took 53, 12 and 70 us, and an
+8 x 8-term Cl(12,0) one 27, 14 and 68 us.  So from 64 pairs on a kept
+plan is at least 1.7 times faster than the loop, and a plan repays its
+forming after one to five products.  It gives the loop's bits, as the
+array kernel does.
 
 A step of an exponential series takes the factor's sums before any
 prune: one pass of :func:`_pruned` with the factor ``1/k`` prunes them,
 scales them, prunes them again and returns the term's largest modulus,
 and one more adds the term into the running sum and prunes that.  No
 intermediate :class:`Multivector` is built, and every term and sum keeps
-its bits.  On a 2-core x86-64, over 10 alternating 36 s pairs of the
-``dense_api`` benchmark workload (seeds 24101-24110), the median of the
-per-class ``isotopy.clifford_exp.cl1_3.p50_ms`` went from 2.08 ms, with
-a product, a scaled copy and a sum built as elements each step, to
-1.75 ms, and the workload's ``throughput_ops_s`` from 373 to 418 ops/s,
-higher in 10 of 10 pairs.  Plans in place of the kept rows of signed
-terms that the factor summed in Python before then took its
-``throughput_ops_s`` from 430 to 487 ops/s (medians of 10 alternating
-pairs, seeds 27401-27410, higher in 10 of 10).
+its bits.  The series enters ``np.errstate`` once for all its steps, not
+once a product.
 """
 
 from __future__ import annotations
@@ -802,7 +796,9 @@ class RightFactor:
     def _sums(self, x: Multivector) -> Mapping[int, complex]:
         """The terms of ``x b``, blades in the loop's order, with no check
         of the signature: below ``_PLAN_MIN_PAIRS`` term pairs the loop's
-        pruned terms, and from there on a plan's sums before the prune."""
+        pruned terms, and from there on a plan's sums before the prune.
+        The caller enters ``np.errstate(all="ignore")``, once for a whole
+        series, and prunes the sums, whose check names inf and NaN."""
         x_terms = x._terms
         n = len(x_terms)
         if n * len(self.element._terms) < _PLAN_MIN_PAIRS:
@@ -810,9 +806,8 @@ class RightFactor:
         order = tuple(x_terms)
         stack, bins, blades = self._plans.get(order) or self._plan(order)
         coeffs = np.fromiter(x_terms.values(), dtype=complex, count=n)
-        with np.errstate(all="ignore"):  # inf and NaN reach the check in _pruned
-            parts = coeffs.view(float).reshape(n, 2, 1, 1) * stack
-            terms = parts[:, 0] + parts[:, 1]
+        parts = coeffs.view(float).reshape(n, 2, 1, 1) * stack
+        terms = parts[:, 0] + parts[:, 1]
         sums = np.bincount(bins, weights=terms.reshape(-1)).view(complex)
         return dict(zip(blades, sums.tolist()))
 
@@ -821,7 +816,9 @@ class RightFactor:
         if len(x._terms) * len(self.element._terms) < _PLAN_MIN_PAIRS:
             return _blade_products(x, self.element)
         x._check_signature(self.element)
-        return Multivector._from_terms(x.signature, self._sums(x))
+        with np.errstate(all="ignore"):  # inf and NaN reach the check in _pruned
+            sums = self._sums(x)
+        return Multivector._from_terms(x.signature, sums)
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:

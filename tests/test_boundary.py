@@ -18,7 +18,12 @@ import pytest
 
 from bit_identity import bits
 from isoclifford import multivector
-from isoclifford.isotopy import iso_commutator, random_invertible_context
+from isoclifford.isotopy import (
+    iso_commutator,
+    iso_exp_series,
+    iso_product,
+    random_invertible_context,
+)
 from isoclifford.lie_su import su3_case1_generators
 from isoclifford.multivector import (
     Multivector,
@@ -227,25 +232,20 @@ def test_an_element_pickles_bit_for_bit():
     assert bits(copy) == bits(x)
 
 
-def test_a_context_with_prepared_factors_pickles_bit_for_bit():
+def test_a_context_pickles_bit_for_bit():
     sig = Signature(1, 3)
     rng = np.random.default_rng(17)
     ctx = random_invertible_context(sig, rng)
-    x = random_multivector(sig, rng, 16)
-    # use both prepared factors, so the pickle carries their kept plans
-    ctx.zeta_right(x)
-    ctx.zeta_inv_right(x)
-    assert ctx.zeta_right._plans and ctx.zeta_inv_right._plans
+    x, y = random_multivector(sig, rng, 16), random_multivector(sig, rng, 16, scale=0.3)
     copy = _round_trip(ctx)
     assert [bits(copy.zeta), bits(copy.zeta_inv)] == [bits(ctx.zeta), bits(ctx.zeta_inv)]
-    assert bits(copy.zeta_right(x)) == bits(ctx.zeta_right(x))
-    assert bits(copy.zeta_inv_right(x)) == bits(ctx.zeta_inv_right(x))
+    assert bits(iso_product(copy, x, y)) == bits(iso_product(ctx, x, y))
+    assert bits(iso_exp_series(copy, y)) == bits(iso_exp_series(ctx, y))
 
 
 def test_a_lifted_family_pickles_bit_for_bit():
     gs = su3_case1_generators(random_invertible_context(Signature(1, 3),
                                                         np.random.default_rng(19)))
-    iso_commutator(gs.context, gs.generators[0], gs.generators[1])  # prepares ζ⁻¹ and its plans
     copy = _round_trip(gs)
     assert copy.label == gs.label
     assert [bits(g) for g in copy.generators] == [bits(g) for g in gs.generators]

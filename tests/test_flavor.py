@@ -117,6 +117,9 @@ def test_isounit_validation():
         lambda: FlavorIsoUnit("su3", (2.0, 1j, -0.5j)),
         lambda: FlavorIsoUnit("su3", np.array([2.0, 0.5, 1.0], dtype=complex)),
         lambda: FlavorIsoUnit.from_params("su3", (1e-200, 1e-200)),
+        # the parameters are checked as the diagonal is, before any float()
+        lambda: FlavorIsoUnit.from_params("su3", (True, 2.0)),
+        lambda: FlavorIsoUnit.from_params("su3", ("0.5", "2")),
         # delta is validated as the diagonal is, and a bool is not a number here
         lambda: FlavorIsoUnit("su3", (1.0, 1.0, 1.0), delta=1j),
         lambda: FlavorIsoUnit("su3", (1.0, 1.0, 1.0), delta="2"),

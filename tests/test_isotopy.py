@@ -12,6 +12,7 @@ from isoclifford.isotopy import (
     clifford_exp,
     geno_commutator,
     iso_commutator,
+    iso_commutators,
     iso_exp,
     iso_exp_series,
     iso_involution,
@@ -85,6 +86,20 @@ def test_random_context_draws_again_past_the_context_bound(monkeypatch):
     ctx = random_invertible_context(S13, np.random.default_rng(42))
     assert len(calls) == 2
     assert ctx.zeta == calls[1] and ctx.zeta_inv == inverse(calls[1])
+
+
+def test_a_context_holds_its_isounit_and_inverse_alone(rng):
+    """Products, lifts, involutions, exponentials and commutators leave a
+    context as they found it: nothing they prepare is kept on it."""
+    ctx = random_invertible_context(S13, rng)
+    a, b = random_multivector(S13, rng, 16), random_multivector(S13, rng, 16, scale=0.3)
+    lift(ctx, a)
+    iso_product(ctx, a, b)
+    iso_involution(ctx, a)
+    iso_exp(ctx, b)
+    iso_exp_series(ctx, b)
+    iso_commutators(ctx, [a, b], [b, a])
+    assert vars(ctx).keys() == {"zeta", "zeta_inv"}
 
 
 def test_lift_of_one_is_the_isounit(rng):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bit_identity import bits
-from isoclifford import isotopy, lie_su, multivector
+from isoclifford import lie_su, multivector
 from isoclifford.flavor_matrices import structure_constants_f
 from isoclifford.isotopy import (
     IsoContext,
@@ -175,53 +175,23 @@ def test_batched_commutators_equal_the_one_pair_api_bit_for_bit(batch):
         iso_commutators(ctx, xs, [*ys, elements[0]])
 
 
-def test_a_small_commutator_batch_makes_no_array_kernel_call(monkeypatch):
-    """Two rigid case-1 generators, and small elements under a random
-    isounit: each batch's products are bound below ``_NUMPY_MIN_PAIRS`` term
-    pairs, so the commutators are loop products and their difference."""
-    rng = np.random.default_rng(5)
-    rigid = su3_case1_generators()
-    ctx = random_invertible_context(Signature(1, 3), rng)
-    small = [random_multivector(ctx.signature, rng, 2) for _ in range(4)]
-    batches = [(rigid.context, rigid.generators[:1], rigid.generators[1:2]),
-               (ctx, small[:2], small[2:]), (ctx, [], [])]
-
-    def no_arrays(*args):
-        raise AssertionError("array kernel called")
-
-    monkeypatch.setattr(multivector, "_blade_terms_numpy", no_arrays)
-    for ctx, xs, ys in batches:
-        want = [bits(iso_product(ctx, x, y) - iso_product(ctx, y, x)) for x, y in zip(xs, ys)]
-        assert [bits(c) for c in iso_commutators(ctx, xs, ys)] == want
-        assert [bits(iso_commutator(ctx, x, y)) for x, y in zip(xs, ys)] == want
-
-
 @pytest.mark.parametrize("shapes", [[(13, 13)], [(13, 14)], [(13, 13), (4, 4)], [(3, 4)] * 4],
                          ids=str)
-def test_commutator_batches_equal_in_bits_on_both_sides_of_the_threshold(shapes, monkeypatch):
+def test_commutator_batches_of_every_size_equal_two_iso_products_in_bits(shapes):
     """Batches of Cl(0,7) elements under ζ = 1 and under the versor ``1.3 +
-    0.4 e14``: a batch takes the array kernel exactly when the bound
-    ``2 |ζ⁻¹| Σ |x| |y|`` on its products' term pairs reaches
-    ``_NUMPY_MIN_PAIRS`` (under ζ = 1, 13 x 13 terms twice is 338 pairs,
-    13 x 14 twice is 364, and 4 x 4 twice more takes 338 to 370), and
-    gives the same bits with the threshold moved so that it takes the
-    other path."""
+    0.4 e14``, from one pair to four and from 96 to some 700 term pairs in
+    their ⋄ products: the batch sends them all to the array kernel, and
+    each commutator equals ``x ⋄ y - y ⋄ x`` formed with two
+    :func:`iso_product` calls, which take the loop, in blades, order and
+    bits.  An empty batch is empty."""
     sig = Signature(0, 7)
     rng = np.random.default_rng(len(shapes) + sum(map(sum, shapes)))
-    kernel, calls = multivector._blade_terms_numpy, []
-    monkeypatch.setattr(multivector, "_blade_terms_numpy",
-                        lambda *args: calls.append(args) or kernel(*args))
     for ctx in (IsoContext.identity(sig), IsoContext.create(sig.scalar(1.3) + 0.4 * sig.e(1, 4))):
         xs, ys = zip(*[(random_multivector(sig, rng, na), random_multivector(sig, rng, nb))
                        for na, nb in shapes])
-        pairs = 2 * len(ctx.zeta_inv) * sum(len(x) * len(y) for x, y in zip(xs, ys))
-        calls.clear()
-        got = [bits(c) for c in iso_commutators(ctx, xs, ys)]
-        assert bool(calls) == (pairs >= multivector._NUMPY_MIN_PAIRS)
-        for threshold in (0, 1 << 62):  # every batch on arrays, every batch in the loop
-            with monkeypatch.context() as patch:
-                patch.setattr(isotopy, "_NUMPY_MIN_PAIRS", threshold)
-                assert [bits(c) for c in iso_commutators(ctx, xs, ys)] == got
+        want = [bits(iso_product(ctx, x, y) - iso_product(ctx, y, x)) for x, y in zip(xs, ys)]
+        assert [bits(c) for c in iso_commutators(ctx, xs, ys)] == want
+        assert iso_commutators(ctx, [], []) == []
 
 
 def test_a_nan_residual_is_a_closure_violation(monkeypatch):
@@ -264,15 +234,15 @@ def _plain_wedge_chain(vectors, ctx):
 
 
 class _RigidReference:
-    """A family on the rigid path: the scalar unit 1 of the ambient algebra,
-    and a context whose ``a ζ⁻¹`` is ``a`` itself, so that
-    :func:`iso_product` on it is the plain product ``ab``."""
+    """A family on the rigid path: the scalar unit 1 of the ambient algebra
+    as both ζ and ζ⁻¹, so that :func:`iso_product` on it is the plain
+    product ``ab``."""
 
     def __init__(self, label, generators):
         self.label = label
         self.generators = generators
-        self.context = SimpleNamespace(zeta=generators[0].signature.scalar(1.0),
-                                       zeta_inv_right=lambda a: a)
+        one = generators[0].signature.scalar(1.0)
+        self.context = SimpleNamespace(zeta=one, zeta_inv=one)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -13,6 +13,7 @@ as they were written with :func:`geometric_product` alone.
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_prepared_product_on_both_sides_of_the_threshold(sig, shape):
 
 @pytest.mark.parametrize("plan", [False, True], ids=["loop", "plan"])
 def test_threads_sharing_a_prepared_factor_get_the_loop_bits(plan):
-    """Four threads multiply by one context's ζ⁻¹ at once, switching every
+    """Four threads multiply by one prepared ζ⁻¹ at once, switching every
     microsecond, below the crossover and from it on, where they form and
     read the factor's plans together; no call may see another call's
     partial sums."""
@@ -166,7 +167,7 @@ def test_threads_sharing_a_prepared_factor_get_the_loop_bits(plan):
     assert (n_terms * len(ctx.zeta_inv) >= CROSSOVER) == plan
     xs = [random_multivector(S13, rng, n_terms) for _ in range(20)]
     want = [bits(geometric_product(x, ctx.zeta_inv)) for x in xs]
-    times_zeta_inv = ctx.zeta_inv_right
+    times_zeta_inv = RightFactor(ctx.zeta_inv)
     same = []  # one entry per product, so a thread that died shows too
 
     def work():
@@ -186,6 +187,21 @@ def test_threads_sharing_a_prepared_factor_get_the_loop_bits(plan):
     assert not any(t.is_alive() for t in threads)
     assert len(same) == 4 * 10 * len(xs)
     assert all(same), f"{same.count(False)} of {len(same)} products differ"
+
+
+@pytest.mark.parametrize("plan", [False, True], ids=["loop", "plan"])
+def test_a_prepared_product_past_the_float_range_raises_value_error(plan):
+    """Terms of 1e200 squared overflow: the plan path keeps numpy's warning
+    silent, so with warnings as errors too the finite check raises the
+    ``ValueError`` of the loop."""
+    rng = np.random.default_rng(9)
+    n_terms = 16 if plan else 2
+    b, x = (random_multivector(S13, rng, n_terms) * 1e200 for _ in range(2))
+    assert (n_terms * n_terms >= CROSSOVER) == plan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            RightFactor(b)(x)
 
 
 def test_prepared_product_checks_the_signature():
