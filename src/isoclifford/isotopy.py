@@ -27,25 +27,30 @@ order and bits of the ``Multivector`` difference of the two ⋄ products.
 oracle of :mod:`~isoclifford.lie_su` reads the same terms as arrays.
 
 Both exponential series, :func:`clifford_exp` and the literal
-:func:`iso_exp_series`, run through one driver.  Each step is one pass
-over the prepared product's sums, which prunes them, scales them by
-``1/k``, prunes again and finds the term's largest modulus, and one more
-over the running sum; the terms, sums and stopping term keep the bits of
-the series written with whole elements.  A series whose terms overflow
-raises :class:`ConvergenceError` naming the term.  A dense 16-term
-Cl(1,3) exponent makes one loop product of 16 term pairs and then
-products of 256 through plans, one for each left blade order the series
-meets.
+:func:`iso_exp_series`, run through one driver.  A term is carried as
+its blade tuple and coefficient list, the arguments of
+``RightFactor._product``, and no element is built per step.  Each step
+is one pass over the prepared product's sums, which prunes them, scales
+them by ``1/k``, prunes again, finds the term's largest modulus and adds
+each kept term into the running sum.  The sum is pruned again only when
+one of its moduli is at or below ``PRUNE_EPS`` or is not finite.  The
+terms, sums and stopping term keep the bits of the series written with
+whole elements.  A series whose terms overflow raises
+:class:`ConvergenceError` naming the term.  A dense 16-term Cl(1,3)
+exponent makes one loop product of 16 term pairs and then products of
+256 through plans, one for each left blade order the series meets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .multivector import (
+    PRUNE_EPS,
     AlgebraError,
     Multivector,
     NonInvertibleError,
@@ -237,32 +242,41 @@ def _exp_series(first: Multivector, a: Multivector, what: str,
 
     Each step makes one pass over the prepared product's sums, where
     :func:`~isoclifford.multivector._pruned` prunes them, scales them by
-    ``1/k``, prunes again and gives the term's largest modulus; then the
-    term is added into the running sum, which one more pass prunes with its
-    own largest modulus.  The terms, the sums and the term the series stops
-    at are those of the loop on :class:`Multivector` values, ``t =
-    (between(t) * a) * (1.0 / k)`` and ``sum = sum + t``, bit for bit.  A term
-    or sum that overflows raises :class:`ConvergenceError` naming the term,
-    as does a series still above the tolerance after ``_EXP_MAX_TERMS``
-    terms.
+    ``1/k``, prunes again, gives the term's largest modulus and adds each
+    kept term into the running sum.  The sum's moduli, sorted, give its
+    largest.  ``_pruned`` prunes the sum again only where the least is at
+    or below ``PRUNE_EPS``, their sum is not below inf (an inf, a NaN
+    wherever it sits, or an overflow), or a modulus is past the float
+    range.  The terms, the sums and the term the series stops at are those
+    of the loop on :class:`Multivector` values, ``t = (between(t) * a) *
+    (1.0 / k)`` and ``sum = sum + t``, bit for bit.  A term or sum that
+    overflows raises :class:`ConvergenceError` naming the term, as does a
+    series still above the tolerance after ``_EXP_MAX_TERMS`` terms.
     """
     first._check_signature(a)
     times_a = RightFactor(a)
-    sig = first.signature
-    term, total = first, dict(first.terms)
+    total = dict(first.terms)
+    term = tuple(total), list(total.values())
     with np.errstate(all="ignore"):  # inf and NaN reach the checks in _pruned
         for k in range(1, _EXP_MAX_TERMS + 1):
             try:
-                terms, term_max = _pruned(
-                    times_a._sums(term if between is None else between(term)), complex(1.0 / k))
-                for mask, c in terms.items():
-                    total[mask] = total.get(mask, 0j) + c
-                total, total_max = _pruned(total)
+                if between is not None:
+                    kept = _pruned(zip(*between._product(*term)))[0]
+                    term = tuple(kept), list(kept.values())
+                kept, term_max = _pruned(zip(*times_a._product(*term)), complex(1.0 / k), total)
+                try:  # sorted in order unless a NaN, whose sum is not below inf
+                    moduli = sorted(map(abs, total.values()))
+                except OverflowError:  # a modulus past the float range
+                    moduli = []
+                if moduli and moduli[0] > PRUNE_EPS and sum(moduli) < math.inf:
+                    total_max = moduli[-1]
+                else:
+                    total, total_max = _pruned(total.items())
             except ValueError as exc:  # a non-finite coefficient: the operands are finite
                 raise ConvergenceError(f"{what} overflowed at term {k}") from exc
             if term_max <= _EXP_REL_TOL * max(total_max, 1e-300):
-                return Multivector._from_kept(sig, total)
-            term = Multivector._from_kept(sig, terms)
+                return Multivector._from_kept(first.signature, total)
+            term = tuple(kept), list(kept.values())
     raise ConvergenceError(f"{what} did not settle in {_EXP_MAX_TERMS} terms")
 
 

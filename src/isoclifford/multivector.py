@@ -40,7 +40,7 @@ products in Cl(12,0), ``np.unique`` numbers only the keys that occur.
 :func:`_term_arrays` is the one flatten of sparse terms into arrays, here,
 in the structure-constant oracle and in the regular representation.
 The kernel's terms are pruned on arrays by :func:`_kept`, the rule of
-:func:`_pruned` with the same modulus, and split into one
+:func:`_pruned` with the same decisions, and split into one
 :class:`Multivector` per product.
 
 Two callers give the kernel batches, and a single large product is a
@@ -68,8 +68,8 @@ Below ``_PLAN_MIN_PAIRS`` (64) term pairs its product is the loop.  From
 there on it is summed on arrays through a plan, formed the first time
 the factor meets a left operand's blades in that order and kept: the
 signed factor components of every term pair and each pair's bin.  A
-product through a kept plan is one ``np.fromiter``, one multiply, one
-add and one ``np.bincount``, where the array kernel makes some thirty
+product through a kept plan is one ``np.array``, one multiply, one add
+and one ``np.bincount``, where the array kernel makes some thirty
 numpy calls, so this crossover lies far below ``_NUMPY_MIN_PAIRS``.  On
 one CPU of a 2-core x86-64 (the least of 30 timings of 200 products), a
 4 x 16-term Cl(1,3) product, 64 pairs, took 18 us in the loop, 10 us
@@ -80,13 +80,16 @@ plan is at least 1.7 times faster than the loop, and a plan repays its
 forming after one to five products.  It gives the loop's bits, as the
 array kernel does.
 
-A step of an exponential series takes the factor's sums before any
-prune: one pass of :func:`_pruned` with the factor ``1/k`` prunes them,
-scales them, prunes them again and returns the term's largest modulus,
-and one more adds the term into the running sum and prunes that.  No
-intermediate :class:`Multivector` is built, and every term and sum keeps
-its bits.  The series enters ``np.errstate`` once for all its steps, not
-once a product.
+A :class:`RightFactor` has one product method, which takes the left
+operand as its blade tuple (the plan's key) and coefficient list and
+returns the product's blades and sums before any prune.  A step of an
+exponential series passes them to :func:`_pruned` once, with the factor
+``1/k`` and the running sum: the pass prunes the sums, scales them,
+prunes them again, returns the term's largest modulus and adds each kept
+term into the sum.  The sum is pruned again only when one of its moduli
+is at or below ``PRUNE_EPS`` or is not finite.  No :class:`Multivector`
+is built per step, and every term and sum keeps its bits.  The series
+enters ``np.errstate`` once for all its steps, not once a product.
 """
 
 from __future__ import annotations
@@ -221,25 +224,28 @@ def _as_int(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
-def _pruned(terms: Mapping[int, complex],
-            factor: complex | None = None) -> tuple[dict[int, complex], float]:
-    """The terms with ``|c| > PRUNE_EPS``, and the largest modulus kept (0.0
-    if none is); a ``c`` whose modulus is not finite raises ``ValueError``.
+def _pruned(terms: Iterable[tuple[int, complex]], factor: complex | None = None,
+            total: dict[int, complex] | None = None) -> tuple[dict[int, complex], float]:
+    """The ``(mask, c)`` pairs of ``terms`` with ``|c| > PRUNE_EPS``, and the
+    largest modulus kept (0.0 if none is); a ``c`` whose modulus is not
+    finite raises ``ValueError``.
 
     ``abs(c)`` is inf or NaN when a component of ``c`` is, and it raises
     ``OverflowError`` when the components are finite but the modulus
     exceeds the largest float; both raise the ``ValueError`` that
-    :func:`_kept` raises, where ``np.abs`` gives inf.
+    :func:`_kept` raises for a modulus of inf.
 
     With a ``factor``, each term that passes is multiplied by it and put to
     the same test again, and the product is kept: one pass gives the terms
     and the bits of ``Multivector._from_terms(sig, terms) * factor``, and
-    that element's ``max_abs()``.  The exponential series take each step
+    that element's ``max_abs()``.  With a ``total`` too, each kept term is
+    added into it, ``total.get(mask, 0j) + c`` in term order, as
+    ``Multivector.__add__`` adds.  The exponential series take each step
     this way (see :mod:`isoclifford.isotopy`).
     """
     kept: dict[int, complex] = {}
     top = 0.0
-    for mask, c in terms.items():
+    for mask, c in terms:
         f = factor
         while True:
             try:
@@ -252,6 +258,8 @@ def _pruned(terms: Mapping[int, complex],
                 raise ValueError("multivector coefficients must be finite")
             if f is None:
                 kept[mask] = c
+                if total is not None:
+                    total[mask] = total.get(mask, 0j) + c
                 if a > top:
                     top = a
                 break
@@ -263,17 +271,24 @@ def _kept(coeffs: np.ndarray) -> np.ndarray:
     """:func:`_pruned`'s rule on an array: the mask of the coefficients with
     ``|c| > PRUNE_EPS``; a non-finite ``c`` raises ``ValueError``.
 
-    The modulus is ``np.hypot`` of the components, libm's ``hypot`` as
-    Python's ``abs(complex)`` computes it.  ``np.abs`` may differ from it in
-    the last bit, and a modulus within an ulp of ``PRUNE_EPS`` would then
-    be kept on one path and dropped on the other.
+    Python's ``abs(complex)`` is libm's ``hypot`` of the components.
+    ``np.abs`` is several times faster than ``np.hypot`` but may differ
+    from it in the last bit, so a modulus within an ulp of ``PRUNE_EPS``
+    would be kept on one path and dropped on the other, and one within an
+    ulp of the largest float finite on one and inf on the other.
+    ``np.hypot`` decides wherever ``np.abs`` lies within a relative 1e-12
+    of ``PRUNE_EPS``, at or above 1e300, or is not finite.
     """
     with np.errstate(all="ignore"):
-        a = np.hypot(coeffs.real, coeffs.imag)
-        kept = ~(a <= PRUNE_EPS)
-        if not (a[kept] < math.inf).all():
-            raise ValueError("multivector coefficients must be finite")
-    return kept
+        a = np.abs(coeffs)
+        near = np.abs(a - PRUNE_EPS) <= 1e-12 * PRUNE_EPS
+        near |= ~(a < 1e300)
+        if near.any():  # every modulus that is not finite is among these
+            exact = np.hypot(coeffs.real[near], coeffs.imag[near])
+            if not (exact[~(exact <= PRUNE_EPS)] < math.inf).all():
+                raise ValueError("multivector coefficients must be finite")
+            a[near] = exact
+    return ~(a <= PRUNE_EPS)
 
 
 def _commutator_terms(left: Sequence[Multivector], right: Sequence[Multivector], first: np.ndarray,
@@ -331,7 +346,7 @@ class Multivector:
                 raise ValueError(f"blade mask {mask} invalid for Cl({signature.p},{signature.q})")
             checked[mask] = complex(coeff)
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "_terms", MappingProxyType(_pruned(checked)[0]))
+        object.__setattr__(self, "_terms", MappingProxyType(_pruned(checked.items())[0]))
 
     @classmethod
     def _from_terms(cls, signature: Signature, terms: dict[int, complex]) -> "Multivector":
@@ -341,7 +356,7 @@ class Multivector:
         the finite check of :func:`_pruned` are applied."""
         out = object.__new__(cls)
         object.__setattr__(out, "signature", signature)
-        object.__setattr__(out, "_terms", MappingProxyType(_pruned(terms)[0]))
+        object.__setattr__(out, "_terms", MappingProxyType(_pruned(terms.items())[0]))
         return out
 
     @classmethod
@@ -722,7 +737,7 @@ class RightFactor:
     time ``b`` meets a left operand with those blades in that order and
     kept: the signed components of ``cb`` for every term pair, and the bin
     of each pair's blade, numbered in order of first occurrence.  A product
-    then costs one ``np.fromiter`` of ``x``'s coefficients, one broadcast
+    then costs one ``np.array`` of ``x``'s coefficients, one broadcast
     multiply of ``(ar, ai)`` against the plan's rows ``[R, I]`` and ``[-I,
     R]``, one add of the two and one ``np.bincount`` over interleaved real
     and imaginary bins.
@@ -742,9 +757,12 @@ class RightFactor:
     Products at and above ``_NUMPY_MIN_PAIRS`` take a plan too, not the
     array kernel.
 
-    A call is :func:`_pruned` of :meth:`_sums`, the product's terms before
-    the prune, so the exponential series of :mod:`isoclifford.isotopy` can
-    read the sums and prune them together with their ``1/k`` in one pass.
+    :meth:`_product` is the one product method: it takes the left
+    operand's blade tuple, which is also the plan's key, and its
+    coefficient list, and returns the product's blades and sums before
+    the prune.  A call is :func:`_pruned` of those, and the exponential
+    series of :mod:`isoclifford.isotopy` carry each term as a tuple and a
+    list, and prune the sums together with their ``1/k`` in one pass.
     Below the crossover the sums are the loop's terms, pruned already;
     ``_pruned(_pruned(s), f)`` equals ``_pruned(s, f)``, so the series keeps
     its bits.
@@ -793,23 +811,24 @@ class RightFactor:
             self._room -= odd.size
         return plan
 
-    def _sums(self, x: Multivector) -> Mapping[int, complex]:
-        """The terms of ``x b``, blades in the loop's order, with no check
-        of the signature: below ``_PLAN_MIN_PAIRS`` term pairs the loop's
-        pruned terms, and from there on a plan's sums before the prune.
-        The caller enters ``np.errstate(all="ignore")``, once for a whole
-        series, and prunes the sums, whose check names inf and NaN."""
-        x_terms = x._terms
-        n = len(x_terms)
+    def _product(self, order: tuple[int, ...],
+                 coeffs: list[complex]) -> tuple[Iterable[int], Iterable[complex]]:
+        """The terms of ``x b`` as ``(blades, sums)``, blades in the loop's
+        order, for the left operand ``x`` with blades ``order`` (a plan's
+        key) and coefficients ``coeffs``: below ``_PLAN_MIN_PAIRS`` term
+        pairs the loop's pruned terms, and from there on a plan's sums
+        before the prune.  Nothing checks the signature.  The caller enters
+        ``np.errstate(all="ignore")``, once for a whole series, and prunes
+        the sums with :func:`_pruned`, whose check names inf and NaN."""
+        n = len(order)
         if n * len(self.element._terms) < _PLAN_MIN_PAIRS:
-            return _blade_products(x, self.element)._terms
-        order = tuple(x_terms)
+            x = Multivector._from_kept(self.element.signature, dict(zip(order, coeffs)))
+            terms = _blade_products(x, self.element)._terms
+            return terms.keys(), terms.values()
         stack, bins, blades = self._plans.get(order) or self._plan(order)
-        coeffs = np.fromiter(x_terms.values(), dtype=complex, count=n)
-        parts = coeffs.view(float).reshape(n, 2, 1, 1) * stack
+        parts = np.array(coeffs, dtype=complex).view(float).reshape(n, 2, 1, 1) * stack
         terms = parts[:, 0] + parts[:, 1]
-        sums = np.bincount(bins, weights=terms.reshape(-1)).view(complex)
-        return dict(zip(blades, sums.tolist()))
+        return blades, np.bincount(bins, weights=terms.reshape(-1)).view(complex).tolist()
 
     def __call__(self, x: Multivector) -> Multivector:
         """``x b``, bit for bit as :func:`geometric_product` forms it."""
@@ -817,8 +836,8 @@ class RightFactor:
             return _blade_products(x, self.element)
         x._check_signature(self.element)
         with np.errstate(all="ignore"):  # inf and NaN reach the check in _pruned
-            sums = self._sums(x)
-        return Multivector._from_terms(x.signature, sums)
+            blades, sums = self._product(tuple(x._terms), list(x._terms.values()))
+        return Multivector._from_kept(x.signature, _pruned(zip(blades, sums))[0])
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
@@ -872,7 +891,11 @@ def inverse(a: Multivector) -> Multivector:
     scalars and rotor-like elements exactly; everything else goes through
     the left-regular-representation linear solve.  The result is always
     validated: if ``a a^{-1}`` misses 1 by more than 1e-8 the element is
-    declared singular.
+    declared singular.  On the versor path ``a a^{-1}`` is the product; on
+    the regular path it is ``M x`` for the matrix ``M`` just solved and the
+    pruned candidate's coefficients ``x``, whose last bits may differ from
+    the product's.  A candidate whose residual is not finite raises
+    ``ValueError``.
     """
     if not a:
         raise NonInvertibleError("zero has no inverse")
@@ -881,15 +904,17 @@ def inverse(a: Multivector) -> Multivector:
     s = gram.scalar_part
     if abs(s) > PRUNE_EPS and (gram - s).max_abs() <= 1e-12 * abs(s):
         candidate = rev * (1.0 / s)
+        residual = (geometric_product(a, candidate) - 1).max_abs()
     else:
-        candidate = _regular_solve_inverse(a)
-    residual = (geometric_product(a, candidate) - 1).max_abs()
+        candidate, residual = _regular_solve_inverse(a)
     if residual > 1e-8:
         raise NonInvertibleError(f"inverse residual {residual:.3e} exceeds 1.0e-08")
     return candidate
 
 
-def _regular_solve_inverse(a: Multivector) -> Multivector:
+def _regular_solve_inverse(a: Multivector) -> tuple[Multivector, float]:
+    """The candidate ``x`` solving ``M x = e_0`` for the left-regular matrix
+    ``M`` of ``a``, and ``max |M x - e_0|`` over its pruned terms."""
     from .dirac import regular_representation
 
     sig = a.signature
@@ -900,7 +925,14 @@ def _regular_solve_inverse(a: Multivector) -> Multivector:
         coeffs = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise NonInvertibleError(f"regular representation is singular: {exc}") from exc
-    return Multivector(sig, dict(enumerate(coeffs.tolist())))
+    candidate = Multivector._from_terms(sig, dict(enumerate(coeffs.tolist())))
+    x = np.zeros(sig.blade_count, dtype=complex)
+    x[list(candidate._terms)] = list(candidate._terms.values())
+    with np.errstate(all="ignore"):  # inf and NaN reach the check below
+        residual = float(np.abs(mat @ x - rhs).max())
+    if not residual < math.inf:
+        raise ValueError("multivector coefficients must be finite")
+    return candidate, residual
 
 
 # -- sampling -------------------------------------------------------------------------
@@ -914,16 +946,16 @@ def random_multivector(sig: Signature, rng, n_terms: int = 8, scale: float = 1.0
     ``grades`` draws blades only from those grades.
     """
     if grades is None:
-        pool = list(range(sig.blade_count))
+        pool = range(sig.blade_count)
     else:
         wanted = set(grades)
         pool = [m for m in range(sig.blade_count) if m.bit_count() in wanted]
     n = min(n_terms, len(pool))
-    masks = rng.choice(len(pool), size=n, replace=False)
+    picks = rng.choice(len(pool), size=n, replace=False).tolist()
     # one call draws the same stream as a standard_normal(2) per term
     parts = rng.standard_normal(2 * n).tolist()
-    return Multivector(sig, {pool[int(k)]: scale * complex(re, im)
-                             for k, re, im in zip(masks, parts[::2], parts[1::2])})
+    return Multivector._from_terms(sig, {pool[k]: complex(scale * complex(re, im))
+                                         for k, re, im in zip(picks, parts[::2], parts[1::2])})
 
 
 def random_vector(sig: Signature, rng) -> Multivector:

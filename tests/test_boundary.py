@@ -12,6 +12,7 @@ pickled element is rebuilt through the public constructor too.
 
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -180,21 +181,32 @@ _SPLIT_MODULI = [complex(float.fromhex("0x1.778e02fd1484ap-48"),
                          float.fromhex("0x1.7d30aadcdfac6p-50"))]
 
 
+# moduli at the top of the float range: ``x + xj`` for the three floats
+# ``x`` nearest the largest float over √2, whose exact moduli lie below it,
+# above it but rounding down to it, and above it rounding to inf; a modulus
+# rounding to the largest float from a large real part; and one past it
+_TOP = sys.float_info.max
+_LARGEST_MODULI = [complex(x, x) for x in map(float.fromhex, ["0x1.6a09e667f3bcbp+1023",
+                                                              "0x1.6a09e667f3bccp+1023",
+                                                              "0x1.6a09e667f3bcdp+1023"])]
+_LARGEST_MODULI += [complex(_TOP, 1e300), complex(_TOP, _TOP)]
+
+
 @pytest.mark.parametrize("factor", [None, 1 + 0j, 0.5 + 0j, 2 + 0j], ids=str)
 @pytest.mark.parametrize("c", [complex(v) for v in _EDGES] + [complex(0.0, v) for v in _EDGES[:4]]
-                         + _SPLIT_MODULI, ids=repr)
+                         + _SPLIT_MODULI + _LARGEST_MODULI, ids=repr)
 def test_one_prune_rule_at_its_edges(c, factor):
     """``_pruned`` with and without a factor, its array twin ``_kept`` and
     the public constructor keep, drop or refuse each edge alike, the two
     moduli that ``np.abs`` and ``abs`` put on opposite sides of
-    ``PRUNE_EPS`` included."""
-    got = _prune_outcome(lambda c: multivector._pruned({1: c}, factor), c)
+    ``PRUNE_EPS`` and the moduli at the largest float included."""
+    got = _prune_outcome(lambda c: multivector._pruned([(1, c)], factor), c)
     assert got == _prune_outcome(lambda c: _element_then_factor(c, factor), c)
     try:
         kept = bool(multivector._kept(np.array([c]))[0])
     except ValueError:
         kept = "ValueError"
-    plain = _prune_outcome(lambda c: multivector._pruned({1: c}), c)
+    plain = _prune_outcome(lambda c: multivector._pruned([(1, c)]), c)
     assert kept == (plain if plain == "ValueError" else bool(plain[0]))
 
 

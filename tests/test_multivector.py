@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bit_identity import bits
 from isoclifford import lie_su, multivector, suites
+from isoclifford.dirac import regular_representation
 from isoclifford.isotopy import IsoContext
 from isoclifford.multivector import (
     Multivector,
@@ -133,10 +135,45 @@ def test_inverse_examples():
 
 def test_inverse_rejects_singular():
     f = 0.5 * (S13.scalar(1.0) + S13.e(0))  # idempotent, not invertible
-    with pytest.raises(NonInvertibleError):
-        inverse(f)
+    # a dense element that 1 - e0 annihilates on the right
+    x = random_multivector(S13, np.random.default_rng(41), 16) + 2.0
+    for singular in (f, x * (S13.scalar(1.0) + S13.e(0))):
+        with pytest.raises(NonInvertibleError):
+            inverse(singular)
     with pytest.raises(NonInvertibleError):
         inverse(S30.scalar(0.0))
+
+
+def _regular_path_element(sig, rng):
+    """A 16-term element led by its scalar whose ``a ã`` is no scalar, so
+    ``inverse`` takes the regular solve, as in the ``dense_api`` benchmark."""
+    a = random_multivector(sig, rng, 16, scale=0.2) + 2.0
+    gram = geometric_product(a, reversion(a))
+    assert (gram - gram.scalar_part).max_abs() > 1e-12 * abs(gram.scalar_part)
+    return a
+
+
+@pytest.mark.parametrize("sig", [S13, S07, Signature(4, 4)], ids=str)
+def test_a_regular_solve_inverse_keeps_the_solution_bits(sig):
+    """The candidate is the solve's coefficients, pruned, bit for bit, and
+    its check against the solved matrix passes."""
+    rng = np.random.default_rng(40 + sig.dim)
+    rhs = np.zeros(sig.blade_count, dtype=complex)
+    rhs[0] = 1.0
+    for _ in range(3):
+        a = _regular_path_element(sig, rng)
+        solved = np.linalg.solve(regular_representation(a), rhs)
+        got = inverse(a)
+        assert bits(got) == bits(Multivector(sig, dict(enumerate(solved.tolist()))))
+        assert (a * got - 1).max_abs() < 1e-12
+
+
+def test_a_solution_past_the_float_range_raises_value_error(monkeypatch):
+    """A solve whose finite coefficients of 6e307 overflow ``a a^{-1}``."""
+    a = _regular_path_element(S13, np.random.default_rng(42))
+    monkeypatch.setattr(np.linalg, "solve", lambda mat, rhs: np.full(rhs.shape, 6e307 + 6e307j))
+    with pytest.raises(ValueError, match="finite"):
+        inverse(a)
 
 
 def test_coefficients_pruned_and_finite():
@@ -176,6 +213,38 @@ def test_random_multivector_draws_the_per_term_stream(make_rng, sig, n_terms, sc
     want = Multivector(sig, terms)
 
     assert list(got.terms.items()) == list(want.terms.items())
+    assert rng.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
+
+
+def _random_multivector_ref(sig, rng, n_terms=8, scale=1.0, grades=None):
+    """``random_multivector`` written with a list of every blade and an
+    ``int`` per drawn index, through the validating constructor."""
+    if grades is None:
+        pool = list(range(sig.blade_count))
+    else:
+        wanted = set(grades)
+        pool = [m for m in range(sig.blade_count) if m.bit_count() in wanted]
+    n = min(n_terms, len(pool))
+    masks = rng.choice(len(pool), size=n, replace=False)
+    parts = rng.standard_normal(2 * n).tolist()
+    return Multivector(sig, {pool[int(k)]: scale * complex(re, im)
+                             for k, re, im in zip(masks, parts[::2], parts[1::2])})
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, np.random.RandomState],
+                         ids=["Generator", "RandomState"])
+@pytest.mark.parametrize("scale", [1.0, 0.3, np.float64(0.3)], ids=["unit", "float", "numpy"])
+@pytest.mark.parametrize("sig,n_terms,grades", [
+    (S30, 20, None), (S13, 16, None), (S07, 8, None), (Signature(12, 0), 128, None),
+    (Signature(12, 0), 6, (2,)),
+], ids=["cl30", "cl13", "cl07", "cl12", "cl12_grade2"])
+def test_random_multivector_equals_its_reference_draw(make_rng, scale, sig, n_terms, grades):
+    """Same terms, order and bits, coefficients Python ``complex`` even for
+    a numpy ``scale``, and the generator left in the same state."""
+    rng, ref = make_rng(0xD5A), make_rng(0xD5A)
+    for _ in range(3):
+        got = random_multivector(sig, rng, n_terms, scale=scale, grades=grades)
+        assert bits(got) == bits(_random_multivector_ref(sig, ref, n_terms, scale, grades))
     assert rng.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
 
 

@@ -10,6 +10,7 @@ coefficient.  The references below are the series and isotopic products
 as they were written with :func:`geometric_product` alone.
 """
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -252,7 +253,7 @@ def test_a_dense_cl13_series_leaves_the_loop_after_its_first_step(monkeypatch):
     rng = np.random.default_rng(13)
     a = random_multivector(S13, rng, 16, scale=0.4)
     want = bits(clifford_exp_ref(a))
-    loop, plan, sums = multivector._blade_products, RightFactor._plan, RightFactor._sums
+    loop, plan, product = multivector._blade_products, RightFactor._plan, RightFactor._product
     loop_pairs, planned, lefts = [], [], []
 
     def counted_loop(x, y, keep=None):
@@ -263,13 +264,13 @@ def test_a_dense_cl13_series_leaves_the_loop_after_its_first_step(monkeypatch):
         planned.append(order)
         return plan(self, order)
 
-    def counted_sums(self, x):
-        lefts.append(tuple(x.terms))
-        return sums(self, x)
+    def counted_product(self, order, coeffs):
+        lefts.append(order)
+        return product(self, order, coeffs)
 
     monkeypatch.setattr(multivector, "_blade_products", counted_loop)
     monkeypatch.setattr(RightFactor, "_plan", counted_plan)
-    monkeypatch.setattr(RightFactor, "_sums", counted_sums)
+    monkeypatch.setattr(RightFactor, "_product", counted_product)
     got = bits(clifford_exp(a))
     monkeypatch.undo()
     assert got == want
@@ -350,6 +351,50 @@ def test_a_term_that_only_the_scaled_prune_drops():
     assert bits(clifford_exp(a)) == bits(clifford_exp_ref(a))
     ctx = IsoContext.identity(sig)
     assert bits(iso_exp_series(ctx, a)) == bits(iso_exp_series_ref(ctx, a))
+
+
+def test_a_blade_the_running_sum_drops_and_adds_again():
+    """``√2 e12`` in Cl(3,0): term 2 is ``(√2)² e12² / 2 = -1.0000000000000002``,
+    so the sum's scalar falls to -2.2e-16 and is pruned mid-series, and
+    term 4 adds it again after e12, at the end of the sum's order."""
+    sig = Signature(3, 0)
+    a = sig.e(0, 1) * math.sqrt(2.0)
+    got = clifford_exp(a)
+    assert list(got.terms) == [3, 0]
+    assert bits(got) == bits(clifford_exp_ref(a))
+    ctx = IsoContext.identity(sig)
+    assert bits(iso_exp_series(ctx, a)) == bits(iso_exp_series_ref(ctx, a))
+
+
+def _benchmark_exponent(kind):
+    """A 16-term Cl(1,3) exponent of each kind of exp in the ``dense_api``
+    benchmark, about ``u`` a dense element of unit norm: a moderate one,
+    ``-50 + 0.1 u``, whose series cancels catastrophically, and ``200 e12 +
+    0.1 u``, whose series exhausts the term cap."""
+    u = random_multivector(S13, np.random.default_rng(29), 16)
+    u = u * (1.0 / u.norm())
+    return {"moderate": u * 3.0, "negative_scalar": u * 0.1 - 50.0,
+            "oscillatory": u * 0.1 + S13.e(1, 2) * 200.0}[kind]
+
+
+@pytest.mark.parametrize("kind", ["moderate", "negative_scalar", "oscillatory"])
+def test_series_of_the_benchmark_exp_kinds_equal_the_product_loop_series(kind):
+    """Terms and bits, or the ``ConvergenceError`` and its text."""
+    a = _benchmark_exponent(kind)
+    ctx = IsoContext.create(S13.scalar(1.0) + S13.e(0) * 0.2)
+    for series, reference, args, what in (
+            (clifford_exp, clifford_exp_ref, (a,), "exponential series"),
+            (iso_exp_series, iso_exp_series_ref, (ctx, a), "iso exponential series")):
+        try:
+            want = bits(reference(*args))
+        except ConvergenceError:
+            want = f"{what} did not settle in {isotopy._EXP_MAX_TERMS} terms"
+        try:
+            got = bits(series(*args))
+        except ConvergenceError as exc:
+            got = str(exc)
+        assert got == want
+        assert isinstance(want, str) == (kind == "oscillatory")
 
 
 @pytest.mark.parametrize("sig", SIGNATURES[:3], ids=str)
