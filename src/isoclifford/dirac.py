@@ -105,6 +105,8 @@ class DiracRep:
         m = np.asarray(m, dtype=complex)
         if m.shape != (4, 4):
             raise AlgebraError("expected a 4x4 matrix")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         coeffs = self._basis_inv @ m.reshape(-1)
         residual = np.abs(self._basis @ coeffs - m.reshape(-1)).max()
         if residual > 1e-8:

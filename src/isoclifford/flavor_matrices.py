@@ -258,6 +258,8 @@ def iso_tensor(zeta_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
     b = np.asarray(b, dtype=complex)
     if zeta_matrix.shape != (4, 4) or a.shape != (4, 4) or b.shape != (4, 4):
         raise ValueError("iso_tensor expects 4x4 matrices")
+    if not all(np.isfinite(m).all() for m in (zeta_matrix, a, b)):
+        raise ValueError("matrix entries must be finite")
     zinv = np.linalg.inv(zeta_matrix)
     dressed = d.rep(reversion(d.rep_inverse(zinv @ d.gamma[0]))).conj()
     return np.kron(zinv @ a, b @ dressed)

@@ -11,12 +11,12 @@ right factor that recurs is prepared as a
 :class:`~isoclifford.multivector.RightFactor` by the series it recurs in
 and belongs to it: each exponential series prepares its exponent, and the
 literal ⋄ series ζ⁻¹ too, at its start, so a prepared factor lives
-exactly as long as the series that reads its plans again.  Its products
-keep the bits of ``geometric_product``.  Outside a series the products
-by ζ and ζ⁻¹ seldom repeat a left operand's blade order: in the isotopy,
-su3 and su6 suites of ``verify``, ζ and ζ⁻¹ prepared once per context
-would read their plans again for 123 products and form 94 plans, and a
-plan repays its forming only after one to five products.
+exactly as long as the series that reads its plans again.  Outside a
+series the products by ζ and ζ⁻¹ seldom repeat a left operand's blade
+order: in the isotopy, su3 and su6 suites of ``verify``, ζ and ζ⁻¹
+prepared once per context would read their plans again for 123 products
+and form 94 plans; :mod:`~isoclifford.multivector` gives what a plan
+costs.
 
 The iso-commutator ``[x, y]_ζ = x ζ⁻¹ y - y ζ⁻¹ x`` is written once, as a
 batch: :func:`iso_commutators` forms each ``x ζ⁻¹`` once, sends both ⋄
@@ -27,30 +27,24 @@ order and bits of the ``Multivector`` difference of the two ⋄ products.
 oracle of :mod:`~isoclifford.lie_su` reads the same terms as arrays.
 
 Both exponential series, :func:`clifford_exp` and the literal
-:func:`iso_exp_series`, run through one driver.  A term is carried as
-its blade tuple and coefficient list, the arguments of
-``RightFactor._product``, and no element is built per step.  Each step
-is one pass over the prepared product's sums, which prunes them, scales
-them by ``1/k``, prunes again, finds the term's largest modulus and adds
-each kept term into the running sum.  The sum is pruned again only when
-one of its moduli is at or below ``PRUNE_EPS`` or is not finite.  The
-terms, sums and stopping term keep the bits of the series written with
-whole elements.  A series whose terms overflow raises
-:class:`ConvergenceError` naming the term.  A dense 16-term Cl(1,3)
-exponent makes one loop product of 16 term pairs and then products of
-256 through plans, one for each left blade order the series meets.
+:func:`iso_exp_series`, run through one driver, which takes each product
+by a prepared factor as one :func:`~isoclifford.multivector._step` and
+builds no element per step.  The terms, sums and stopping term keep the
+bits of the series written with whole elements.  A series whose terms
+overflow raises :class:`ConvergenceError` naming the term.  A dense
+16-term Cl(1,3) exponent makes one loop product of 16 term pairs and
+then products of 256 through plans, one for each left blade order the
+series meets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .multivector import (
-    PRUNE_EPS,
     AlgebraError,
     Multivector,
     NonInvertibleError,
@@ -60,8 +54,8 @@ from .multivector import (
     _batch_products,
     _commutator_terms,
     _indexed,
-    _pruned,
     _split,
+    _step,
     geometric_product,
     grade_involution,
     inverse,
@@ -240,43 +234,27 @@ def _exp_series(first: Multivector, a: Multivector, what: str,
     (``between`` left out when None), to the first term whose largest
     modulus is at most ``_EXP_REL_TOL`` times the sum's.
 
-    Each step makes one pass over the prepared product's sums, where
-    :func:`~isoclifford.multivector._pruned` prunes them, scales them by
-    ``1/k``, prunes again, gives the term's largest modulus and adds each
-    kept term into the running sum.  The sum's moduli, sorted, give its
-    largest.  ``_pruned`` prunes the sum again only where the least is at
-    or below ``PRUNE_EPS``, their sum is not below inf (an inf, a NaN
-    wherever it sits, or an overflow), or a modulus is past the float
-    range.  The terms, the sums and the term the series stops at are those
-    of the loop on :class:`Multivector` values, ``t = (between(t) * a) *
-    (1.0 / k)`` and ``sum = sum + t``, bit for bit.  A term or sum that
-    overflows raises :class:`ConvergenceError` naming the term, as does a
-    series still above the tolerance after ``_EXP_MAX_TERMS`` terms.
+    Each product is one :func:`~isoclifford.multivector._step`, and the
+    step by ``a`` also scales by ``1/k`` and adds into the running sum.
+    The terms, the sums and the term the series stops at are those of the
+    loop on :class:`Multivector` values, ``t = (t * between.element * a) *
+    (1.0 / k)`` and ``sum = sum + t``, bit for bit.  A term or sum that overflows raises
+    :class:`ConvergenceError` naming the term, as does a series still
+    above the tolerance after ``_EXP_MAX_TERMS`` terms.
     """
     first._check_signature(a)
     times_a = RightFactor(a)
-    total = dict(first.terms)
-    term = tuple(total), list(total.values())
-    with np.errstate(all="ignore"):  # inf and NaN reach the checks in _pruned
+    term, total = first.terms, dict(first.terms)
+    with np.errstate(all="ignore"):  # inf and NaN reach the finite check of _step
         for k in range(1, _EXP_MAX_TERMS + 1):
             try:
                 if between is not None:
-                    kept = _pruned(zip(*between._product(*term)))[0]
-                    term = tuple(kept), list(kept.values())
-                kept, term_max = _pruned(zip(*times_a._product(*term)), complex(1.0 / k), total)
-                try:  # sorted in order unless a NaN, whose sum is not below inf
-                    moduli = sorted(map(abs, total.values()))
-                except OverflowError:  # a modulus past the float range
-                    moduli = []
-                if moduli and moduli[0] > PRUNE_EPS and sum(moduli) < math.inf:
-                    total_max = moduli[-1]
-                else:
-                    total, total_max = _pruned(total.items())
+                    term = _step(between, term)[0]
+                term, term_max, total, total_max = _step(times_a, term, complex(1.0 / k), total)
             except ValueError as exc:  # a non-finite coefficient: the operands are finite
                 raise ConvergenceError(f"{what} overflowed at term {k}") from exc
             if term_max <= _EXP_REL_TOL * max(total_max, 1e-300):
                 return Multivector._from_kept(first.signature, total)
-            term = tuple(kept), list(kept.values())
     raise ConvergenceError(f"{what} did not settle in {_EXP_MAX_TERMS} terms")
 
 

@@ -60,36 +60,31 @@ call, so the arrays of one call stay near 2 MB however long the lists
 are, and a product larger than the cap a call of its own.  A batch of
 :func:`_batch_products` below ``_NUMPY_MIN_PAIRS`` takes the loop.
 
-A right factor that recurs can be prepared once as a
-:class:`RightFactor`, which belongs to the computation that prepares it:
-:mod:`isoclifford.isotopy` prepares the exponent of each exponential
-series, and the literal ⋄ series ζ⁻¹ too, and drops them with its sum.
-Below ``_PLAN_MIN_PAIRS`` (64) term pairs its product is the loop.  From
-there on it is summed on arrays through a plan, formed the first time
-the factor meets a left operand's blades in that order and kept: the
-signed factor components of every term pair and each pair's bin.  A
-product through a kept plan is one ``np.array``, one multiply, one add
-and one ``np.bincount``, where the array kernel makes some thirty
-numpy calls, so this crossover lies far below ``_NUMPY_MIN_PAIRS``.  On
-one CPU of a 2-core x86-64 (the least of 30 timings of 200 products), a
-4 x 16-term Cl(1,3) product, 64 pairs, took 18 us in the loop, 10 us
-through a kept plan and 55 us through a plan formed for it alone, with
-the factor's arrays; a 16 x 16-term one took 53, 12 and 70 us, and an
-8 x 8-term Cl(12,0) one 27, 14 and 68 us.  So from 64 pairs on a kept
-plan is at least 1.7 times faster than the loop, and a plan repays its
-forming after one to five products.  It gives the loop's bits, as the
-array kernel does.
+A right factor that recurs, the exponent of an exponential series of
+:mod:`isoclifford.isotopy` and ζ⁻¹ of the literal ⋄ series, is prepared
+once as a :class:`RightFactor` and dropped with the series' sum.  Below
+``_PLAN_MIN_PAIRS`` (64) term pairs its product is the loop.  From there
+on it is summed on arrays through a plan, formed the first time the
+factor meets a left operand's blades in that order and kept: the signed
+factor components of every term pair and each pair's bin.  A product
+through a kept plan is one ``np.array``, one multiply, one add and one
+``np.bincount``, where the array kernel makes some thirty numpy calls,
+so this crossover lies far below ``_NUMPY_MIN_PAIRS``.  On one CPU of a
+2-core x86-64 (the least of 30 timings of 200 products), a 4 x 16-term
+Cl(1,3) product, 64 pairs, took 18 us in the loop, 10 us through a kept
+plan and 55 us through a plan formed for it alone, with the factor's
+arrays; a 16 x 16-term one took 53, 12 and 70 us, and an 8 x 8-term
+Cl(12,0) one 27, 14 and 68 us.  So from 64 pairs on a kept plan is at
+least 1.7 times faster than the loop, and a plan repays its forming
+after one to five products.  It gives the loop's bits, as the array
+kernel does.
 
-A :class:`RightFactor` has one product method, which takes the left
-operand as its blade tuple (the plan's key) and coefficient list and
-returns the product's blades and sums before any prune.  A step of an
-exponential series passes them to :func:`_pruned` once, with the factor
-``1/k`` and the running sum: the pass prunes the sums, scales them,
-prunes them again, returns the term's largest modulus and adds each kept
-term into the sum.  The sum is pruned again only when one of its moduli
-is at or below ``PRUNE_EPS`` or is not finite.  No :class:`Multivector`
-is built per step, and every term and sum keeps its bits.  The series
-enters ``np.errstate`` once for all its steps, not once a product.
+A series multiplies by a prepared factor only through :func:`_step`,
+which takes the term as a dict and gives the kept product: one
+:func:`_pruned` pass over the product's sums prunes them, scales them by
+``1/k``, prunes again and adds each kept term into the running sum.  No
+:class:`Multivector` is built per step, and every term and sum keeps the
+bits of the series written with whole elements.
 """
 
 from __future__ import annotations
@@ -186,9 +181,15 @@ class Signature:
 
     def metric(self, i: int) -> int:
         """Square of basis vector ``e_i`` (+1 or -1)."""
+        return 1 if self._index(i) < self.p else -1
+
+    def _index(self, i) -> int:
+        """``i`` as a basis index of this algebra; ``ValueError`` names one
+        that is not an integer or is out of range."""
+        i = _as_int(i, "basis index")
         if not 0 <= i < self.dim:
             raise ValueError(f"basis index {i} out of range for Cl({self.p},{self.q})")
-        return 1 if i < self.p else -1
+        return i
 
     @property
     def sign_table(self) -> tuple[int, ...]:
@@ -209,7 +210,7 @@ class Signature:
         """Basis blade ``e_{i1} e_{i2} ...`` (indices need not be sorted)."""
         out = self.scalar(1.0)
         for i in indices:
-            out = out * Multivector(self, {1 << i: 1.0})
+            out = out * Multivector(self, {1 << self._index(i): 1.0})
         return out
 
 
@@ -240,8 +241,7 @@ def _pruned(terms: Iterable[tuple[int, complex]], factor: complex | None = None,
     and the bits of ``Multivector._from_terms(sig, terms) * factor``, and
     that element's ``max_abs()``.  With a ``total`` too, each kept term is
     added into it, ``total.get(mask, 0j) + c`` in term order, as
-    ``Multivector.__add__`` adds.  The exponential series take each step
-    this way (see :mod:`isoclifford.isotopy`).
+    ``Multivector.__add__`` adds.  :func:`_step` prunes this way.
     """
     kept: dict[int, complex] = {}
     top = 0.0
@@ -265,6 +265,35 @@ def _pruned(terms: Iterable[tuple[int, complex]], factor: complex | None = None,
                 break
             c, f = c * f, None
     return kept, top
+
+
+def _step(right: RightFactor, term: Mapping[int, complex], factor: complex | None = None,
+          total: dict[int, complex] | None = None
+          ) -> tuple[dict[int, complex], float, dict[int, complex] | None, float]:
+    """One step of a series through the prepared factor ``right``: the kept
+    terms of ``term * right.element``, scaled by ``factor``, and their
+    largest modulus, then the running sum ``total`` with each kept term
+    added and its largest modulus (``None, 0.0`` without a ``total``).
+
+    One :func:`_pruned` pass takes the product's sums.  The sum's moduli,
+    sorted, give its largest; it is pruned again only where the least is
+    at or below ``PRUNE_EPS``, their sum is not below inf (an inf, a NaN
+    wherever it sits, or an overflow), or a modulus is past the float
+    range.  The terms and sums are those of ``(x * b) * factor`` and ``sum
+    + t`` on :class:`Multivector` values, bit for bit.  A non-finite
+    coefficient raises ``ValueError``; the caller enters
+    ``np.errstate(all="ignore")``, once for a whole series.
+    """
+    kept, top = _pruned(right._product(term), factor, total)
+    if total is None:
+        return kept, top, None, 0.0
+    try:  # sorted in order unless a NaN, whose sum is not below inf
+        moduli = sorted(map(abs, total.values()))
+    except OverflowError:  # a modulus past the float range
+        moduli = []
+    if moduli and moduli[0] > PRUNE_EPS and sum(moduli) < math.inf:
+        return kept, top, total, moduli[-1]
+    return kept, top, *_pruned(total.items())
 
 
 def _kept(coeffs: np.ndarray) -> np.ndarray:
@@ -530,7 +559,13 @@ def _blade_products(a: Multivector, b: Multivector, keep=None) -> Multivector:
     a_terms, b_terms = a._terms, b._terms
     if keep is None and len(a_terms) * len(b_terms) >= _NUMPY_MIN_PAIRS:
         return _split(sig, 1, *_kept_terms((a_terms, b_terms), [(0, 1)], sig))[0]
-    table = sig.sign_table
+    return Multivector._from_terms(sig, _loop_sums(a_terms, b_terms, sig.sign_table, keep))
+
+
+def _loop_sums(a_terms: Mapping[int, complex], b_terms: Mapping[int, complex],
+               table: Sequence[int], keep=None) -> dict[int, complex]:
+    """The loop of :func:`_blade_products`: the sums by blade before the
+    prune, blades in order of first occurrence."""
     rows = [(mb, cb, table[mb]) for mb, cb in b_terms.items()]
     out: dict[int, complex] = {}
     for ma, ca in a_terms.items():
@@ -538,7 +573,7 @@ def _blade_products(a: Multivector, b: Multivector, keep=None) -> Multivector:
         for mb, cb, fb in rows if keep is None else [r for r in rows if keep(ma, r[0])]:
             mask = ma ^ mb
             out[mask] = out.get(mask, 0j) + signed[(ma & fb).bit_count() & 1] * cb
-    return Multivector._from_terms(sig, out)
+    return out
 
 
 # ``sign * ca`` for sign = +1, -1: each product in this complex multiply is
@@ -599,9 +634,9 @@ def _blade_terms_numpy(operands: Sequence[Mapping[int, complex]], pairs,
     are flattened product-major, then a-major.  Python's complex ``s * cb``
     is written out in components, ``(sr*br - si*bi, sr*bi + si*br)``,
     because numpy's complex multiply may fuse a multiply and an add and
-    round once where Python rounds twice.  ``np.bincount`` adds the terms of each ``(product, blade)`` key
-    in pair order onto 0.0, as the loop adds them onto ``0j``; see
-    :func:`_first_occurrence_bins` for the bins.
+    round once where Python rounds twice.  ``np.bincount`` adds the terms
+    of each ``(product, blade)`` key in pair order onto 0.0, as the loop
+    adds them onto ``0j``; see :func:`_first_occurrence_bins` for the bins.
     """
     sizes, masks, coeffs = _term_arrays(operands)
     starts = np.cumsum(sizes) - sizes
@@ -728,44 +763,27 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 
 
 class RightFactor:
-    """An element ``b`` prepared as the right factor of many products ``x b``.
+    """An element ``b`` prepared as the right factor of many products ``x b``,
+    which :func:`_step` forms; see the module docstring for the crossover.
 
-    Calling it on ``x`` gives ``geometric_product(x, b)``: the same blades
-    in the same order, and the same bits.  A product of fewer than
-    ``_PLAN_MIN_PAIRS`` term pairs is the loop of :func:`_blade_products`.
-    From there on it is summed on arrays through a *plan*, formed the first
-    time ``b`` meets a left operand with those blades in that order and
-    kept: the signed components of ``cb`` for every term pair, and the bin
-    of each pair's blade, numbered in order of first occurrence.  A product
-    then costs one ``np.array`` of ``x``'s coefficients, one broadcast
-    multiply of ``(ar, ai)`` against the plan's rows ``[R, I]`` and ``[-I,
-    R]``, one add of the two and one ``np.bincount`` over interleaved real
-    and imaginary bins.
+    A product of fewer than ``_PLAN_MIN_PAIRS`` term pairs is the loop of
+    :func:`_blade_products`.  From there on, at and above
+    ``_NUMPY_MIN_PAIRS`` too, it is summed on arrays through a *plan*,
+    formed the first time ``b`` meets a left operand with those blades in
+    that order and kept: the signed components of ``cb`` for every term
+    pair, and the bin of each pair's blade, numbered in order of first
+    occurrence.  A product then costs one ``np.array`` of ``x``'s
+    coefficients, one broadcast multiply of ``(ar, ai)`` against the
+    plan's rows ``[R, I]`` and ``[-I, R]``, one add of the two and one
+    ``np.bincount`` over interleaved real and imaginary bins.
 
     The loop forms ``(sign * ca) * cb``; a plan forms ``ca * (sign * cb)``,
-    with ``-1 * cb`` as Python computes it, ``(-cr - 0.0*ci, -ci +
-    0.0*cr)``, and the complex product written out in components as
-    :func:`_blade_terms_numpy` writes it.  With the sign moved onto ``cb`` a
-    term can differ only in the sign of an exact zero, and a sum that starts
-    at 0.0 keeps no ``-0.0``; ``np.bincount`` adds each blade's terms in the
-    loop's a-major pair order onto 0.0, so every sum keeps the loop's bits.
-
-    A plan formed for a single product costs up to three times the loop,
-    and from ``_PLAN_MIN_PAIRS`` on a kept plan is at least 1.7 times
-    faster than the loop, so a plan repays its forming after one to five
-    products; see the module docstring for the measured crossover.
-    Products at and above ``_NUMPY_MIN_PAIRS`` take a plan too, not the
-    array kernel.
-
-    :meth:`_product` is the one product method: it takes the left
-    operand's blade tuple, which is also the plan's key, and its
-    coefficient list, and returns the product's blades and sums before
-    the prune.  A call is :func:`_pruned` of those, and the exponential
-    series of :mod:`isoclifford.isotopy` carry each term as a tuple and a
-    list, and prune the sums together with their ``1/k`` in one pass.
-    Below the crossover the sums are the loop's terms, pruned already;
-    ``_pruned(_pruned(s), f)`` equals ``_pruned(s, f)``, so the series keeps
-    its bits.
+    with ``sign * cb`` formed as :func:`_blade_terms_numpy` forms ``sign *
+    ca`` and the complex product written out in components as it writes
+    it.  With the sign moved onto ``cb`` a term can differ only in the sign
+    of an exact zero, and a sum that starts at 0.0 keeps no ``-0.0``;
+    ``np.bincount`` adds each blade's terms in the loop's a-major pair
+    order onto 0.0, so every sum keeps the loop's bits.
 
     Plans are kept until they hold ``_PLAN_CACHE_PAIRS`` term pairs, at
     most about 6 MB; later plans are formed on each use and not kept.  A
@@ -792,10 +810,9 @@ class RightFactor:
         sig = self.element.signature
         if self._factor is None:
             _, mb, cb = _term_arrays([self.element._terms])
-            cr, ci = cb.real, cb.imag
-            nr, ni = -cr - 0.0 * ci, -ci + 0.0 * cr
-            signed = np.array([[[cr, ci], [-ci, cr]], [[nr, ni], [-ni, nr]]]).transpose(0, 1, 3, 2)
-            self._factor = mb, sig.sign_array[mb], np.ascontiguousarray(signed)
+            sb = (cb[:, None] * _SIGNS).T  # ``sign * cb`` for sign = +1, -1
+            rows = np.array([[sb.real, sb.imag], [-sb.imag, sb.real]]).transpose(2, 0, 3, 1)
+            self._factor = mb, sig.sign_array[mb], np.ascontiguousarray(rows)
         mb, fb, signed = self._factor
         ma = np.array(order, dtype=np.int64)[:, None]
         odd = np.bitwise_count(ma & fb) & 1
@@ -811,33 +828,18 @@ class RightFactor:
             self._room -= odd.size
         return plan
 
-    def _product(self, order: tuple[int, ...],
-                 coeffs: list[complex]) -> tuple[Iterable[int], Iterable[complex]]:
-        """The terms of ``x b`` as ``(blades, sums)``, blades in the loop's
-        order, for the left operand ``x`` with blades ``order`` (a plan's
-        key) and coefficients ``coeffs``: below ``_PLAN_MIN_PAIRS`` term
-        pairs the loop's pruned terms, and from there on a plan's sums
-        before the prune.  Nothing checks the signature.  The caller enters
-        ``np.errstate(all="ignore")``, once for a whole series, and prunes
-        the sums with :func:`_pruned`, whose check names inf and NaN."""
-        n = len(order)
+    def _product(self, term: Mapping[int, complex]) -> Iterable[tuple[int, complex]]:
+        """The terms of ``x b`` before the prune, ``(blade, sum)`` in the
+        loop's order, for the left operand ``x`` with terms ``term``; its
+        blade tuple is the plan's key.  Nothing checks the signature."""
+        n = len(term)
         if n * len(self.element._terms) < _PLAN_MIN_PAIRS:
-            x = Multivector._from_kept(self.element.signature, dict(zip(order, coeffs)))
-            terms = _blade_products(x, self.element)._terms
-            return terms.keys(), terms.values()
+            return _loop_sums(term, self.element._terms, self.element.signature.sign_table).items()
+        order = tuple(term)
         stack, bins, blades = self._plans.get(order) or self._plan(order)
-        parts = np.array(coeffs, dtype=complex).view(float).reshape(n, 2, 1, 1) * stack
+        parts = np.array(list(term.values()), dtype=complex).view(float).reshape(n, 2, 1, 1) * stack
         terms = parts[:, 0] + parts[:, 1]
-        return blades, np.bincount(bins, weights=terms.reshape(-1)).view(complex).tolist()
-
-    def __call__(self, x: Multivector) -> Multivector:
-        """``x b``, bit for bit as :func:`geometric_product` forms it."""
-        if len(x._terms) * len(self.element._terms) < _PLAN_MIN_PAIRS:
-            return _blade_products(x, self.element)
-        x._check_signature(self.element)
-        with np.errstate(all="ignore"):  # inf and NaN reach the check in _pruned
-            blades, sums = self._product(tuple(x._terms), list(x._terms.values()))
-        return Multivector._from_kept(x.signature, _pruned(zip(blades, sums))[0])
+        return zip(blades, np.bincount(bins, weights=terms.reshape(-1)).view(complex).tolist())
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:

@@ -21,6 +21,7 @@ from .multivector import (
     Multivector,
     NonInvertibleError,
     Signature,
+    _as_int,
     _batch_products,
     grade_select,
 )
@@ -33,11 +34,10 @@ CYCLES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 
 
 def oct_unit(a: int) -> Multivector:
     """Imaginary octonion unit ``e_a`` for a in 1..7 (``a = 0`` is the scalar 1)."""
-    if a == 0:
-        return SIG07.scalar(1.0)
-    if not 1 <= a <= 7:
-        raise ValueError("octonion basis index must be in 0..7")
-    return SIG07.e(a - 1)
+    a = _as_int(a, "octonion basis index")
+    if not 0 <= a <= 7:
+        raise ValueError(f"octonion basis index must be in 0..7, not {a}")
+    return SIG07.e(a - 1) if a else SIG07.scalar(1.0)
 
 
 def structure_trivector() -> Multivector:

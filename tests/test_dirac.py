@@ -1,5 +1,7 @@
 """The 4x4 spacetime-algebra representation and the regular representation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from isoclifford.dirac import (
     iso_spin_plus_check,
     regular_representation,
 )
+from isoclifford.flavor_matrices import iso_tensor
 from isoclifford.isotopy import IsoContext, clifford_exp
 from isoclifford.multivector import (
     Multivector,
@@ -37,6 +40,31 @@ def test_rep_inverse_rejects_wrong_shape(d):
     # a shape error is still rejected
     with pytest.raises(Exception):
         d.rep_inverse(np.eye(3))
+
+
+def _non_finite_matrices():
+    """4x4 matrices with an inf, a -inf or a NaN entry, or all entries inf,
+    each built without a numpy warning."""
+    for value in (np.inf, -np.inf, np.nan, complex(1.0, np.nan)):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = value
+        yield m
+    yield np.full((4, 4), np.inf)
+
+
+def test_non_finite_matrices_are_rejected_before_any_arithmetic(d):
+    """A non-finite matrix raises ``ValueError`` from the check, not a
+    numpy ``RuntimeWarning`` from the arithmetic behind it, with warnings
+    as errors."""
+    eye = np.eye(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in _non_finite_matrices():
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                d.rep_inverse(m)
+            for args in ((m, eye, eye), (eye, m, eye), (eye, eye, m)):
+                with pytest.raises(ValueError, match="matrix entries must be finite"):
+                    iso_tensor(*args)
 
 
 def test_idempotent_image(d):

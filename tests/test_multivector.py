@@ -47,6 +47,23 @@ def test_signature_validation():
     assert sig == Signature(1, 3) and type(sig.p) is int
 
 
+@pytest.mark.parametrize("index", [-1, 3, 12, True, False, 1.0, "0"])
+def test_basis_vectors_reject_what_is_not_an_index_of_the_algebra(index):
+    """``e`` and ``metric`` name the index they reject."""
+    for call in (S30.e, S30.metric):
+        with pytest.raises(ValueError, match=f"basis index {index!r}"):
+            call(index)
+    with pytest.raises(ValueError, match=f"basis index {index!r}"):
+        S30.e(0, index)
+
+
+def test_basis_vectors_take_integer_indices():
+    assert S13.e() == S13.scalar(1.0)
+    assert bits(S13.e(np.int64(2), 0)) == bits(S13.e(2, 0))
+    assert S13.e(2, 0) == -S13.e(0, 2)
+    assert [S13.metric(np.int64(i)) for i in range(4)] == [1, -1, -1, -1]
+
+
 def test_idempotent_difference_vanishes():
     # (1 + e1)(1 - e1) = 1 - e1^2 = 0 when e1^2 = 1
     e1 = S30.e(0)

@@ -75,6 +75,18 @@ def test_table_product_rejects_indices_outside_0_to_7(a, b):
         table_product(a, b)
 
 
+@pytest.mark.parametrize("a", [True, False, 1.0, 0.0, "1", -1, 8])
+def test_oct_unit_rejects_what_is_not_an_index_in_0_to_7(a):
+    with pytest.raises(ValueError, match=f"octonion basis index {a!r}|not {a}$"):
+        oct_unit(a)
+
+
+def test_oct_unit_takes_integer_indices():
+    assert oct_unit(0) == SIG07.scalar(1.0)
+    for a in range(1, 8):
+        assert bits(oct_unit(a)) == bits(oct_unit(np.int64(a))) == bits(SIG07.e(a - 1))
+
+
 def test_conjugate_and_inverse():
     rng = np.random.default_rng(3)
     x = rand_paravector(rng)

@@ -1,11 +1,12 @@
-"""The prepared right factor against the product loop and the functions it
-replaced.
+"""The prepared right factor's step against the product loop and the
+functions it replaced.
 
 A :class:`~isoclifford.multivector.RightFactor` takes the product loop
 below its crossover and sums through a plan from there on, in the loop's
 visiting order and with each blade-pair sign moved from ``ca`` onto ``cb``,
-which can change a term only in the sign of an exact zero.  So every
-comparison here is exact: blades in order, and the bits of every
+which can change a term only in the sign of an exact zero.  A series
+multiplies by it only through :func:`~isoclifford.multivector._step`.  So
+every comparison here is exact: blades in order, and the bits of every
 coefficient.  The references below are the series and isotopic products
 as they were written with :func:`geometric_product` alone.
 """
@@ -85,6 +86,19 @@ def _outcome(fn, *args):
         return "ConvergenceError"
 
 
+def stepped(times_b, x, factor=None, total=None):
+    """``x b``, times ``factor`` when given, through one step of a series,
+    as an element, with the step's largest modulus; with a ``total`` too,
+    the sum as an element and its largest modulus."""
+    sig = x.signature
+    with np.errstate(all="ignore"):  # as a series enters it
+        kept, top, total, total_max = multivector._step(
+            times_b, x.terms, None if factor is None else complex(factor),
+            None if total is None else dict(total.terms))
+    out = Multivector._from_kept(sig, kept), top
+    return out if total is None else (*out, Multivector._from_kept(sig, total), total_max)
+
+
 # -- the prepared product ------------------------------------------------------------
 
 
@@ -135,17 +149,25 @@ def _crossover_case(pairs):
 @example(_dense_cl13_case())
 @example(_crossover_case(CROSSOVER - 1))
 @example(_crossover_case(CROSSOVER))
-def test_prepared_product_equals_the_loop_bit_for_bit(case):
+def test_a_step_equals_the_loop_bit_for_bit(case):
+    """The step's term, its largest modulus and the running sum are those
+    of ``(x * b) * f`` and ``y + t`` on elements, with and without ``f``."""
     b, lefts = case
     times_b = RightFactor(b)
     # twice over: plans are formed on the first pass and read on the second
-    for x in lefts + lefts:
-        assert bits(times_b(x)) == bits(geometric_product(x, b))
+    for x, y in zip(lefts + lefts, lefts[1:] + lefts + lefts[:1]):
+        want = geometric_product(x, b)
+        got, top = stepped(times_b, x)
+        assert bits(got) == bits(want) and top == want.max_abs()
+        want = want * (1.0 / 3)
+        got, top, total, total_max = stepped(times_b, x, 1.0 / 3, y)
+        assert bits(got) == bits(want) and top == want.max_abs()
+        assert bits(total) == bits(y + want) and total_max == (y + want).max_abs()
 
 
 @pytest.mark.parametrize("sig", [Signature(0, 7), Signature(12, 0)], ids=str)
 @pytest.mark.parametrize("shape", [(11, 33), (28, 13), (13, 28), (40, 40)])
-def test_prepared_product_on_both_sides_of_the_threshold(sig, shape):
+def test_a_step_on_both_sides_of_the_threshold(sig, shape):
     na, nb = shape
     assert (na * nb >= THRESHOLD) == (shape != (11, 33))
     rng = np.random.default_rng(na * nb + sig.dim)
@@ -153,27 +175,22 @@ def test_prepared_product_on_both_sides_of_the_threshold(sig, shape):
         x, b = (random_multivector(sig, rng, n, scale=scale) for n in shape)
         times_b = RightFactor(b)
         for left in (x, x, b, -b):
-            assert bits(times_b(left)) == bits(geometric_product(left, b))
+            assert bits(stepped(times_b, left)[0]) == bits(geometric_product(left, b))
 
 
-@pytest.mark.parametrize("plan", [False, True], ids=["loop", "plan"])
-def test_threads_sharing_a_prepared_factor_get_the_loop_bits(plan):
-    """Four threads multiply by one prepared ζ⁻¹ at once, switching every
-    microsecond, below the crossover and from it on, where they form and
-    read the factor's plans together; no call may see another call's
-    partial sums."""
+@pytest.mark.parametrize("dense", [False, True], ids=["loop", "plan"])
+def test_threads_running_series_get_the_serial_bits(dense):
+    """Four threads run ``clifford_exp`` at once, switching every
+    microsecond, on exponents whose products stay in the loop or, dense,
+    go through plans; no series may see another's partial sums."""
     rng = np.random.default_rng(4)
-    ctx = random_invertible_context(S13, rng)
-    n_terms = 16 if plan else (CROSSOVER - 1) // len(ctx.zeta_inv)
-    assert (n_terms * len(ctx.zeta_inv) >= CROSSOVER) == plan
-    xs = [random_multivector(S13, rng, n_terms) for _ in range(20)]
-    want = [bits(geometric_product(x, ctx.zeta_inv)) for x in xs]
-    times_zeta_inv = RightFactor(ctx.zeta_inv)
-    same = []  # one entry per product, so a thread that died shows too
+    exponents = [random_multivector(S13, rng, 16 if dense else 3, scale=0.5) for _ in range(6)]
+    want = [bits(clifford_exp(a)) for a in exponents]
+    same = []  # one entry per series, so a thread that died shows too
 
     def work():
-        for _ in range(10):
-            same.extend(bits(times_zeta_inv(x)) == w for x, w in zip(xs, want))
+        for _ in range(5):
+            same.extend(bits(clifford_exp(a)) == w for a, w in zip(exponents, want))
 
     threads = [threading.Thread(target=work) for _ in range(4)]
     saved = sys.getswitchinterval()
@@ -186,15 +203,15 @@ def test_threads_sharing_a_prepared_factor_get_the_loop_bits(plan):
     finally:
         sys.setswitchinterval(saved)
     assert not any(t.is_alive() for t in threads)
-    assert len(same) == 4 * 10 * len(xs)
-    assert all(same), f"{same.count(False)} of {len(same)} products differ"
+    assert len(same) == 4 * 5 * len(exponents)
+    assert all(same), f"{same.count(False)} of {len(same)} series differ"
 
 
 @pytest.mark.parametrize("plan", [False, True], ids=["loop", "plan"])
-def test_a_prepared_product_past_the_float_range_raises_value_error(plan):
-    """Terms of 1e200 squared overflow: the plan path keeps numpy's warning
-    silent, so with warnings as errors too the finite check raises the
-    ``ValueError`` of the loop."""
+def test_a_step_past_the_float_range_raises_value_error(plan):
+    """Terms of 1e200 squared overflow: the step's caller keeps numpy's
+    warning silent, as a series does, so with warnings as errors too the
+    finite check raises the ``ValueError`` of the loop."""
     rng = np.random.default_rng(9)
     n_terms = 16 if plan else 2
     b, x = (random_multivector(S13, rng, n_terms) * 1e200 for _ in range(2))
@@ -202,12 +219,12 @@ def test_a_prepared_product_past_the_float_range_raises_value_error(plan):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
-            RightFactor(b)(x)
+            stepped(RightFactor(b), x)
 
 
-def test_prepared_product_checks_the_signature():
+def test_a_series_checks_the_signature():
     with pytest.raises(multivector.SignatureMismatchError):
-        RightFactor(S13.e(1))(Signature(3, 0).e(1))
+        iso_exp_series(IsoContext.identity(S13), Signature(3, 0).e(1))
 
 
 def test_plans_of_a_cl12_factor_stay_within_their_budget():
@@ -223,7 +240,7 @@ def test_plans_of_a_cl12_factor_stay_within_their_budget():
         before = tracemalloc.get_traced_memory()[0]
         times_b = RightFactor(b)
         for x in xs:
-            times_b(x)
+            stepped(times_b, x)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -240,7 +257,7 @@ def test_plans_beyond_the_budget_are_formed_and_not_kept():
     xs = [random_multivector(sig, rng, 6) for _ in range(kept + 20)]
     times_b = RightFactor(b)
     for x in xs + xs[-30:]:
-        assert bits(times_b(x)) == bits(geometric_product(x, b))
+        assert bits(stepped(times_b, x)[0]) == bits(geometric_product(x, b))
     assert len(times_b._plans) == kept
     assert tuple(xs[kept - 1].terms) in times_b._plans
     assert tuple(xs[kept].terms) not in times_b._plans
@@ -253,22 +270,22 @@ def test_a_dense_cl13_series_leaves_the_loop_after_its_first_step(monkeypatch):
     rng = np.random.default_rng(13)
     a = random_multivector(S13, rng, 16, scale=0.4)
     want = bits(clifford_exp_ref(a))
-    loop, plan, product = multivector._blade_products, RightFactor._plan, RightFactor._product
+    loop, plan, product = multivector._loop_sums, RightFactor._plan, RightFactor._product
     loop_pairs, planned, lefts = [], [], []
 
-    def counted_loop(x, y, keep=None):
-        loop_pairs.append(len(x) * len(y))
-        return loop(x, y, keep)
+    def counted_loop(a_terms, b_terms, table, keep=None):
+        loop_pairs.append(len(a_terms) * len(b_terms))
+        return loop(a_terms, b_terms, table, keep)
 
     def counted_plan(self, order):
         planned.append(order)
         return plan(self, order)
 
-    def counted_product(self, order, coeffs):
-        lefts.append(order)
-        return product(self, order, coeffs)
+    def counted_product(self, term):
+        lefts.append(tuple(term))
+        return product(self, term)
 
-    monkeypatch.setattr(multivector, "_blade_products", counted_loop)
+    monkeypatch.setattr(multivector, "_loop_sums", counted_loop)
     monkeypatch.setattr(RightFactor, "_plan", counted_plan)
     monkeypatch.setattr(RightFactor, "_product", counted_product)
     got = bits(clifford_exp(a))
