@@ -6,8 +6,9 @@ which only prunes and rejects non-finite coefficients.  Each reference
 below forms the same expression in the same order and builds its result
 through the public constructor, so every comparison is exact: identical
 term order and the same bits in every coefficient.  The four blade
-products are held to such a reference in ``test_sign_table.py``.  A
-pickled element is rebuilt through the public constructor too.
+products, on every route the package has to them, are held to one
+reference in ``test_paths.py``.  A pickled element is rebuilt through the
+public constructor too.
 """
 
 import math

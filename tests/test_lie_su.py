@@ -6,17 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bit_identity import bits
-from isoclifford import lie_su, multivector
+from isoclifford import lie_su
 from isoclifford.flavor_matrices import structure_constants_f
 from isoclifford.isotopy import (
     IsoContext,
-    _iso_commutator_terms,
     iso_commutator,
-    iso_commutators,
     iso_product,
     random_invertible_context,
 )
@@ -29,13 +25,7 @@ from isoclifford.lie_su import (
     su3_case2_generators,
     su_n_generators,
 )
-from isoclifford.multivector import (
-    Multivector,
-    Signature,
-    geometric_product,
-    random_multivector,
-    wedge,
-)
+from isoclifford.multivector import Signature, geometric_product, wedge
 
 SIGNATURES = {"su2": Signature(4, 0), "su3": Signature(6, 0), "su6": Signature(12, 0),
               "case1": Signature(1, 3), "case2": Signature(1, 3)}
@@ -123,75 +113,6 @@ def test_oracle_equals_the_per_pair_reference_byte_for_byte(family):
     for ctx in contexts:
         gs = FAMILIES[family]() if ctx is None else FAMILIES[family](ctx)
         _assert_same_bytes(structure_constants(gs), reference_structure_constants(gs))
-
-
-@st.composite
-def _commutator_batches(draw):
-    """A context and elements of mixed sizes (empty ones among them), with
-    the negation of one and a copy of one whose real parts are -0.0, and
-    index pairs into them: an element may recur, and ``[x, x]`` and the
-    ``b, -b`` pair are drawn together.  Cl(1,3) and Cl(0,7) take a random
-    isounit; Cl(12,0), which would invert by a 4096 x 4096 solve, takes
-    ``1.3 + 0.4 e_i e_j``.  Products fall on both sides of the array
-    threshold."""
-    sig = draw(st.sampled_from([Signature(1, 3), Signature(0, 7), Signature(12, 0)]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if sig.dim == 12:
-        i, j = sorted(rng.choice(12, 2, replace=False).tolist())
-        ctx = IsoContext.create(sig.scalar(1.3) + 0.4 * sig.e(i, j))
-    else:
-        ctx = random_invertible_context(sig, rng)
-    scale = draw(st.sampled_from([1.0, 3e-8]))
-    sizes = draw(st.lists(st.integers(0, min(sig.blade_count, 40)), min_size=1, max_size=6))
-    elements = [random_multivector(sig, rng, k, scale=scale) for k in sizes]
-    elements.append(Multivector(sig, {m: complex(-0.0, c.imag) for m, c in elements[0]}))
-    elements.append(-elements[-2])
-    index = st.integers(0, len(elements) - 1)
-    pairs = draw(st.lists(st.tuples(index, index), max_size=7))
-    if draw(st.booleans()):
-        pairs += [(0, 0), (len(elements) - 3, len(elements) - 1)]
-    return ctx, elements, pairs
-
-
-@settings(max_examples=40, deadline=None)
-@given(_commutator_batches())
-def test_batched_commutators_equal_the_one_pair_api_bit_for_bit(batch):
-    """The list form, the oracle's arrays and a single commutator against
-    ``x ⋄ y - y ⋄ x``, blades in order, with the default cap and with one
-    small enough that most batches are cut."""
-    ctx, elements, pairs = batch
-    xs, ys = [elements[i] for i, _ in pairs], [elements[j] for _, j in pairs]
-    want = [bits(iso_product(ctx, x, y) - iso_product(ctx, y, x)) for x, y in zip(xs, ys)]
-    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    for cap in (multivector._BATCH_PAIRS, 64):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(multivector, "_BATCH_PAIRS", cap)
-            assert [bits(c) for c in iso_commutators(ctx, xs, ys)] == want
-            pair, blades, coeffs = _iso_commutator_terms(ctx, elements, first, second)
-            assert [bits(zip(blades[pair == k].tolist(), coeffs[pair == k].tolist()))
-                    for k in range(len(pairs))] == want
-    assert [bits(iso_commutator(ctx, x, y)) for x, y in zip(xs, ys)] == want
-    with pytest.raises(ValueError):
-        iso_commutators(ctx, xs, [*ys, elements[0]])
-
-
-@pytest.mark.parametrize("shapes", [[(13, 13)], [(13, 14)], [(13, 13), (4, 4)], [(3, 4)] * 4],
-                         ids=str)
-def test_commutator_batches_of_every_size_equal_two_iso_products_in_bits(shapes):
-    """Batches of Cl(0,7) elements under ζ = 1 and under the versor ``1.3 +
-    0.4 e14``, from one pair to four and from 96 to some 700 term pairs in
-    their ⋄ products: the batch sends them all to the array kernel, and
-    each commutator equals ``x ⋄ y - y ⋄ x`` formed with two
-    :func:`iso_product` calls, which take the loop, in blades, order and
-    bits.  An empty batch is empty."""
-    sig = Signature(0, 7)
-    rng = np.random.default_rng(len(shapes) + sum(map(sum, shapes)))
-    for ctx in (IsoContext.identity(sig), IsoContext.create(sig.scalar(1.3) + 0.4 * sig.e(1, 4))):
-        xs, ys = zip(*[(random_multivector(sig, rng, na), random_multivector(sig, rng, nb))
-                       for na, nb in shapes])
-        want = [bits(iso_product(ctx, x, y) - iso_product(ctx, y, x)) for x, y in zip(xs, ys)]
-        assert [bits(c) for c in iso_commutators(ctx, xs, ys)] == want
-        assert iso_commutators(ctx, [], []) == []
 
 
 def test_a_nan_residual_is_a_closure_violation(monkeypatch):

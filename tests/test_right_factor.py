@@ -1,26 +1,24 @@
-"""The prepared right factor's step against the product loop and the
-functions it replaced.
+"""The prepared right factor's policies, and the series against the
+functions they replaced.
 
 A :class:`~isoclifford.multivector.RightFactor` takes the product loop
-below its crossover and sums through a plan from there on, in the loop's
-visiting order and with each blade-pair sign moved from ``ca`` onto ``cb``,
-which can change a term only in the sign of an exact zero.  A series
-multiplies by it only through :func:`~isoclifford.multivector._step`.  So
-every comparison here is exact: blades in order, and the bits of every
-coefficient.  The references below are the series and isotopic products
-as they were written with :func:`geometric_product` alone.
+below its crossover and sums through a plan from there on, and a series
+multiplies by it only through :func:`~isoclifford.multivector._step`.
+Each step, on both sides of the crossover, with ``1/k`` and with a
+running sum, is held to the reference product in ``test_paths.py``.  The
+tests here check the policies: where plans are formed, what they keep,
+and that threads share them.  The references below are the series as they
+were written with :func:`geometric_product` alone, and every comparison
+with them is exact: blades in order, and the bits of every coefficient.
 """
 
 import math
 import sys
 import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from bit_identity import bits
 from isoclifford import isotopy, multivector
@@ -28,11 +26,7 @@ from isoclifford.isotopy import (
     ConvergenceError,
     IsoContext,
     clifford_exp,
-    iso_exp,
     iso_exp_series,
-    iso_involution,
-    iso_product,
-    lift,
     random_invertible_context,
 )
 from isoclifford.multivector import (
@@ -40,13 +34,9 @@ from isoclifford.multivector import (
     RightFactor,
     Signature,
     geometric_product,
-    grade_involution,
     random_multivector,
 )
 
-THRESHOLD = multivector._NUMPY_MIN_PAIRS
-CROSSOVER = multivector._PLAN_MIN_PAIRS
-SIGNATURES = [Signature(3, 0), Signature(1, 3), Signature(0, 7), Signature(12, 0)]
 S13 = Signature(1, 3)
 
 # -- references --------------------------------------------------------------------
@@ -102,82 +92,6 @@ def stepped(times_b, x, factor=None, total=None):
 # -- the prepared product ------------------------------------------------------------
 
 
-def _element(sig, rng, n_terms, scale, kind):
-    """A random element with real, imaginary or complex coefficients."""
-    x = random_multivector(sig, rng, n_terms, scale=scale)
-    part = {"real": lambda c: complex(c.real, 0.0), "imag": lambda c: complex(0.0, c.imag),
-            "mixed": lambda c: c}[kind]
-    return Multivector(sig, {m: part(c) for m, c in x.terms.items()})
-
-
-@st.composite
-def _cases(draw):
-    """A factor and the left operands it is reused on: random ones of sizes
-    on both sides of the array threshold where the algebra allows it, empty
-    ones, and the factor and its negation (whose products cancel to exact
-    zeros where blades anticommute)."""
-    sig = draw(st.sampled_from(SIGNATURES))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    scale = draw(st.sampled_from([1.0, 3e-8]))
-    kind = st.sampled_from(["real", "imag", "mixed"])
-    size = st.integers(0, min(sig.blade_count, 40))
-    b = _element(sig, rng, draw(size), scale, draw(kind))
-    lefts = [_element(sig, rng, k, scale, draw(kind))
-             for k in draw(st.lists(size, min_size=1, max_size=8))]
-    return b, lefts + [b, -b]
-
-
-def _dense_cl13_case():
-    """A dense Cl(1,3) factor and operand: all 16 rows of a product land on
-    the same 16 blades, so every blade sums 16 terms."""
-    rng = np.random.default_rng(16)
-    b, x = (_element(S13, rng, 16, 1.0, "mixed") for _ in range(2))
-    return b, [x, b, -b]
-
-
-def _crossover_case(pairs):
-    """A Cl(0,7) factor and left operands that make ``pairs`` term pairs
-    with it, the factor of at most 16 terms."""
-    nb = next(n for n in range(16, 0, -1) if pairs % n == 0)
-    rng = np.random.default_rng(pairs)
-    b = _element(Signature(0, 7), rng, nb, 1.0, "mixed")
-    return b, [_element(Signature(0, 7), rng, pairs // nb, 1.0, "mixed") for _ in range(2)]
-
-
-@settings(max_examples=80, deadline=None)
-@given(_cases())
-@example(_dense_cl13_case())
-@example(_crossover_case(CROSSOVER - 1))
-@example(_crossover_case(CROSSOVER))
-def test_a_step_equals_the_loop_bit_for_bit(case):
-    """The step's term, its largest modulus and the running sum are those
-    of ``(x * b) * f`` and ``y + t`` on elements, with and without ``f``."""
-    b, lefts = case
-    times_b = RightFactor(b)
-    # twice over: plans are formed on the first pass and read on the second
-    for x, y in zip(lefts + lefts, lefts[1:] + lefts + lefts[:1]):
-        want = geometric_product(x, b)
-        got, top = stepped(times_b, x)
-        assert bits(got) == bits(want) and top == want.max_abs()
-        want = want * (1.0 / 3)
-        got, top, total, total_max = stepped(times_b, x, 1.0 / 3, y)
-        assert bits(got) == bits(want) and top == want.max_abs()
-        assert bits(total) == bits(y + want) and total_max == (y + want).max_abs()
-
-
-@pytest.mark.parametrize("sig", [Signature(0, 7), Signature(12, 0)], ids=str)
-@pytest.mark.parametrize("shape", [(11, 33), (28, 13), (13, 28), (40, 40)])
-def test_a_step_on_both_sides_of_the_threshold(sig, shape):
-    na, nb = shape
-    assert (na * nb >= THRESHOLD) == (shape != (11, 33))
-    rng = np.random.default_rng(na * nb + sig.dim)
-    for scale in (1.0, 3e-8):
-        x, b = (random_multivector(sig, rng, n, scale=scale) for n in shape)
-        times_b = RightFactor(b)
-        for left in (x, x, b, -b):
-            assert bits(stepped(times_b, left)[0]) == bits(geometric_product(left, b))
-
-
 @pytest.mark.parametrize("dense", [False, True], ids=["loop", "plan"])
 def test_threads_running_series_get_the_serial_bits(dense):
     """Four threads run ``clifford_exp`` at once, switching every
@@ -205,21 +119,6 @@ def test_threads_running_series_get_the_serial_bits(dense):
     assert not any(t.is_alive() for t in threads)
     assert len(same) == 4 * 5 * len(exponents)
     assert all(same), f"{same.count(False)} of {len(same)} series differ"
-
-
-@pytest.mark.parametrize("plan", [False, True], ids=["loop", "plan"])
-def test_a_step_past_the_float_range_raises_value_error(plan):
-    """Terms of 1e200 squared overflow: the step's caller keeps numpy's
-    warning silent, as a series does, so with warnings as errors too the
-    finite check raises the ``ValueError`` of the loop."""
-    rng = np.random.default_rng(9)
-    n_terms = 16 if plan else 2
-    b, x = (random_multivector(S13, rng, n_terms) * 1e200 for _ in range(2))
-    assert (n_terms * n_terms >= CROSSOVER) == plan
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
-            stepped(RightFactor(b), x)
 
 
 def test_a_series_checks_the_signature():
@@ -296,7 +195,7 @@ def test_a_dense_cl13_series_leaves_the_loop_after_its_first_step(monkeypatch):
     assert planned == list(dict.fromkeys(lefts[1:]))
 
 
-# -- the series and the isotopic products against the functions they replaced -----------
+# -- the series against the functions they replaced ----------------------------------
 
 
 def _dense_exponents():
@@ -412,19 +311,3 @@ def test_series_of_the_benchmark_exp_kinds_equal_the_product_loop_series(kind):
             got = str(exc)
         assert got == want
         assert isinstance(want, str) == (kind == "oscillatory")
-
-
-@pytest.mark.parametrize("sig", SIGNATURES[:3], ids=str)
-def test_isotopic_products_equal_the_product_loop(sig):
-    rng = np.random.default_rng(31 + sig.dim)
-    for ctx in (random_invertible_context(sig, rng), IsoContext.identity(sig)):
-        zeta, zeta_inv = ctx.zeta, ctx.zeta_inv
-        for _ in range(4):
-            a, b = random_multivector(sig, rng, 6), random_multivector(sig, rng, 5)
-            assert bits(iso_product(ctx, a, b)) == bits(iso_product_ref(ctx, a, b))
-            assert bits(lift(ctx, a)) == bits(geometric_product(a, zeta))
-            assert bits(iso_involution(ctx, a)) == bits(
-                geometric_product(grade_involution(geometric_product(a, zeta_inv)), zeta))
-            small = a * 0.3
-            assert bits(iso_exp(ctx, small)) == bits(
-                geometric_product(clifford_exp_ref(geometric_product(small, zeta_inv)), zeta))
