@@ -6,7 +6,9 @@ behind generic inversion), and the explicit 4x4 complex representation
 of Cl(1,3) built from the quaternion units i = e3e2, j = e3e1, k = e1e2
 under e_i -> sigma_i.  The latter gives Gamma_0 = diag(1,1,-1,-1) and
 off-diagonal Gamma_k blocks, and carries the primitive idempotent
-f = (1 + e0)/2 to diag(1,1,0,0).
+f = (1 + e0)/2 to diag(1,1,0,0).  The 16 blade images are orthogonal
+under the trace inner product, each of squared norm 4, so the inverse
+map is the adjoint of the blade basis divided by 4.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from .multivector import (AlgebraError, Multivector, Signature, SignatureMismatc
 SIG13 = Signature(1, 3)
 # Acceptance bound of the rotor-group membership test.
 _SPIN_TOL = 1e-9
-
-
-class NotInSpanError(AlgebraError):
-    """A matrix does not lie in the span of the 16 blade images."""
 
 
 def regular_representation(a: Multivector) -> np.ndarray:
@@ -88,8 +86,7 @@ class DiracRep:
             images[mask] = m
         self.blade_images = images
         basis = np.column_stack([images[m].reshape(-1) for m in range(16)])
-        self._basis = basis
-        self._basis_inv = np.linalg.inv(basis)
+        self._basis_inv = basis.conj().T / 4
 
     def rep(self, a: Multivector) -> np.ndarray:
         """Algebra homomorphism Cl(1,3;C) -> M(4,C)."""
@@ -108,9 +105,6 @@ class DiracRep:
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         coeffs = self._basis_inv @ m.reshape(-1)
-        residual = np.abs(self._basis @ coeffs - m.reshape(-1)).max()
-        if residual > 1e-8:
-            raise NotInSpanError(f"matrix outside blade span, residual {residual:.3e}")
         return Multivector(SIG13, {mask: coeffs[mask] for mask in range(16)})
 
 

@@ -83,7 +83,7 @@ def isounit_matrix(zeta: FlavorIsoUnit) -> np.ndarray:
 
 
 def isounit_inverse(zeta: FlavorIsoUnit) -> np.ndarray:
-    return np.linalg.inv(isounit_matrix(zeta))
+    return np.diag(1 / np.array(zeta.diagonal, dtype=complex))
 
 
 def iso_lift_operator(zeta: FlavorIsoUnit, m: np.ndarray) -> np.ndarray:

@@ -348,7 +348,8 @@ def _commutator_terms(left: Sequence[Multivector], right: Sequence[Multivector],
     in_y = product & 1 == 1
     diff = np.zeros(bins.max(initial=-1) + 1, dtype=complex)
     diff[bins[~in_y]] = coeffs[~in_y]
-    diff[bins[in_y]] += -coeffs[in_y]
+    with np.errstate(all="ignore"):  # a sum past the float range reaches the check in _kept
+        diff[bins[in_y]] += -coeffs[in_y]
     diff = diff[slots]
     kept = _kept(diff)
     return keys[kept] >> sig.dim, keys[kept] & (sig.blade_count - 1), diff[kept]

@@ -42,6 +42,16 @@ def test_rep_inverse_rejects_wrong_shape(d):
         d.rep_inverse(np.eye(3))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e12, 1e100, 1e300])
+def test_rep_inverse_takes_every_matrix_at_large_scales(d, scale):
+    """The blade images span M(4,C) at any scale: an absolute residual
+    bound on the inverse refused entries near 1e8.  Small scales are left
+    out, as the absolute prune of the coefficients drops them."""
+    rng = np.random.default_rng(41)
+    m = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    assert np.abs(d.rep(d.rep_inverse(m)) - m).max() <= 1e-14 * np.abs(m).max()
+
+
 def _non_finite_matrices():
     """4x4 matrices with an inf, a -inf or a NaN entry, or all entries inf,
     each built without a numpy warning."""

@@ -218,11 +218,6 @@ def test_equal_mass_params_trivial_fixed_point():
     assert np.abs(np.array(zeta.params) - 1.0).max() < 1e-12
 
 
-def test_equal_mass_rejects_nonpositive():
-    with pytest.raises(MassInputError):
-        equal_mass_params((1.0, 0.0, 2.0), "su3")
-
-
 @given(st.lists(st.floats(0.5, 500.0), min_size=3, max_size=3))
 @settings(max_examples=50, deadline=None)
 def test_equal_mass_fixed_point_property(masses):
@@ -306,24 +301,6 @@ def test_degenerate_bounds_collapse():
         assert abs(iv[name]["joint_endpoint"][0] - val) < 1e-12
 
 
-# -- input handling -------------------------------------------------------------------
-
-
-def test_mass_bounds_parsing():
-    with pytest.raises(MassInputError):
-        QuarkMassBounds.from_json("not json")
-    with pytest.raises(MassInputError):
-        QuarkMassBounds.from_json("[1, 2]")
-    with pytest.raises(MassInputError):
-        QuarkMassBounds.from_mapping({"u": {"min": 1, "max": 2}})
-    with pytest.raises(MassInputError):
-        QuarkMassBounds.from_mapping(
-            {fl: {"min": 3.0, "max": 1.0} for fl in flavor.FLAVORS})
-    b = QuarkMassBounds.reference()
-    assert b.central["u"] == 2.25
-    assert b.centrals("su3") == (2.25, 5.0, 90.0)
-
-
 # -- composite states ---------------------------------------------------------------------
 
 
@@ -345,6 +322,9 @@ def test_iso_tensor_dressing():
     assert np.abs(undone - np.kron(a, b @ d.gamma[0])).max() < 1e-10
 
 
+# -- input handling -------------------------------------------------------------------
+
+
 def test_mass_input_errors_are_typed():
     def entries(**override):
         table = {fl: {"min": 1.0, "max": 2.0} for fl in flavor.FLAVORS}
@@ -364,6 +344,8 @@ def test_mass_input_errors_are_typed():
     ]
     domain_errors = [
         lambda: QuarkMassBounds.from_mapping(entries(c={"min": 3.0, "max": 1.0})),
+        lambda: QuarkMassBounds.from_mapping(
+            {fl: {"min": 3.0, "max": 1.0} for fl in flavor.FLAVORS}),
         lambda: QuarkMassBounds.from_mapping(entries(t={"min": 1.0, "max": math.inf})),
         lambda: QuarkMassBounds.from_mapping(entries(t={"min": -math.inf, "max": 1.0})),
         lambda: QuarkMassBounds.from_mapping(entries(u={"min": 1.0, "max": 2.0,
@@ -395,3 +377,4 @@ def test_mass_input_errors_are_typed():
     # integer and numpy values are numbers; the central value defaults to the midpoint
     b = QuarkMassBounds.from_mapping(entries(u={"min": 1, "max": np.float32(3.0)}))
     assert b.central["u"] == 2.0
+    assert QuarkMassBounds.reference().centrals("su3") == CENTRAL3

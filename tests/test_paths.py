@@ -427,10 +427,6 @@ def test_every_route_gives_the_reference_outcome_on_the_corpus(case, name, route
     assert gives(route, _corpus_reference(case, reference), *CORPUS[case])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "_commutator_terms subtracts the two products outside np.errstate: where the "
-    "difference passes the float range, numpy's overflow warning comes before the "
-    "ValueError of _kept"))
 def test_a_commutator_past_the_float_range_raises_the_reference_error():
     """``[1e154 e0, 1e154 e1]`` is ``2e308 e01``: each ⋄ product is finite and
     their difference is not."""

@@ -4,20 +4,17 @@ The suites in :mod:`isoclifford.suites` are the one home of the invariants
 they check.  This module runs ``python -m isoclifford verify --suite all
 --format json`` once, at collection, and that run serves four checks: each
 record of its report as a test case under its check name, so a failing
-invariant fails by name; the exit code; the 60 s bound; and the SHA-256
-pin in ``perfbench/reference.json``.  The recorder's own rule, how one
-sample becomes a residual and how samples fold into a check, is tested
-here directly.
+invariant fails by name; the exit code; the 60 s bound; and the report's
+pin (:mod:`pins`).  The recorder's own rule, how one sample becomes a
+residual and how samples fold into a check, is tested here directly.
 """
 
-import hashlib
 import json
 import math
 import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +22,10 @@ import pytest
 from isoclifford import multivector, suites
 from isoclifford.multivector import Multivector, Signature
 from isoclifford.suites import _Recorder
-
-REFERENCE = json.loads((Path(__file__).resolve().parent.parent
-                        / "perfbench" / "reference.json").read_text())
+from pins import assert_pinned, verify_argv
 
 _start = time.monotonic()
-RUN = subprocess.run([sys.executable, "-m", "isoclifford", *REFERENCE["verify_argv"]],
+RUN = subprocess.run([sys.executable, "-m", "isoclifford", *verify_argv()],
                      capture_output=True, text=True)
 ELAPSED = time.monotonic() - _start
 try:
@@ -53,8 +48,7 @@ def test_verify_all_runs_within_60_s():
 
 
 def test_verify_all_report_matches_reference_digest():
-    digest = hashlib.sha256(RUN.stdout.encode()).hexdigest()
-    assert digest == REFERENCE["verify_stdout_sha256"]
+    assert_pinned("verify", "all", "json", RUN.stdout)
 
 
 @pytest.mark.parametrize("suite", ["clifford", "isotopy", "octonion", "su3", "su6", "dirac"])
