@@ -228,7 +228,11 @@ def test_flavor_imports_only_the_flavor_module():
                 "numpy"} & set(added), added
 
 
-def test_flavor_reports_match_the_pins_with_numpy_blocked(tmp_path):
+@pytest.fixture(scope="module")
+def numpy_blocked_runs(tmp_path_factory):
+    """One child with numpy blocked runs every pinned flavor argv and two
+    bad mass files through ``main``; the result of each, keyed by its
+    ``(group, fmt)`` case or file name, is ``[exit code, stdout, stderr]``."""
     # an entry of None in sys.modules makes `import numpy` raise ImportError
     code = (
         "import contextlib, io, json, sys\n"
@@ -242,25 +246,37 @@ def test_flavor_reports_match_the_pins_with_numpy_blocked(tmp_path):
         "    runs.append([code, out.getvalue(), err.getvalue()])\n"
         "print(json.dumps(runs))\n"
     )
-    bad_json = tmp_path / "bad.json"
+    tmp = tmp_path_factory.mktemp("masses")
+    bad_json = tmp / "bad.json"
     bad_json.write_text("{not json")
-    infinite = tmp_path / "infinite.json"
+    infinite = tmp / "infinite.json"
     table = json.loads((REPO / "data" / "quark_masses.json").read_text())
     table["t"]["max"] = math.inf
     infinite.write_text(json.dumps(table))  # json writes the token Infinity
-    argvs = [flavor_argv(group, fmt) for group, fmt in FLAVOR_CASES]
-    argvs += [["flavor", "--group", "su6", "--masses", str(path), "--intervals"]
-              for path in (bad_json, infinite)]
-    proc = subprocess.run([*PYTHON, "-c", code, json.dumps(argvs)],
+    cases = {case: flavor_argv(*case) for case in FLAVOR_CASES}
+    cases.update({path.stem: ["flavor", "--group", "su6", "--masses", str(path), "--intervals"]
+                  for path in (bad_json, infinite)})
+    proc = subprocess.run([*PYTHON, "-c", code, json.dumps(list(cases.values()))],
                           capture_output=True, text=True, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    for (group, fmt), (exit_code, out, err) in zip(FLAVOR_CASES, runs):
-        assert exit_code == 0 and err == ""
-        assert_pinned("flavor", group, fmt, out)
-    bad, inf = runs[len(FLAVOR_CASES):]
-    assert bad[:2] == [2, ""] and bad[2].startswith("error: mass file is not valid JSON")
-    assert inf[:2] == [3, ""] and inf[2].startswith("error: flavor 't'")
+    return dict(zip(cases, json.loads(proc.stdout)))
+
+
+@pytest.mark.parametrize("group,fmt", FLAVOR_CASES)
+def test_flavor_reports_match_the_pins_with_numpy_blocked(numpy_blocked_runs, group, fmt):
+    exit_code, out, err = numpy_blocked_runs[group, fmt]
+    assert exit_code == 0 and err == ""
+    assert_pinned("flavor", group, fmt, out)
+
+
+@pytest.mark.parametrize("name,exit_code,message", [
+    ("bad", 2, "error: mass file is not valid JSON"),
+    ("infinite", 3, "error: flavor 't'"),
+], ids=["malformed", "infinite"])
+def test_flavor_mass_file_errors_with_numpy_blocked(numpy_blocked_runs, name, exit_code,
+                                                    message):
+    code, out, err = numpy_blocked_runs[name]
+    assert [code, out] == [exit_code, ""] and err.startswith(message)
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "inf", "1e400", "nan"])
