@@ -19,6 +19,14 @@ reference's first failing pair raised.  One hypothesis property and one
 fixed corpus run every route against the reference: a failure of the
 property names the routes that differ, and the corpus runs as one test
 per case and route.
+
+The exponential series form a second table on the same helpers.  Its one
+reference is the literal series on elements, each product the reference
+product above, and its routes are ``clifford_exp`` and ``iso_exp_series``
+at the shipped plan constants, with plans from the first pair, in the
+loop only and with plans formed and never kept, ``iso_exp`` in closed
+form, and ``clifford_exp`` under a 10-term cap.  A fixed corpus of
+exponents runs as one test per case and route.
 """
 
 import collections
@@ -32,12 +40,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bit_identity import bits
-from isoclifford import multivector
+from isoclifford import isotopy, multivector
 from isoclifford.isotopy import (
+    ConvergenceError,
     IsoContext,
     _iso_commutator_terms,
+    clifford_exp,
     iso_commutator,
     iso_commutators,
+    iso_exp,
+    iso_exp_series,
     random_invertible_context,
 )
 from isoclifford.multivector import (
@@ -80,12 +92,16 @@ def blade_geometric(sig: Signature, a: int, b: int) -> tuple[int, int]:
     return a ^ b, sign
 
 
-def geometric_product_ref(a: Multivector, b: Multivector) -> Multivector:
+def geometric_product_ref(a: Multivector, b: Multivector, row_of=None) -> Multivector:
+    """``a b``, each blade product by :func:`blade_geometric`, or read from
+    ``row_of(sig, ma)[mb]`` when given the memo of :func:`series_ref`."""
     sig = a.signature
     out: dict[int, complex] = {}
     for ma, ca in a.terms.items():
+        row = ({mb: blade_geometric(sig, ma, mb) for mb in b.terms} if row_of is None
+               else row_of(sig, ma))
         for mb, cb in b.terms.items():
-            mask, sign = blade_geometric(sig, ma, mb)
+            mask, sign = row[mb]
             out[mask] = out.get(mask, 0j) + sign * ca * cb
     return Multivector(sig, out)
 
@@ -160,13 +176,13 @@ def in_one_call(products):
     return lambda ctx, pairs: outcome(lambda: [bits(x) for x in products(ctx, pairs)])
 
 
-def forced(route, **constants):
-    """``route`` with the named constants of ``multivector`` set for it."""
-    def forced_route(ctx, pairs):
+def forced(route, module=multivector, /, **constants):
+    """``route`` with the named constants of ``module`` set for it."""
+    def forced_route(ctx, inputs):
         with pytest.MonkeyPatch.context() as patch:
             for name, value in constants.items():
-                patch.setattr(multivector, name, value)
-            return route(ctx, pairs)
+                patch.setattr(module, name, value)
+            return route(ctx, inputs)
     return forced_route
 
 
@@ -416,9 +432,9 @@ CORPUS = _corpus()
 
 @functools.cache
 def _corpus_reference(case, reference):
-    """``reference``'s outcomes on a corpus case, formed once for every
-    route it holds."""
-    return reference(*CORPUS[case])
+    """``reference``'s outcomes on a case of either corpus, formed once for
+    every route it holds."""
+    return reference(*(CORPUS | SERIES_CORPUS)[case])
 
 
 @pytest.mark.parametrize("name, route, reference", ROUTES, ids=[name for name, _, _ in ROUTES])
@@ -431,3 +447,144 @@ def test_a_commutator_past_the_float_range_raises_the_reference_error():
     """``[1e154 e0, 1e154 e1]`` is ``2e308 e01``: each ⋄ product is finite and
     their difference is not."""
     assert differing_routes(CONTEXTS["cl1_3, ζ = 1"], [(S13.e(0) * 1e154, S13.e(1) * 1e154)]) == []
+
+
+# -- the exponential series ----------------------------------------------------------
+
+
+@functools.cache
+def _blade_row(sig: Signature, ma: int) -> list[tuple[int, int]]:
+    """:func:`blade_geometric` of ``ma`` with each blade of ``sig``, memoized:
+    a series meets few blade pairs, and each often."""
+    return [blade_geometric(sig, ma, mb) for mb in range(sig.blade_count)]
+
+
+def series_ref(first, a, what, between=None):
+    """The series ``Σ_k t_k`` with ``t_0 = first`` and ``t_k = (t_{k-1}
+    between a) · (1/k)`` (``between`` left out when None), summed as
+    ``sum = sum + t_k`` on elements with the reference product, to the
+    first term whose largest modulus is at most ``_EXP_REL_TOL`` times the
+    sum's: the literal loop that ``isotopy._exp_series`` must match."""
+    term = total = first
+    for k in range(1, isotopy._EXP_MAX_TERMS + 1):
+        try:
+            if between is not None:
+                term = geometric_product_ref(term, between, _blade_row)
+            term = geometric_product_ref(term, a, _blade_row) * (1.0 / k)
+            total = total + term
+        except ValueError:  # a non-finite coefficient: the operands are finite
+            raise ConvergenceError(f"{what} overflowed at term {k}") from None
+        if term.max_abs() <= isotopy._EXP_REL_TOL * max(total.max_abs(), 1e-300):
+            return total
+    raise ConvergenceError(f"{what} did not settle in {isotopy._EXP_MAX_TERMS} terms")
+
+
+def _exp_ref(ctx, a):
+    return series_ref(a.signature.scalar(1.0), a, "exponential series")
+
+
+def _clifford_exp(ctx, a):
+    return clifford_exp(a)
+
+
+def _iso_exp_ref(ctx, a):
+    """``exp(a ζ⁻¹) ζ``, as :func:`iso_exp` forms it."""
+    return geometric_product_ref(_exp_ref(ctx, geometric_product_ref(a, ctx.zeta_inv)), ctx.zeta)
+
+
+def of_each_exponent(series):
+    """The route, or reference, that sums ``series(ctx, a)`` for each
+    exponent on its own."""
+    return lambda ctx, exponents: [outcome(lambda: bits(series(ctx, a))) for a in exponents]
+
+
+EXP = of_each_exponent(_exp_ref)
+ISO_EXP_SERIES = of_each_exponent(
+    lambda ctx, a: series_ref(ctx.zeta, a, "iso exponential series", ctx.zeta_inv))
+EXP_IN_10_TERMS = forced(EXP, isotopy, _EXP_MAX_TERMS=10)
+PLANS = {"": {}, ", plans from 1 pair": {"_PLAN_MIN_PAIRS": 1},
+         ", loop only": {"_PLAN_MIN_PAIRS": 1 << 40}, ", plans not kept": {"_PLAN_CACHE_PAIRS": 0}}
+
+# (name, route, reference), as ROUTES: a route maps a context and its
+# exponents to one outcome per exponent
+SERIES_ROUTES = [
+    *[(f"{name}{label}", forced(of_each_exponent(series), **constants), reference)
+      for name, series, reference in (
+          ("clifford_exp", _clifford_exp, EXP),
+          ("iso_exp_series", iso_exp_series, ISO_EXP_SERIES))
+      for label, constants in PLANS.items()],
+    ("iso_exp", of_each_exponent(iso_exp), of_each_exponent(_iso_exp_ref)),
+    ("clifford_exp, 10 terms", forced(of_each_exponent(_clifford_exp), isotopy, _EXP_MAX_TERMS=10),
+     EXP_IN_10_TERMS),
+]
+
+
+def _series_corpus():
+    """The fixed series cases, by name: each a context and its exponents."""
+    rng = np.random.default_rng(220)
+    dense = []
+    for norm in (0.01, 0.7, 3.0, 12.0, 40.0, 90.0, 140.0, 180.0, 220.0):
+        for lead in (0.0, 0.95):
+            x = random_multivector(S13, rng, 16)
+            x = x * ((1.0 - lead) * norm / sum(abs(c) for c in x.terms.values()))
+            dense.append(x + S13.e(1, 2) * (lead * norm))
+    u = random_multivector(S13, np.random.default_rng(29), 16)
+    u = u * (1.0 / u.norm())
+    far = random_multivector(S13, np.random.default_rng(6), 16)
+    rng = np.random.default_rng(8)
+    filling = random_multivector(S07, rng, 8, scale=0.5)
+    return {
+        # random exponents, and ones led by the rotation bivector e12, whose
+        # series exhaust the term cap from an ℓ1 norm near 90 on
+        "dense, ℓ1 0.01 to 220": (random_invertible_context(S13, np.random.default_rng(3)), dense),
+        # about u of unit norm: 3 u; -50 + 0.1 u, which cancels
+        # catastrophically; and 200 e12 + 0.1 u, which exhausts the term cap
+        "the dense_api exp kinds": (IsoContext.create(S13.scalar(1.0) + S13.e(0) * 0.2),
+                                    [u * 3.0, u * 0.1 - 50.0, u * 0.1 + S13.e(1, 2) * 200.0]),
+        # the square's e1, 1.8e-14, passes the product's prune and falls to
+        # 0.9e-14 under the 1/2 of term 2
+        "a term only the scaled prune drops": (
+            IsoContext.identity(S30), [Multivector(S30, {0: 0.6, 1: 1.5e-14})]),
+        # term 2 is -1.0000000000000002, so the sum's scalar falls to
+        # -2.2e-16 and is pruned, and term 4 adds it again after e12
+        "a blade the running sum drops and adds again": (
+            IsoContext.identity(S30), [S30.e(0, 1) * math.sqrt(2.0)]),
+        # terms grow as 1e6**k / k!, and the product of term 67 overflows
+        "exp(1e6)": (IsoContext.identity(S30), [S30.scalar(1e6)]),
+        # from the second step on, products of 256 term pairs through plans
+        "a dense exponent of ℓ1 1e6": (
+            CONTEXTS["cl1_3, ζ = 1"], [far * (1e6 / sum(abs(c) for c in far.terms.values()))]),
+        # the first products are 8 term pairs; the terms fill in to 72 blades
+        "an 8-term Cl(0,7) exponent": (
+            random_invertible_context(S07, rng), [filling]),
+    }
+
+
+SERIES_CORPUS = _series_corpus()
+
+
+@pytest.mark.parametrize("name, route, reference", SERIES_ROUTES,
+                         ids=[name for name, _, _ in SERIES_ROUTES])
+@pytest.mark.parametrize("case", SERIES_CORPUS)
+def test_every_series_route_gives_the_reference_outcome(case, name, route, reference):
+    assert gives(route, _corpus_reference(case, reference), *SERIES_CORPUS[case])
+
+
+def test_the_series_cases_reach_their_edges():
+    """The reference outcomes show what each case is named for."""
+    def exp(case, reference=EXP):
+        return _corpus_reference(case, reference)
+
+    dense = exp("dense, ℓ1 0.01 to 220")
+    assert not isinstance(dense[0], Raised) and isinstance(dense[-1], Raised)
+    assert [isinstance(o, Raised) for o in exp("the dense_api exp kinds")] == [False, False, True]
+    a = SERIES_CORPUS["a term only the scaled prune drops"][1][0]
+    eps = multivector.PRUNE_EPS
+    assert eps < abs(geometric_product_ref(a, a).coeff(1)) <= 2 * eps
+    assert [mask for mask, _, _ in exp("a blade the running sum drops and adds again")[0]] == [3, 0]
+    assert exp("exp(1e6)") == [
+        Raised("ConvergenceError", "exponential series overflowed at term 67")]
+    assert exp("exp(1e6)", EXP_IN_10_TERMS) == [
+        Raised("ConvergenceError", "exponential series did not settle in 10 terms")]
+    assert "overflowed at term" in exp("a dense exponent of ℓ1 1e6")[0].text
+    assert len(exp("an 8-term Cl(0,7) exponent")[0]) == 72

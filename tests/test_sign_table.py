@@ -3,13 +3,18 @@
 The per-signature sign table is checked against the bit-loop reference of
 ``test_paths.py`` on every blade pair of the small algebras and on sampled
 pairs of the largest, and the regular representation against a loop over
-that reference.  The products themselves, on every path and on both sides
-of every threshold, are held to the reference in ``test_paths.py``; the
-tests here check where the paths are chosen: the array threshold, the
-batch cap, the refusals and the two branches of the bins.
+that reference.  The products and the exponential series themselves, on
+every path and on both sides of every threshold, are held to the
+references in ``test_paths.py``; the tests here check where the paths are
+chosen: the array threshold, the batch cap, the refusals, the two
+branches of the bins, where a prepared right factor starts forming plans
+and how many it keeps, and that threads running series share its plans.
 """
 
 import functools
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +22,11 @@ import pytest
 from bit_identity import bits
 from isoclifford import multivector
 from isoclifford.dirac import regular_representation
-from isoclifford.isotopy import IsoContext, iso_commutators
+from isoclifford.isotopy import IsoContext, clifford_exp, iso_commutators
 from isoclifford.lie_su import structure_constants, su_n_generators
 from isoclifford.multivector import (
     Multivector,
+    RightFactor,
     Signature,
     SignatureMismatchError,
     _batch_products,
@@ -28,7 +34,7 @@ from isoclifford.multivector import (
     geometric_product,
     random_multivector,
 )
-from test_paths import blade_geometric, geometric_product_ref
+from test_paths import blade_geometric, geometric_product_ref, series_ref
 
 
 def regular_representation_ref(a: Multivector) -> np.ndarray:
@@ -227,3 +233,106 @@ def test_first_occurrence_bins_agree_on_both_branches(monkeypatch):
             bins, got_keys, slots = _first_occurrence_bins(key, n_keys)
             assert got_keys.tolist() == want_keys
             assert np.bincount(bins, weights)[slots].tobytes() == want_sums.tobytes()
+
+
+# -- the prepared right factor ------------------------------------------------------
+
+S13 = Signature(1, 3)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["loop", "plan"])
+def test_threads_running_series_get_the_serial_bits(dense):
+    """Four threads run ``clifford_exp`` at once, switching every
+    microsecond, on exponents whose products stay in the loop or, dense,
+    go through plans; no series may see another's partial sums."""
+    rng = np.random.default_rng(4)
+    exponents = [random_multivector(S13, rng, 16 if dense else 3, scale=0.5) for _ in range(6)]
+    want = [bits(clifford_exp(a)) for a in exponents]
+    same = []  # one entry per series, so a thread that died shows too
+
+    def work():
+        for _ in range(5):
+            same.extend(bits(clifford_exp(a)) == w for a, w in zip(exponents, want))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert len(same) == 4 * 5 * len(exponents)
+    assert all(same), f"{same.count(False)} of {len(same)} series differ"
+
+
+def test_plans_of_a_cl12_factor_stay_within_their_budget():
+    """A 16-term Cl(12,0) factor fed twice as many 8-term left orders as its
+    plan budget holds keeps plans for the first half and no more."""
+    sig = Signature(12, 0)
+    rng = np.random.default_rng(12)
+    b = random_multivector(sig, rng, 16)
+    kept = multivector._PLAN_CACHE_PAIRS // (8 * 16)
+    xs = [random_multivector(sig, rng, 8) for _ in range(2 * kept)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        times_b = RightFactor(b)
+        for x in xs:
+            multivector._step(times_b, x.terms)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(times_b._plans) == kept
+    # 65536 pairs: 48 bytes of arrays and a blade int each, and each plan's key
+    assert held <= 128 * multivector._PLAN_CACHE_PAIRS, held
+
+
+def test_plans_beyond_the_budget_are_formed_and_not_kept():
+    sig = Signature(12, 0)
+    rng = np.random.default_rng(17)
+    b = random_multivector(sig, rng, 17)
+    kept = multivector._PLAN_CACHE_PAIRS // (6 * 17)
+    xs = [random_multivector(sig, rng, 6) for _ in range(kept + 20)]
+    times_b = RightFactor(b)
+    for x in xs + xs[-30:]:
+        assert bits(multivector._step(times_b, x.terms)[0].items()) == bits(geometric_product(x, b))
+    assert len(times_b._plans) == kept
+    assert tuple(xs[kept - 1].terms) in times_b._plans
+    assert tuple(xs[kept].terms) not in times_b._plans
+
+
+def test_a_dense_cl13_series_leaves_the_loop_after_its_first_step(monkeypatch):
+    """A 16-term Cl(1,3) exponent: the first step multiplies the scalar 1
+    by it in the loop, 16 term pairs, and every later step, 256 pairs, goes
+    through a plan formed once for each left blade order the series meets."""
+    rng = np.random.default_rng(13)
+    a = random_multivector(S13, rng, 16, scale=0.4)
+    want = bits(series_ref(S13.scalar(1.0), a, "exponential series"))
+    loop, plan, product = multivector._loop_sums, RightFactor._plan, RightFactor._product
+    loop_pairs, planned, lefts = [], [], []
+
+    def counted_loop(a_terms, b_terms, table, keep=None):
+        loop_pairs.append(len(a_terms) * len(b_terms))
+        return loop(a_terms, b_terms, table, keep)
+
+    def counted_plan(self, order):
+        planned.append(order)
+        return plan(self, order)
+
+    def counted_product(self, term):
+        lefts.append(tuple(term))
+        return product(self, term)
+
+    monkeypatch.setattr(multivector, "_loop_sums", counted_loop)
+    monkeypatch.setattr(RightFactor, "_plan", counted_plan)
+    monkeypatch.setattr(RightFactor, "_product", counted_product)
+    got = bits(clifford_exp(a))
+    monkeypatch.undo()
+    assert got == want
+    assert len(lefts) > 10 and lefts[0] == (0,)
+    assert loop_pairs == [16]
+    assert planned == list(dict.fromkeys(lefts[1:]))
