@@ -33,8 +33,21 @@ import sys
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 
+
+class _GroupMap(dict):
+    """A dict keyed by flavor group whose missing key raises ``ValueError``;
+    a lookup of a known group costs what a plain dict's does."""
+
+    __slots__ = ()
+
+    def __missing__(self, group):
+        raise ValueError(f"unknown group {group!r}")
+
+
 FLAVORS = ("u", "d", "s", "c", "b", "t")
-GROUP_FLAVORS = {"su3": FLAVORS[:3], "su6": FLAVORS}
+# Every group a caller names is looked up here first, so an unknown one
+# raises ValueError wherever it is passed.
+GROUP_FLAVORS = _GroupMap(su3=FLAVORS[:3], su6=FLAVORS)
 GROUP_DIM = {group: len(flavors) for group, flavors in GROUP_FLAVORS.items()}
 # 1-based positions of the diagonal Gell-Mann matrices: k² - 1 for k = 2..n.
 DIAGONAL_GENERATOR_INDEX = {group: tuple(k * k - 1 for k in range(2, n + 1))
@@ -196,9 +209,7 @@ class FlavorIsoUnit(namedtuple("FlavorIsoUnit", "group diagonal delta params")):
     __slots__ = ()
 
     def __new__(cls, group: str, diagonal: Sequence[float], delta: float = 1.0, params=None):
-        if group not in GROUP_DIM:
-            raise ValueError(f"unknown group {group!r}")
-        dim = GROUP_DIM[group]
+        dim = len(GROUP_FLAVORS[group])
         if len(diagonal) != dim:
             raise ValueError(f"isounit diagonal must have {dim} entries")
         if not all(map(_positive_real, diagonal)):
@@ -217,7 +228,7 @@ class FlavorIsoUnit(namedtuple("FlavorIsoUnit", "group diagonal delta params")):
 
     @classmethod
     def identity(cls, group: str) -> "FlavorIsoUnit":
-        return cls(group, (1.0,) * GROUP_DIM[group])
+        return cls(group, (1.0,) * len(GROUP_FLAVORS[group]))
 
     def det_residual(self) -> float:
         """How far the determinant sits from 1; zero for the parameter form.
@@ -236,9 +247,10 @@ class FlavorIsoUnit(namedtuple("FlavorIsoUnit", "group diagonal delta params")):
 
 
 def _check_masses(masses: Sequence[float], group: str) -> tuple[float, ...]:
+    dim = len(GROUP_FLAVORS[group])
     masses = tuple(float(m) for m in masses)
-    if len(masses) != GROUP_DIM[group]:
-        raise ValueError(f"{group} expects {GROUP_DIM[group]} masses")
+    if len(masses) != dim:
+        raise ValueError(f"{group} expects {dim} masses")
     if not all(0 < m < math.inf for m in masses):
         raise MassDomainError("masses must be finite and positive")
     return masses
@@ -253,8 +265,17 @@ def dressed_masses(zeta: FlavorIsoUnit, masses: Sequence[float]) -> tuple[float,
 
 
 def param_value(group: str, which: int, masses: Sequence[float]) -> float:
-    """Closed-form parameter: (m_i^{n-1} / prod of the others)^{1/n}."""
-    return _param(group, which, _check_masses(masses, group))
+    """Closed-form parameter: (m_i^{n-1} / prod of the others)^{1/n}.
+
+    ``which`` is the index of the parameter in ``PARAM_NAMES[group]``; any
+    other value, a bool or an index from the end included, raises
+    ``ValueError``.
+    """
+    masses = _check_masses(masses, group)
+    count = len(PARAM_NAMES[group])
+    if isinstance(which, bool) or not isinstance(which, int) or not 0 <= which < count:
+        raise ValueError(f"{group} has no parameter {which!r}: want an index in range({count})")
+    return _param(group, which, masses)
 
 
 def _param(group: str, which: int, masses: tuple[float, ...]) -> float:

@@ -20,6 +20,7 @@ from .dirac import build_dirac_rep
 from .flavor import (
     DIAGONAL_GENERATOR_INDEX,
     GROUP_DIM,
+    GROUP_FLAVORS,
     FlavorIsoUnit,
     _check_masses,
     dressed_masses,
@@ -130,7 +131,7 @@ def decompose_mass(masses: Sequence[float], group: str) -> np.ndarray:
 
 
 def decomposition_basis(group: str) -> list[np.ndarray]:
-    n = GROUP_DIM[group]
+    n = len(GROUP_FLAVORS[group])
     lams = gell_mann(n)
     return [np.eye(n, dtype=complex)] + [lams[idx - 1] for idx in DIAGONAL_GENERATOR_INDEX[group]]
 

@@ -19,12 +19,14 @@ and form 94 plans; :mod:`~isoclifford.multivector` gives what a plan
 costs.
 
 The iso-commutator ``[x, y]_ζ = x ζ⁻¹ y - y ζ⁻¹ x`` is written once, as a
-batch: :func:`iso_commutators` forms each ``x ζ⁻¹`` once, sends both ⋄
-products of every pair through the array kernel in calls of at most
-``_BATCH_PAIRS`` term pairs, and subtracts them on arrays in the terms,
-order and bits of the ``Multivector`` difference of the two ⋄ products.
-:func:`iso_commutator` is a batch of one, and the structure-constant
-oracle of :mod:`~isoclifford.lie_su` reads the same terms as arrays.
+batch: :func:`iso_commutators` hands its pairs and ζ⁻¹ to
+:func:`~isoclifford.multivector._commutator_terms`, which forms each ``x
+ζ⁻¹`` once, sends both ⋄ products of every pair through the array kernel
+in calls of at most ``_BATCH_PAIRS`` term pairs, and subtracts them on
+arrays in the terms, order and bits of the ``Multivector`` difference of
+the two ⋄ products.  :func:`iso_commutator` is a batch of one, and the
+structure-constant oracle of :mod:`~isoclifford.lie_su` reads the same
+terms as arrays from the same call.
 
 Both exponential series, :func:`clifford_exp` and the literal
 :func:`iso_exp_series`, run through one driver, which takes each product
@@ -51,7 +53,6 @@ from .multivector import (
     RightFactor,
     Signature,
     SignatureMismatchError,
-    _batch_products,
     _commutator_terms,
     _indexed,
     _split,
@@ -126,29 +127,14 @@ def iso_commutators(ctx: IsoContext, xs: Sequence[Multivector],
     """``[x, y]_ζ`` for each ``x, y`` of ``xs, ys``, bit for bit and term
     order for term order ``iso_product(ctx, x, y) - iso_product(ctx, y,
     x)``.  Lists of unequal length raise ``ValueError``.  Every batch goes
-    through :func:`_iso_commutator_terms`, which multiplies an element that
-    recurs in the lists by ζ⁻¹ once.
+    through :func:`~isoclifford.multivector._commutator_terms` with ζ⁻¹
+    between the factors, which multiplies an element that recurs in the
+    lists by ζ⁻¹ once.
     """
     pairs = list(zip(xs, ys, strict=True))
     elements, at = _indexed([x for pair in pairs for x in pair])
-    return _split(ctx.signature, len(xs), *_iso_commutator_terms(ctx, elements, at[0::2], at[1::2]))
-
-
-def _iso_commutator_terms(ctx: IsoContext, elements: Sequence[Multivector], first: np.ndarray,
-                          second: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``[elements[i], elements[j]]_ζ`` for each ``(i, j) = (first[k],
-    second[k])``, as arrays ``(k, blade, coefficient)`` in the terms, order
-    and bits of :func:`iso_commutators`.
-
-    Each element's ``x ζ⁻¹`` is formed once, all of them in one
-    :func:`~isoclifford.multivector._batch_products`, which gives the bits
-    of :func:`~isoclifford.multivector.geometric_product`.  Then
-    :func:`~isoclifford.multivector._commutator_terms` forms every ``(x
-    ζ⁻¹) y`` and ``(y ζ⁻¹) x`` in kernel calls of at most ``_BATCH_PAIRS``
-    term pairs and subtracts them as ``Multivector.__sub__`` does.
-    """
-    return _commutator_terms(_batch_products(elements, ctx.zeta_inv), elements, first, second,
-                             ctx.signature)
+    return _split(ctx.signature, len(xs),
+                  *_commutator_terms(elements, ctx.zeta_inv, at[0::2], at[1::2]))
 
 
 def geno_commutator(ctx_left: IsoContext, ctx_right: IsoContext,

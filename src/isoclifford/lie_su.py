@@ -9,7 +9,9 @@ are never hard-coded; a brute-force structure-constant oracle
 (least-squares decomposition of every pairwise iso-commutator over the
 generator span) is the single source of truth for closure, dimension and
 normalization factors.  It reads the commutators as arrays of terms from
-the one batched iso-commutator of :mod:`~isoclifford.isotopy`.
+:func:`~isoclifford.multivector._commutator_terms` with ζ⁻¹ between the
+factors, the one batched iso-commutator that
+:func:`~isoclifford.isotopy.iso_commutators` goes through too.
 
 The Cartan elements use the corrected form
 ``H^r = e^r ∧ e^{r+n} - e^{r+1} ∧ e^{r+n+1}``; the published variant
@@ -25,12 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .isotopy import IsoContext, _iso_commutator_terms, iso_wedge, lift
+from .isotopy import IsoContext, iso_wedge, lift
 from .multivector import (
     AlgebraError,
     Multivector,
     Signature,
     SignatureMismatchError,
+    _commutator_terms,
     _term_arrays,
 )
 
@@ -198,7 +201,7 @@ def structure_constants(gs: GeneratorSet) -> StructureConstants:
     m = len(gs)
     first, second = np.triu_indices(m, 1)
     span_columns, span_blades, span_coeffs = _element_terms((*gs.generators, gs.context.zeta))
-    pair, blades, diffs = _iso_commutator_terms(gs.context, gs.generators, first, second)
+    pair, blades, diffs = _commutator_terms(gs.generators, gs.context.zeta_inv, first, second)
     # columns: the generators, ζ, then one commutator per pair
     coeffs = _coefficient_matrix(np.concatenate([span_columns, m + 1 + pair]),
                                  np.concatenate([span_blades, blades]),

@@ -52,12 +52,13 @@ batch.  A single element in place of the right-hand list is the right
 factor of every product, as a shared isounit is.  The iso-commutators of
 :mod:`isoclifford.isotopy`, which the structure-constant oracle of
 :mod:`isoclifford.lie_su` reads too, go through
-:func:`_commutator_terms`, which forms both products of every pair and
-subtracts them on arrays as ``Multivector.__sub__`` does.  Both hand
-their products to :func:`_batch_calls`, which cuts them into kernel
-calls by one greedy rule: at most ``_BATCH_PAIRS`` (8192) term pairs a
-call, so the arrays of one call stay near 2 MB however long the lists
-are, and a product larger than the cap a call of its own.  A batch of
+:func:`_commutator_terms`, which forms each element times ζ⁻¹ once,
+then both products of every pair, and subtracts them on arrays as
+``Multivector.__sub__`` does.  Both hand their products to
+:func:`_batch_calls`, which cuts them into kernel calls by one greedy
+rule: at most ``_BATCH_PAIRS`` (8192) term pairs a call, so the arrays
+of one call stay near 2 MB however long the lists are, and a product
+larger than the cap a call of its own.  A batch of
 :func:`_batch_products` below ``_NUMPY_MIN_PAIRS`` takes the loop.
 
 A right factor that recurs, the exponent of an exponential series of
@@ -320,17 +321,20 @@ def _kept(coeffs: np.ndarray) -> np.ndarray:
     return ~(a <= PRUNE_EPS)
 
 
-def _commutator_terms(left: Sequence[Multivector], right: Sequence[Multivector], first: np.ndarray,
-                      second: np.ndarray, sig: Signature) -> tuple[np.ndarray, ...]:
-    """``left[i] * right[j] - left[j] * right[i]`` for each ``(i, j) =
-    (first[k], second[k])`` as arrays ``(k, blade, coefficient)``, with the
-    terms, order and bits of the two products' difference by
-    :meth:`Multivector.__sub__`.  With ``left`` the elements times ζ⁻¹ and
-    ``right`` the elements this is the iso-commutator of
-    :mod:`isoclifford.isotopy`.
+def _commutator_terms(elements: Sequence[Multivector], between: Multivector, first: np.ndarray,
+                      second: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``x_i between x_j - x_j between x_i`` for each ``(i, j) = (first[k],
+    second[k])``, ``x`` the ``elements``, as arrays ``(k, blade,
+    coefficient)``, with the terms, order and bits of the two products'
+    difference by :meth:`Multivector.__sub__`.  With ``between`` ζ⁻¹ this
+    is the iso-commutator of :mod:`isoclifford.isotopy`, which the
+    structure-constant oracle of :mod:`isoclifford.lie_su` reads too.
 
-    :func:`_batch_calls` forms ``x_k = left[i] * right[j]`` as product
-    ``2k`` and ``y_k = left[j] * right[i]`` as product ``2k + 1``.
+    Each ``x between`` is formed once, all of them in one
+    :func:`_batch_products`, which gives the bits of
+    :func:`geometric_product`.  :func:`_batch_calls` forms ``x_k = (x_i
+    between) x_j`` as product ``2k`` and ``y_k = (x_j between) x_i`` as
+    product ``2k + 1``.
     :func:`_first_occurrence_bins` numbers the ``(k, blade)`` keys in order
     of their first term, so each difference lists ``x_k``'s blades, then
     those only ``y_k`` has, as ``__sub__``'s dict does.  The ``x_k`` terms
@@ -338,10 +342,12 @@ def _commutator_terms(left: Sequence[Multivector], right: Sequence[Multivector],
     blade in both, ``0.0 + (-y)`` on a blade only in ``y_k`` and ``x`` on a
     blade only in ``x_k``; :func:`_kept` prunes the result.
     """
+    sig = between.signature
+    left = _batch_products(elements, between)
     pairs = np.stack([first, len(left) + second, second, len(left) + first], axis=1).reshape(-1, 2)
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))]
     parts += [(product + start, blades, coeffs) for start, _, (product, blades, coeffs)
-              in _batch_calls([x._terms for x in (*left, *right)], pairs, sig)]
+              in _batch_calls([x._terms for x in (*left, *elements)], pairs, sig)]
     product, blades, coeffs = map(np.concatenate, zip(*parts))
     bins, keys, slots = _first_occurrence_bins((product >> 1) << sig.dim | blades,
                                                len(first) << sig.dim)

@@ -227,6 +227,32 @@ def test_equal_mass_fixed_point_property(masses):
     assert np.abs(diag - gm).max() / gm < 1e-10
 
 
+@pytest.mark.parametrize("which", [-1, -2, 2, 5, True, 0.0, "0"])
+def test_param_value_takes_only_a_parameter_index(which):
+    """A negative index once picked its own mass from the end but the
+    others from a slice that repeats masses; an index past the names
+    raised ``IndexError``, or returned a value no parameter has."""
+    with pytest.raises(ValueError, match="su3 has no parameter"):
+        param_value("su3", which, (1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: param_value("su4", 0, CENTRAL3),
+    lambda: equal_mass_params(CENTRAL3, "su4"),
+    lambda: common_iso_mass(CENTRAL3, "su4"),
+    lambda: param_intervals(QuarkMassBounds.reference(), "su4"),
+    lambda: QuarkMassBounds.reference().centrals("su4"),
+    lambda: FlavorIsoUnit.identity("su4"),
+    lambda: mass_operator(CENTRAL3, "su4"),
+    lambda: decompose_mass(CENTRAL3, "su4"),
+    lambda: decomposition_basis("su4"),
+], ids=["param_value", "equal_mass_params", "common_iso_mass", "param_intervals", "centrals",
+        "identity", "mass_operator", "decompose_mass", "decomposition_basis"])
+def test_an_unknown_group_raises_value_error(call):
+    with pytest.raises(ValueError, match="^unknown group 'su4'$"):
+        call()
+
+
 # -- states and expectations ----------------------------------------------------------
 
 

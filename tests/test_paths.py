@@ -44,7 +44,6 @@ from isoclifford import isotopy, multivector
 from isoclifford.isotopy import (
     ConvergenceError,
     IsoContext,
-    _iso_commutator_terms,
     clifford_exp,
     iso_commutator,
     iso_commutators,
@@ -57,6 +56,7 @@ from isoclifford.multivector import (
     RightFactor,
     Signature,
     _batch_products,
+    _commutator_terms,
     _kept_terms,
     _loop_sums,
     _split,
@@ -219,7 +219,7 @@ def _oracle_commutators(ctx, pairs):
     """The commutators as the structure-constant oracle reads them."""
     elements = [x for pair in pairs for x in pair]
     index = np.arange(len(elements))
-    pair, blades, coeffs = _iso_commutator_terms(ctx, elements, index[0::2], index[1::2])
+    pair, blades, coeffs = _commutator_terms(elements, ctx.zeta_inv, index[0::2], index[1::2])
     return [zip(blades[pair == k].tolist(), coeffs[pair == k].tolist()) for k in range(len(pairs))]
 
 
@@ -292,7 +292,7 @@ ROUTES = [
       for plans, min_pairs in (("", multivector._PLAN_MIN_PAIRS), (", plans from 1 pair", 1))],
     ("iso_commutators", in_one_call(_commutators), COMMUTATOR),
     ("iso_commutator", per_pair(lambda ctx, a, b: bits(iso_commutator(ctx, a, b))), COMMUTATOR),
-    ("_iso_commutator_terms", in_one_call(_oracle_commutators), COMMUTATOR),
+    ("_commutator_terms", in_one_call(_oracle_commutators), COMMUTATOR),
     *[(product.__name__, of_each(product), of_each(reference)) for product, reference in (
         (wedge, wedge_ref), (left_contraction, left_contraction_ref),
         (right_contraction, right_contraction_ref))],

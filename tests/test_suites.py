@@ -47,7 +47,7 @@ def test_verify_all_runs_within_60_s():
     assert ELAPSED <= 60.0
 
 
-def test_verify_all_report_matches_reference_digest():
+def test_verify_all_report_matches_its_pin():
     assert_pinned("verify", "all", "json", RUN.stdout)
 
 
