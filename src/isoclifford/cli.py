@@ -6,13 +6,15 @@ Two commands::
     isoclifford flavor --group su3|su6 --masses <path> [--intervals] [--format ...]
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 domain
-error (non-positive masses and the like; also any ``AlgebraError`` or
-``ValueError`` a command lets escape, reported on one ``error:`` line,
-among them a ``verify`` check or comparison holding a value that is not
-finite, so no NaN or infinity reaches a report).  A report that cannot
-be written (stdout closed, or a write that fails other than on a closed
-pipe) exits 2 on one ``error:`` line; a reader that leaves early
-(``verify ... | head``) ends the command quietly with the checks' code.
+error.  Commands raise, and :func:`main` alone maps an error to its exit
+code by type, on one ``error:`` line: 2 for a :class:`UsageError` or a
+``MassFormatError``, 3 for a ``MassDomainError`` or any other
+``AlgebraError`` or ``ValueError`` (named by its type), such as a
+``verify`` check or comparison holding a value that is not finite, so no
+NaN or infinity reaches a report.  A report that cannot be written
+(stdout closed, or a write that fails other than on a closed pipe) exits
+2 on one ``error:`` line; a reader that leaves early (``verify ... |
+head``) ends the command quietly with the checks' code.
 Under ``verify --suite all`` the first suite to fail stops the others.
 Reports are deterministic: the property suites run on a fixed seed and
 every float is rendered with 6 significant digits.
@@ -41,6 +43,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class UsageError(Exception):
+    """A bad option value, an unreadable file or a closed stdout: exit 2."""
 
 
 def _round6(value: object) -> object:
@@ -121,12 +127,10 @@ def cmd_verify(args) -> tuple[int, str]:
     from .suites import SUITE_NAMES, run_suite
 
     if args.tol is not None and not 0 < args.tol < math.inf:
-        print("error: --tol must be a finite positive number", file=sys.stderr)
-        return EXIT_USAGE, ""
+        raise UsageError("--tol must be a finite positive number")
     if args.suite not in ("all", *SUITE_NAMES):
-        print(f"error: unknown suite {args.suite!r}; expected all or one of "
-              f"{', '.join(SUITE_NAMES)}", file=sys.stderr)
-        return EXIT_USAGE, ""
+        raise UsageError(f"unknown suite {args.suite!r}; expected all or one of "
+                         f"{', '.join(SUITE_NAMES)}")
     checks, comparisons = run_suite(args.suite)
     report = {
         "command": "verify",
@@ -144,18 +148,12 @@ def cmd_flavor(args) -> tuple[int, str]:
         with open(args.masses, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        print(f"error: cannot read mass file: {exc}", file=sys.stderr)
-        return EXIT_USAGE, ""
+        raise UsageError(f"cannot read mass file: {exc}") from exc
     group = args.group
-    try:
-        bounds = flavor.QuarkMassBounds.from_json(raw)
-        masses = bounds.centrals(group)
-        zeta = flavor.equal_mass_params(masses, group)
-        intervals = flavor.param_intervals(bounds, group) if args.intervals else None
-    except flavor.MassInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, flavor.MassFormatError) else EXIT_DOMAIN, ""
-
+    bounds = flavor.QuarkMassBounds.from_json(raw)
+    masses = bounds.centrals(group)
+    zeta = flavor.equal_mass_params(masses, group)
+    intervals = flavor.param_intervals(bounds, group) if args.intervals else None
     dressed = flavor.dressed_masses(zeta, masses)
     params = {name: val for name, val in zip(flavor.PARAM_NAMES[group], zeta.params)}
     params["iso_mass"] = flavor.common_iso_mass(masses, group)
@@ -180,13 +178,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0
-    if sys.stdout is None:  # started with stdout closed: end before the command runs
-        print("error: cannot write the report: stdout is closed", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if sys.stdout is None:  # started with stdout closed: end before the command runs
+            raise UsageError("cannot write the report: stdout is closed")
         code, out = (cmd_verify if args.command == "verify" else cmd_flavor)(args)
+    except (UsageError, flavor.MassInputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN if isinstance(exc, flavor.MassDomainError) else EXIT_USAGE
     except (AlgebraError, ValueError) as exc:
-        # a domain failure the command did not map itself: one line, no traceback
+        # any other domain failure: named by its type, on one line, no traceback
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_DOMAIN
     try:

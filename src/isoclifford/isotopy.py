@@ -49,6 +49,7 @@ import numpy as np
 from .multivector import (
     AlgebraError,
     Multivector,
+    NonFiniteError,
     NonInvertibleError,
     RightFactor,
     Signature,
@@ -237,7 +238,7 @@ def _exp_series(first: Multivector, a: Multivector, what: str,
                 if between is not None:
                     term = _step(between, term)[0]
                 term, term_max, total, total_max = _step(times_a, term, complex(1.0 / k), total)
-            except ValueError as exc:  # a non-finite coefficient: the operands are finite
+            except NonFiniteError as exc:  # the operands are finite: an overflow
                 raise ConvergenceError(f"{what} overflowed at term {k}") from exc
             if term_max <= _EXP_REL_TOL * max(total_max, 1e-300):
                 return Multivector._from_kept(first.signature, total)

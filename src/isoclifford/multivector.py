@@ -132,6 +132,10 @@ class NonInvertibleError(AlgebraError):
     """Raised when an element has no (numerically resolvable) inverse."""
 
 
+class NonFiniteError(ValueError):
+    """Raised when a coefficient, or a residual, is not finite."""
+
+
 @functools.cache
 def _sign_table(p: int, q: int) -> tuple[int, ...]:
     """``F[b]`` for every blade ``b`` of Cl(p,q); see the module docstring.
@@ -230,11 +234,11 @@ def _pruned(terms: Iterable[tuple[int, complex]], factor: complex | None = None,
             total: dict[int, complex] | None = None) -> tuple[dict[int, complex], float]:
     """The ``(mask, c)`` pairs of ``terms`` with ``|c| > PRUNE_EPS``, and the
     largest modulus kept (0.0 if none is); a ``c`` whose modulus is not
-    finite raises ``ValueError``.
+    finite raises :class:`NonFiniteError`.
 
     ``abs(c)`` is inf or NaN when a component of ``c`` is, and it raises
     ``OverflowError`` when the components are finite but the modulus
-    exceeds the largest float; both raise the ``ValueError`` that
+    exceeds the largest float; both raise the :class:`NonFiniteError` that
     :func:`_kept` raises for a modulus of inf.
 
     With a ``factor``, each term that passes is multiplied by it and put to
@@ -256,7 +260,7 @@ def _pruned(terms: Iterable[tuple[int, complex]], factor: complex | None = None,
             if a <= PRUNE_EPS:
                 break
             if not a < math.inf:
-                raise ValueError("multivector coefficients must be finite")
+                raise NonFiniteError("multivector coefficients must be finite")
             if f is None:
                 kept[mask] = c
                 if total is not None:
@@ -282,7 +286,7 @@ def _step(right: RightFactor, term: Mapping[int, complex], factor: complex | Non
     wherever it sits, or an overflow), or a modulus is past the float
     range.  The terms and sums are those of ``(x * b) * factor`` and ``sum
     + t`` on :class:`Multivector` values, bit for bit.  A non-finite
-    coefficient raises ``ValueError``; the caller enters
+    coefficient raises :class:`NonFiniteError`; the caller enters
     ``np.errstate(all="ignore")``, once for a whole series.
     """
     kept, top = _pruned(right._product(term), factor, total)
@@ -299,7 +303,7 @@ def _step(right: RightFactor, term: Mapping[int, complex], factor: complex | Non
 
 def _kept(coeffs: np.ndarray) -> np.ndarray:
     """:func:`_pruned`'s rule on an array: the mask of the coefficients with
-    ``|c| > PRUNE_EPS``; a non-finite ``c`` raises ``ValueError``.
+    ``|c| > PRUNE_EPS``; a non-finite ``c`` raises :class:`NonFiniteError`.
 
     Python's ``abs(complex)`` is libm's ``hypot`` of the components.
     ``np.abs`` is several times faster than ``np.hypot`` but may differ
@@ -316,7 +320,7 @@ def _kept(coeffs: np.ndarray) -> np.ndarray:
         if near.any():  # every modulus that is not finite is among these
             exact = np.hypot(coeffs.real[near], coeffs.imag[near])
             if not (exact[~(exact <= PRUNE_EPS)] < math.inf).all():
-                raise ValueError("multivector coefficients must be finite")
+                raise NonFiniteError("multivector coefficients must be finite")
             a[near] = exact
     return ~(a <= PRUNE_EPS)
 
@@ -904,7 +908,7 @@ def inverse(a: Multivector) -> Multivector:
     the regular path it is ``M x`` for the matrix ``M`` just solved and the
     pruned candidate's coefficients ``x``, whose last bits may differ from
     the product's.  A candidate whose residual is not finite raises
-    ``ValueError``.
+    :class:`NonFiniteError`.
     """
     if not a:
         raise NonInvertibleError("zero has no inverse")
@@ -940,7 +944,7 @@ def _regular_solve_inverse(a: Multivector) -> tuple[Multivector, float]:
     with np.errstate(all="ignore"):  # inf and NaN reach the check below
         residual = float(np.abs(mat @ x - rhs).max())
     if not residual < math.inf:
-        raise ValueError("multivector coefficients must be finite")
+        raise NonFiniteError("multivector coefficients must be finite")
     return candidate, residual
 
 

@@ -67,6 +67,7 @@ from .isotopy import (
 )
 from .multivector import (
     Multivector,
+    NonFiniteError,
     Signature,
     _batch_products,
     geometric_product,
@@ -108,7 +109,7 @@ class _Recorder:
         name = f"{self.suite}.{name}"
         try:
             diff = got - want
-        except ValueError as err:  # a Multivector refuses non-finite coefficients
+        except NonFiniteError as err:  # a Multivector refuses non-finite coefficients
             raise ValueError(f"check {name}: {err}") from None
         if isinstance(diff, Multivector):
             residual = float(diff.max_abs())

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -8,11 +10,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isoclifford import cli, dirac, suites
+from isoclifford import cli, dirac, flavor, suites
 from isoclifford.cli import main
 from isoclifford.multivector import NonInvertibleError, SignatureMismatchError
 from pins import FLAVOR_CASES, assert_pinned, flavor_argv, verify_argv
@@ -22,16 +27,6 @@ PYTHON = [sys.executable, "-X", "dev", "-W", "error"]
 RUN = [*PYTHON, "-m", "isoclifford"]
 REPO = Path(__file__).resolve().parent.parent
 MASSES = str(REPO / "data" / "quark_masses.json")
-
-
-def run_cli(*args, **kw):
-    return subprocess.run(RUN + list(args), capture_output=True, text=True, **kw)
-
-
-def test_verify_unknown_suite_usage_error():
-    proc = run_cli("verify", "--suite", "bogus")
-    assert proc.returncode == 2
-    assert "unknown suite" in proc.stderr
 
 
 @pytest.mark.parametrize("suite", ["clifford", "all"])
@@ -205,27 +200,13 @@ def test_verify_loads_numpy_with_one_blas_thread_unless_the_user_chose(user_valu
 
 
 def test_flavor_imports_only_the_flavor_module():
-    # under -S no site hook loads a module before the child records them; as
-    # -S also drops site-packages, the child imports the package from where
-    # this process did
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import contextlib, io, json\n"
-        "from isoclifford.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
-    )
+    # the script checks the modules flavor loads, as CI runs it; as -S drops
+    # site-packages, the child imports the package from where this process did
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([*PYTHON, "-S", "-c", code, *flavor_argv("su6")],
-                          capture_output=True, text=True, cwd=REPO, env=env)
-    code, added = json.loads(proc.stdout)
-    assert code == 0, proc.stderr
-    assert [m for m in added if m.partition(".")[0] == "isoclifford"] == [
-        "isoclifford", "isoclifford.cli", "isoclifford.flavor"]
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
-                "numpy"} & set(added), added
+    proc = subprocess.run([*PYTHON, "-S", str(REPO / "tests" / "flavor_modules.py"),
+                           *flavor_argv("su6")], capture_output=True, text=True, cwd=REPO,
+                          env=env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -279,153 +260,169 @@ def test_flavor_mass_file_errors_with_numpy_blocked(numpy_blocked_runs, name, ex
     assert [code, out] == [exit_code, ""] and err.startswith(message)
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "inf", "1e400", "nan"])
-def test_verify_tol_must_be_finite_and_positive(capsys, tol):
-    assert main(["verify", "--suite", "octonion", "--tol", tol, "--format", "json"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: --tol must be a finite positive number\n"
-
-
-def test_verify_tol_override_can_fail():
-    # an absurdly tight tolerance turns residual checks into failures
-    proc = run_cli("verify", "--suite", "su3", "--tol", "1e-30")
-    assert proc.returncode == 1
-
-
 def test_flavor_entry_point_report_matches_its_pin():
     # the numpy-blocked test holds every flavor report to its pin through
     # main; this one runs the `python -m isoclifford` entry point
-    proc = run_cli(*flavor_argv("su6", "json"), cwd=REPO)
+    proc = subprocess.run(RUN + flavor_argv("su6", "json"), capture_output=True, text=True,
+                          cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     assert_pinned("flavor", "su6", "json", proc.stdout)
 
 
-def test_flavor_missing_file():
-    proc = run_cli("flavor", "--group", "su3", "--masses", "/nonexistent.json")
-    assert proc.returncode == 2
-    assert "cannot read" in proc.stderr
+# The command-line contract: every error path of both commands, and the
+# reports beside them, run in process through ``main`` under one rule.
 
-
-@pytest.mark.parametrize("raw,message", [
-    (bytes.fromhex("fffe7b7d"), "is not valid UTF-8"),  # starts with a UTF-16 byte-order mark
-    (b"[" * 200_000, "nests too deeply"),
-    (b'{"u": ' * 200_000, "nests too deeply"),
-], ids=["utf16", "nested_arrays", "nested_objects"])
-def test_flavor_unreadable_mass_file_exits_2(tmp_path, capsys, raw, message):
-    path = tmp_path / "masses.json"
-    path.write_bytes(raw)
-    assert main(["flavor", "--group", "su3", "--masses", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: mass file {message}")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("entry", [
-    [0] * 100_000,
-    {"min": [0] * 100_000, "max": 2.0},
-    {"min": 1.0, "max": "9" * 100_000},
-], ids=["long_list", "long_min", "long_string"])
-def test_flavor_bad_entry_error_is_one_short_line(tmp_path, capsys, entry):
-    entries = json.loads((REPO / "data" / "quark_masses.json").read_text())
-    entries["u"] = entry
-    path = tmp_path / "masses.json"
-    path.write_text(json.dumps(entries))
-    assert main(["flavor", "--group", "su3", "--masses", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: flavor 'u': bad entry ")
-    assert err.count("\n") == 1
-    assert len(err.encode()) < 1024
-
-
-def _mass_entries(**override):
-    entries = {fl: {"min": 1.0, "max": 2.0} for fl in ("u", "d", "s", "c", "b", "t")}
-    entries.update(override)
-    return entries
-
-
+FILE = "<mass file>"  # the argv entry a row's mass file stands for
+REFERENCE = json.loads(Path(MASSES).read_text())
 NOT_FINITE = "error: flavor 'c': min, central and max must be finite"
 BAD_ENTRY = "error: flavor 'c': bad entry "
+TOL = "error: --tol must be a finite positive number\n"
+ALPHA = "parameter alpha is not a finite positive number"
 
 
-@pytest.mark.parametrize("entry,code,message", [
-    ({"min": 1.0, "max": float("inf")}, 3, NOT_FINITE),
-    ({"min": 1.0, "max": 2.0, "central": float("nan")}, 3, NOT_FINITE),
-    ({"min": 1.0, "max": 10 ** 400}, 3,
-     "error: flavor 'c': an integer mass exceeds the float range"),
-    # the default central (halfway) is finite; the parameters it feeds overflow
-    ({"min": 1e308, "max": 1.7e308}, 3,
-     "error: su6 parameter alpha is not a finite positive number"),
-    ({"min": -1.0, "max": 2.0}, 3, "error: flavor 'c': need 0 < min <= central <= max"),
-    ({"min": True, "max": 2.0}, 2, BAD_ENTRY),
-    ({"min": 1.0, "max": 2.0, "central": False}, 2, BAD_ENTRY),
-    ({"min": "1.0", "max": 2.0}, 2, BAD_ENTRY),
-    ([1.0, 2.0], 2, BAD_ENTRY),
-    (None, 2, "error: missing flavor 'c'"),
-], ids=["infinity", "nan", "huge_integer", "huge_default_central", "nonpositive", "boolean",
-        "boolean_central", "string", "list", "missing"])
-def test_flavor_input_errors_map_to_exit_codes_by_type(tmp_path, capsys, entry, code, message):
-    entries = _mass_entries(c=entry)
-    if entry is None:  # no entry for c at all
-        del entries["c"]
-    path = tmp_path / "masses.json"
-    path.write_text(json.dumps(entries))
-    assert main(["flavor", "--group", "su6", "--masses", str(path), "--intervals"]) == code
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(message) and err.count("\n") == 1, err
+def _masses(**entries):
+    """Six entries of min 1 and max 2 with ``entries`` put in; None leaves one out."""
+    tree = dict.fromkeys(flavor.FLAVORS, {"min": 1.0, "max": 2.0}) | entries
+    return {fl: entry for fl, entry in tree.items() if entry is not None}
 
 
-SPREAD = _mass_entries(u={"min": 1e-300, "max": 1e-299}, t={"min": 1e300, "max": 1.5e300})
+SPREAD = _masses(u={"min": 1e-300, "max": 1e-299}, t={"min": 1e300, "max": 1.5e300})
 # central values in range, interval corners outside it
-SPREAD_CORNERS = _mass_entries(u={"min": 1e-200, "max": 1e-100})
+SPREAD_CORNERS = _masses(u={"min": 1e-200, "max": 1e-100})
 
 
-@pytest.mark.parametrize("group,entries,intervals", [
-    ("su3", SPREAD, False), ("su3", SPREAD, True),
-    ("su6", SPREAD, False), ("su6", SPREAD, True),
-    ("su3", SPREAD_CORNERS, True),
-], ids=["su3", "su3_intervals", "su6", "su6_intervals", "su3_corners"])
-def test_flavor_widely_spread_masses_exit_3(tmp_path, capsys, group, entries, intervals):
-    path = tmp_path / "spread.json"
-    path.write_text(json.dumps(entries))
-    argv = ["flavor", "--group", group, "--masses", str(path)]
-    assert main(argv + ["--intervals"] if intervals else argv) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: {group} parameter alpha is not a finite positive number")
+def _row(name, argv, code, prefix="", masses=None, patch=None):
+    """One command line; ``masses`` (bytes or a JSON tree) is the file
+    ``FILE`` names, and ``patch`` a ``(target, exception)`` it raises."""
+    return pytest.param(argv, masses, patch, code, prefix, id=name)
 
 
-def test_flavor_spread_corners_without_intervals_succeed(tmp_path, capsys):
-    path = tmp_path / "spread.json"
-    path.write_text(json.dumps(SPREAD_CORNERS))
-    assert main(["flavor", "--group", "su3", "--masses", str(path)]) == 0
-    out, _ = capsys.readouterr()
-    assert "Infinity" not in out and "NaN" not in out
+def _flavor(group, *extra):
+    return ["flavor", "--group", group, "--masses", FILE, *extra]
 
 
-@pytest.mark.parametrize("exc", [
-    NonInvertibleError("regular representation is singular"),
-    SignatureMismatchError("Cl(3,0) vs Cl(1,3)"),
-    ValueError("a coefficient is\nnot finite"),
-], ids=lambda e: type(e).__name__)
-@pytest.mark.parametrize("command,target", [
-    ("verify", "isoclifford.suites.run_suite"),
-    ("flavor", "isoclifford.flavor.equal_mass_params"),
-])
-def test_escaping_domain_errors_exit_3_on_one_line(monkeypatch, capsys, exc, command, target):
-    def boom(*args, **kwargs):
-        raise exc
+CONTRACT = [
+    _row("unknown_suite", ["verify", "--suite", "bogus"], 2,
+         "error: unknown suite 'bogus'; expected all or one of clifford, isotopy, octonion, "
+         "su3, su6, dirac, flavor\n"),
+    *(_row(f"tol_{tol}", ["verify", "--suite", "octonion", "--tol", tol, "--format", "json"],
+           2, TOL) for tol in ["-1", "0", "inf", "1e400", "nan"]),
+    # an absurdly tight tolerance turns residual checks into failures
+    _row("tol_override_fails", ["verify", "--suite", "su3", "--tol", "1e-30"], 1),
+    _row("missing_file", ["flavor", "--group", "su3", "--masses", "/nonexistent.json"], 2,
+         "error: cannot read mass file: "),
+    # a UTF-16 byte-order mark, and nesting past the parser's recursion
+    *(_row(name, _flavor("su3"), 2, f"error: mass file {message}", masses=raw)
+      for name, raw, message in [("utf16", bytes.fromhex("fffe7b7d"), "is not valid UTF-8"),
+                                 ("nested_arrays", b"[" * 200_000, "nests too deeply"),
+                                 ("nested_objects", b'{"u": ' * 200_000, "nests too deeply")]),
+    # an entry of any size is quoted within the line's 1 KB
+    *(_row(name, _flavor("su3"), 2, "error: flavor 'u': bad entry ",
+           masses=REFERENCE | {"u": entry})
+      for name, entry in [("long_list", [0] * 100_000),
+                          ("long_min", {"min": [0] * 100_000, "max": 2.0}),
+                          ("long_string", {"min": 1.0, "max": "9" * 100_000})]),
+    *(_row(name, _flavor("su6", "--intervals"), code, prefix, masses=_masses(c=entry))
+      for name, entry, code, prefix in [
+          ("infinity", {"min": 1.0, "max": math.inf}, 3, NOT_FINITE),
+          ("nan", {"min": 1.0, "max": 2.0, "central": math.nan}, 3, NOT_FINITE),
+          ("huge_integer", {"min": 1.0, "max": 10 ** 400}, 3,
+           "error: flavor 'c': an integer mass exceeds the float range"),
+          # the default central (halfway) is finite; the parameters it feeds overflow
+          ("huge_default_central", {"min": 1e308, "max": 1.7e308}, 3, f"error: su6 {ALPHA}"),
+          ("nonpositive", {"min": -1.0, "max": 2.0}, 3,
+           "error: flavor 'c': need 0 < min <= central <= max"),
+          ("boolean", {"min": True, "max": 2.0}, 2, BAD_ENTRY),
+          ("boolean_central", {"min": 1.0, "max": 2.0, "central": False}, 2, BAD_ENTRY),
+          ("string", {"min": "1.0", "max": 2.0}, 2, BAD_ENTRY),
+          ("list", [1.0, 2.0], 2, BAD_ENTRY),
+          ("missing", None, 2, "error: missing flavor 'c'")]),
+    *(_row(f"spread_{group}{'_intervals' * intervals}",
+           _flavor(group, *["--intervals"] * intervals), 3, f"error: {group} {ALPHA}",
+           masses=SPREAD) for group in ("su3", "su6") for intervals in (False, True)),
+    _row("spread_corners_intervals", _flavor("su3", "--intervals"), 3, f"error: su3 {ALPHA}",
+         masses=SPREAD_CORNERS),
+    _row("spread_corners", _flavor("su3"), 0, masses=SPREAD_CORNERS),
+    # a domain error a command does not map: named by its type, whitespace collapsed
+    *(_row(f"escaping_{command}_{type(exc).__name__}", argv, 3, line, patch=(target, exc))
+      for command, argv, target in [
+          ("verify", ["verify", "--suite", "su3"], "isoclifford.suites.run_suite"),
+          ("flavor", ["flavor", "--group", "su3", "--masses", MASSES],
+           "isoclifford.flavor.equal_mass_params")]
+      for exc, line in [
+          (NonInvertibleError("regular representation is singular"),
+           "error: NonInvertibleError: regular representation is singular\n"),
+          (SignatureMismatchError("Cl(3,0) vs Cl(1,3)"),
+           "error: SignatureMismatchError: Cl(3,0) vs Cl(1,3)\n"),
+          (ValueError("a coefficient is\nnot finite"),
+           "error: ValueError: a coefficient is not finite\n")]),
+]
 
-    monkeypatch.setattr(target, boom)
-    argv = (["verify", "--suite", "su3"] if command == "verify"
-            else ["flavor", "--group", "su3", "--masses", MASSES])
-    assert main(argv) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
+
+def _run(argv):
+    """``main(argv)`` in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code, out, err, prefix="error: "):
+    """The rule every command line meets.  A failure (exit 2 or 3) prints no
+    report and one line under 1 KB that starts with ``prefix``, with no
+    traceback; a report (exit 0 or 1) prints no stderr, NaN or infinity."""
+    if code in (2, 3):
+        assert out == "" and err.startswith(prefix), err
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err.encode()) < 1024, err
+        assert "Traceback" not in err
+    else:
+        assert code in (0, 1) and err == "", err
+        assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("argv,masses,patch,code,prefix", CONTRACT)
+def test_command_line_contract(tmp_path, monkeypatch, argv, masses, patch, code, prefix):
+    if patch is not None:
+        monkeypatch.setattr(patch[0], mock.Mock(side_effect=patch[1]))
+    if masses is not None:
+        path = tmp_path / "masses.json"
+        path.write_bytes(masses if isinstance(masses, bytes) else json.dumps(masses).encode())
+        argv = [str(path) if arg == FILE else arg for arg in argv]
+    got = _run(argv)
+    assert got[0] == code, got
+    _assert_contract(*got, prefix)
+
+
+_MISSING = object()  # an entry or field the fuzzed tree leaves out
+_FIELD = st.sampled_from([0, -1, 5e-324, 1e-300, 1e300, sys.float_info.max, 10 ** 400, True,
+                          None, "1", [], math.nan, math.inf, _MISSING])
+
+
+def _overlaid(entries):
+    """The reference mass tree with ``entries`` put in: a dict field by
+    field, anything else as the whole entry; ``_MISSING`` leaves one out."""
+    tree = REFERENCE | {fl: REFERENCE[fl] | new if isinstance(new, dict) else new
+                        for fl, new in entries.items()}
+    return {fl: {k: v for k, v in e.items() if v is not _MISSING} if isinstance(e, dict) else e
+            for fl, e in tree.items() if e is not _MISSING}
+
+
+@given(tree=st.dictionaries(
+           st.sampled_from(flavor.FLAVORS),
+           _FIELD | st.dictionaries(st.sampled_from(["min", "central", "max"]), _FIELD,
+                                    min_size=1),
+           max_size=3).map(_overlaid),
+       group=st.sampled_from(["su3", "su6"]), intervals=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_mass_files_keep_the_contract(tmp_path_factory, tree, group, intervals):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_masses.json"
+    path.write_text(json.dumps(tree))
+    argv = ["flavor", "--group", group, "--masses", str(path), "--format", "json"]
+    code, out, err = _run(argv + ["--intervals"] * intervals)
+    assert code in (0, 2, 3)
+    _assert_contract(code, out, err)
+    if code == 0:
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -24,6 +24,7 @@ from isoclifford.lie_su import su3_case1_generators, su3_case2_generators, su_n_
 from isoclifford.multivector import (
     AlgebraError,
     NonInvertibleError,
+    RightFactor,
     Signature,
     SignatureMismatchError,
     geometric_product,
@@ -85,6 +86,18 @@ def test_random_context_draws_again_past_the_context_bound(monkeypatch):
     ctx = random_invertible_context(S13, np.random.default_rng(42))
     assert len(calls) == 2
     assert ctx.zeta == calls[1] and ctx.zeta_inv == inverse(calls[1])
+
+
+def test_only_a_non_finite_error_in_a_series_step_is_an_overflow(monkeypatch):
+    """A series turns the kernel's ``NonFiniteError`` into a
+    ``ConvergenceError``; any other ``ValueError`` propagates as itself."""
+    def refuse(self, term):
+        raise ValueError("not an overflow")
+
+    monkeypatch.setattr(RightFactor, "_product", refuse)
+    with pytest.raises(ValueError, match="^not an overflow$") as caught:
+        clifford_exp(S30.e(1))
+    assert type(caught.value) is ValueError
 
 
 def test_a_context_holds_its_isounit_and_inverse_alone(rng):

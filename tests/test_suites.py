@@ -115,3 +115,12 @@ def test_the_recorder_keeps_the_largest_got_minus_want(got, small, large):
     # a Multivector refuses the NaN itself; an array or a number measures it
     with pytest.raises(ValueError, match=r"^check demo\.check[ :]"):
         rec.add("check", got, math.nan, 1e-9)
+
+
+def test_the_recorder_names_the_check_only_for_a_non_finite_error():
+    class Refuses:
+        def __sub__(self, other):
+            raise ValueError("not a coefficient")
+
+    with pytest.raises(ValueError, match="^not a coefficient$"):
+        _Recorder("demo").add("check", Refuses(), 0.0, 1e-9)
